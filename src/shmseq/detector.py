@@ -1,17 +1,21 @@
 """Bayesian sequential change-point detection on Gaussian feature streams.
 
-The change time is given a geometric prior. At step N the detector keeps one
-hypothesis per candidate change step k = 1..N ("the distribution switched
-from g to f at step k") plus a no-change hypothesis, each with a log weight
+The change step is given a geometric prior P(change = k) = rho (1-rho)^(k-1).
+With both the pre-change density g and the post-change density f known, the
+log posterior odds that the change has already happened,
 
-    w_k  = ln pi(k) + sum_{n<k} ln g(x[n]) + sum_{n>=k} ln f(x[n]),
-    w_nc = ln P(change > N) + sum_{n<=N} ln g(x[n]).
+    r_N = ln P(change <= N | x[1..N]) - ln P(change > N | x[1..N]),
 
-The posterior probability that the change has already happened is the
-normalized weight mass of the change hypotheses. Everything is carried in
-the log domain: the raw products of hundreds of densities underflow long
-before any realistic detection horizon. A detection is declared (and
-latched) the first time the posterior reaches 1 - alpha.
+obey the exact one-number (Shiryaev) recursion
+
+    r_N = logaddexp(r_{N-1}, ln rho) - ln(1-rho) + ln f(x[N]) - ln g(x[N]),
+
+starting from r_0 = -inf. The detector carries r and nothing else; the
+posterior is its logistic transform. Working in log odds keeps full relative
+precision at both ends: posteriors far below 1e-16 and complements
+1 - posterior far below 1e-16 are both resolved. A detection is declared (and
+latched) the first time r reaches ln((1-alpha)/alpha), i.e. the posterior
+reaches 1 - alpha.
 """
 
 from __future__ import annotations
@@ -21,14 +25,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.linalg import solve_triangular
+from scipy.special import expit
 
 from .errors import DegenerateDelay, DimensionMismatch, NotPositiveDefinite
 
 LOG_2PI = float(np.log(2.0 * np.pi))
-
-# Hypotheses this far (in log weight) below the leader carry < exp(-700)
-# relative mass and are dropped to bound per-sensor memory.
-DEFAULT_COMPACT_SPAN = 700.0
 
 
 @dataclass
@@ -87,15 +88,6 @@ class GaussianParams:
             raise NotPositiveDefinite(str(err)) from err
         obj.log_det = 2.0 * float(np.log(np.diag(obj.chol)).sum())
         return obj
-
-
-def logsumexp(a) -> float:
-    """Log of the summed exponentials, shifted by the maximum for stability."""
-    a = np.asarray(a, dtype=float)
-    hi = a.max()
-    if not np.isfinite(hi):
-        return float(hi)
-    return float(hi + np.log(np.exp(a - hi).sum()))
 
 
 def _vector(x) -> np.ndarray:
@@ -160,8 +152,8 @@ class PointMassPrior:
     """Degenerate prior putting all mass on a single change step.
 
     Used by the parameter estimator as the everything-after-k limit of the
-    geometric prior; log masses are -inf off the atom, so it is not meant
-    for the recursive detector (whose log weights must stay finite).
+    geometric prior; it has no constant hazard rate, so it is not meant
+    for the recursive detector.
     """
 
     k0: int
@@ -200,27 +192,20 @@ class PointMassPrior:
 class DetectorState:
     """Running state of one sensor's detector.
 
-    ``hypothesis_steps`` / ``hypothesis_log_w`` hold the surviving
-    change-at-k hypotheses; ``cum_log_g`` is the accumulated ln g of all
-    samples so far and ``log_no_change`` the no-change hypothesis weight.
-    ``detection_time``, once set, never changes.
+    ``log_odds`` is the log posterior odds r of a change at or before
+    ``step`` (-inf before the first sample). ``detection_time``, once set,
+    never changes.
     """
 
     sensor_id: int = 0
     step: int = 0
-    hypothesis_steps: np.ndarray = field(default_factory=lambda: np.empty(0, dtype=np.int64))
-    hypothesis_log_w: np.ndarray = field(default_factory=lambda: np.empty(0))
-    cum_log_g: float = 0.0
-    log_no_change: float = 0.0
-    posterior: float = 0.0
+    log_odds: float = -math.inf
     detection_time: int | None = None
 
-
-def posterior_from_weights(log_w, log_no_change: float) -> float:
-    """Posterior change probability from hypothesis log weights."""
-    total = logsumexp(np.append(log_w, log_no_change))
-    p = -math.expm1(log_no_change - total)
-    return min(max(p, 0.0), 1.0)
+    @property
+    def posterior(self) -> float:
+        """P(change <= step | samples so far)."""
+        return float(expit(self.log_odds))
 
 
 def update(
@@ -229,72 +214,39 @@ def update(
     g: GaussianParams,
     f: GaussianParams,
     prior: GeometricPrior,
-    *,
-    compact_span: float = DEFAULT_COMPACT_SPAN,
 ) -> DetectorState:
-    """Advance the detector by one feature sample and return the new state.
-
-    Every surviving change hypothesis accrues ln f(x); the previous
-    no-change hypothesis spawns the change-at-(N+1) hypothesis; the new
-    no-change weight picks up ln g(x) and one more prior tail factor.
-    """
-    lg = log_density(g, x)
-    lf = log_density(f, x)
-    n_new = state.step + 1
-
-    steps = np.append(state.hypothesis_steps, n_new)
-    log_w = np.append(
-        state.hypothesis_log_w + lf,
-        prior.log_mass(n_new) + state.cum_log_g + lf,
+    """Advance the detector by one feature sample and return the new state."""
+    log_odds = (
+        float(np.logaddexp(state.log_odds, math.log(prior.rho)))
+        - math.log1p(-prior.rho)
+        + log_density(f, x)
+        - log_density(g, x)
     )
-    cum_log_g = state.cum_log_g + lg
-    log_no_change = prior.log_tail(n_new) + cum_log_g
-
-    posterior = posterior_from_weights(log_w, log_no_change)
-
-    keep = log_w >= max(float(log_w.max()), log_no_change) - compact_span
     return DetectorState(
         sensor_id=state.sensor_id,
-        step=n_new,
-        hypothesis_steps=steps[keep],
-        hypothesis_log_w=log_w[keep],
-        cum_log_g=cum_log_g,
-        log_no_change=log_no_change,
-        posterior=posterior,
+        step=state.step + 1,
+        log_odds=log_odds,
         detection_time=state.detection_time,
     )
 
 
+def log_odds_threshold(alpha: float) -> float:
+    """Log odds ln((1-alpha)/alpha) at which the posterior reaches 1 - alpha."""
+    if not 0.0 < alpha < 1.0:
+        raise ValueError("alpha must lie strictly between 0 and 1")
+    return math.log((1.0 - alpha) / alpha)
+
+
 def detect(state: DetectorState, alpha: float) -> int | None:
-    """Latch and return the first step at which the posterior reached 1 - alpha.
+    """Latch and return the first step at which the log odds reached the threshold.
 
     Meant to be applied after every update; the detector keeps running after
     a detection (the posterior is still reported) for diagnostics.
     """
-    if not 0.0 < alpha < 1.0:
-        raise ValueError("alpha must lie strictly between 0 and 1")
-    if state.detection_time is None and state.step >= 1 and state.posterior >= 1.0 - alpha:
+    threshold = log_odds_threshold(alpha)
+    if state.detection_time is None and state.log_odds >= threshold:
         state.detection_time = state.step
     return state.detection_time
-
-
-def hypothesis_log_weights(log_g: np.ndarray, log_f: np.ndarray, prior) -> tuple[np.ndarray, float]:
-    """All N+1 hypothesis log weights from per-sample log densities.
-
-    Direct (non-recursive) evaluation used by the adaptive detector, which
-    must re-score the stored stream whenever the post-change estimate moves.
-    """
-    log_g = np.asarray(log_g, dtype=float)
-    log_f = np.asarray(log_f, dtype=float)
-    n = log_g.size
-    if n == 0 or log_f.size != n:
-        raise ValueError("need matching, non-empty density arrays")
-    cum_g = np.concatenate(([0.0], np.cumsum(log_g)))
-    cum_f = np.concatenate(([0.0], np.cumsum(log_f)))
-    ks = np.arange(1, n + 1)
-    log_w = prior.log_mass(ks) + cum_g[ks - 1] + (cum_f[n] - cum_f[ks - 1])
-    log_no_change = prior.log_tail(n) + cum_g[n]
-    return log_w, float(log_no_change)
 
 
 def expected_delay(alpha: float, rho: float, kl: float) -> float:

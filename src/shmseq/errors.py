@@ -9,6 +9,10 @@ class ZeroVariance(ShmSeqError):
     """A signal chunk has (near-)zero standard deviation, e.g. a dead sensor."""
 
 
+class NonFiniteSignal(ShmSeqError):
+    """A signal chunk holds nan or inf samples."""
+
+
 class SingularDesign(ShmSeqError):
     """The AR lag regressor matrix is rank deficient."""
 

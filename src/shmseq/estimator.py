@@ -11,21 +11,24 @@ weight Pi(n) = P(change <= n):
 
 (the k-then-n double sum of the estimator collapses to these single sums).
 The adaptive detector refreshes the estimate at every step and re-scores the
-stored stream with the frozen current estimate before thresholding.
+stored stream with the frozen current estimate before thresholding. Because
+the estimate moves, the known-parameter recursion does not apply: the posterior
+is enumerated over every change-at-k hypothesis k = 1..N plus no change,
+
+    w_k  = ln pi(k) + sum_{n<k} ln g(x[n]) + sum_{n>=k} ln f(x[n]),
+    w_nc = ln P(change > N) + sum_{n<=N} ln g(x[n]),
+
+and the log posterior odds are logsumexp(w_k) - w_nc.
 """
 
 from __future__ import annotations
 
-import numpy as np
+import math
 
-from .detector import (
-    GaussianParams,
-    hypothesis_log_weights,
-    log_density,
-    log_density_many,
-    logsumexp,
-    posterior_from_weights,
-)
+import numpy as np
+from scipy.special import expit
+
+from .detector import GaussianParams, log_density, log_density_many, log_odds_threshold
 from .errors import EmptyStream, EstimatesUnready, InsufficientTraining
 
 DEFAULT_RIDGE_SCALE = 1e-6
@@ -110,6 +113,39 @@ def fit_predamage(
     return GaussianParams(mean=mu, cov=cov)
 
 
+def logsumexp(a) -> float:
+    """Log of the summed exponentials, shifted by the maximum for stability."""
+    a = np.asarray(a, dtype=float)
+    hi = a.max()
+    if not np.isfinite(hi):
+        return float(hi)
+    return float(hi + np.log(np.exp(a - hi).sum()))
+
+
+def hypothesis_log_likelihoods(log_g, log_f) -> tuple[np.ndarray, float]:
+    """Stream log likelihood under each change-at-k hypothesis, and under no change.
+
+    Entry k-1 of the array is sum_{n<k} ln g(x[n]) + sum_{n>=k} ln f(x[n])
+    for k = 1..N; the float is sum_n ln g(x[n]). No prior enters, so the
+    sums stay finite under priors with zero-mass steps.
+    """
+    log_g = np.asarray(log_g, dtype=float)
+    log_f = np.asarray(log_f, dtype=float)
+    if log_g.size == 0 or log_f.size != log_g.size:
+        raise ValueError("need matching, non-empty density arrays")
+    cum_g = np.concatenate(([0.0], np.cumsum(log_g)))
+    cum_f = np.concatenate(([0.0], np.cumsum(log_f)))
+    return cum_g[:-1] + (cum_f[-1] - cum_f[:-1]), float(cum_g[-1])
+
+
+def hypothesis_log_weights(log_g, log_f, prior) -> tuple[np.ndarray, float]:
+    """All N+1 hypothesis log weights (w_1..w_N, w_nc) from per-sample log densities."""
+    per_k, log_g_total = hypothesis_log_likelihoods(log_g, log_f)
+    n = per_k.size
+    log_w = prior.log_mass(np.arange(1, n + 1)) + per_k
+    return log_w, float(prior.log_tail(n) + log_g_total)
+
+
 def exact_log_posterior(dsfs, prior, g: GaussianParams, f: GaussianParams) -> float:
     """ln P(change <= N | x[1..N]) by direct hypothesis enumeration (log domain)."""
     x = _as_matrix(dsfs)
@@ -127,13 +163,8 @@ def prior_weighted_log_likelihood(dsfs, prior, g: GaussianParams, theta: Gaussia
     n = x.shape[0]
     if n == 0:
         raise EmptyStream("cannot evaluate the bound on zero samples")
-    log_g = log_density_many(g, x)
-    log_f = log_density_many(theta, x)
-    cum_g = np.concatenate(([0.0], np.cumsum(log_g)))
-    cum_f = np.concatenate(([0.0], np.cumsum(log_f)))
-    ks = np.arange(1, n + 1)
-    per_k = cum_g[ks - 1] + (cum_f[n] - cum_f[ks - 1])
-    return float(np.asarray(prior.mass(ks)) @ per_k)
+    per_k, _ = hypothesis_log_likelihoods(log_density_many(g, x), log_density_many(theta, x))
+    return float(np.asarray(prior.mass(np.arange(1, n + 1))) @ per_k)
 
 
 def jensen_lower_bound(dsfs, prior, g: GaussianParams, theta: GaussianParams) -> float:
@@ -159,10 +190,11 @@ class AdaptiveDetector:
 
     Keeps the stream seen so far, refreshes (mu_hat, Sigma_hat) through
     running prior-CDF sums at every step, re-scores all stored samples with
-    the frozen current estimate, and applies the same posterior threshold as
+    the frozen current estimate, and applies the same log-odds threshold as
     the known-parameter detector. Until ``warmup`` samples (default m + 1)
     have arrived the covariance estimate is rank deficient even with the
-    ridge, so detection is suppressed and the posterior reported as 0.
+    ridge, so detection is suppressed and the log odds held at -inf
+    (posterior 0).
     """
 
     def __init__(
@@ -176,8 +208,7 @@ class AdaptiveDetector:
         ridge_scale: float = DEFAULT_RIDGE_SCALE,
         ridge_floor: float = DEFAULT_RIDGE_FLOOR,
     ) -> None:
-        if not 0.0 < alpha < 1.0:
-            raise ValueError("alpha must lie strictly between 0 and 1")
+        self._threshold = log_odds_threshold(alpha)
         self.g = g
         self.prior = prior
         self.alpha = alpha
@@ -185,7 +216,7 @@ class AdaptiveDetector:
         self.warmup = g.dim + 1 if warmup is None else int(warmup)
         self.ridge_scale = ridge_scale
         self.ridge_floor = ridge_floor
-        self.posterior = 0.0
+        self.log_odds = -math.inf
         self.detection_time: int | None = None
         self._rows = np.empty((64, g.dim))
         self._log_g = np.empty(64)
@@ -202,6 +233,11 @@ class AdaptiveDetector:
     @property
     def step(self) -> int:
         return self._n
+
+    @property
+    def posterior(self) -> float:
+        """P(change <= step | samples so far) under the current estimate."""
+        return float(expit(self.log_odds))
 
     @property
     def is_ready(self) -> bool:
@@ -250,7 +286,6 @@ class AdaptiveDetector:
         self._sum_wxx += pi_n * np.outer(v, v)
 
         if not self.is_ready:
-            self.posterior = 0.0
             return 0.0
 
         mu, cov = self.raw_estimate()
@@ -259,7 +294,7 @@ class AdaptiveDetector:
         )
         log_f = log_density_many(self._estimate, self._rows[: self._n])
         log_w, log_nc = hypothesis_log_weights(self._log_g[: self._n], log_f, self.prior)
-        self.posterior = posterior_from_weights(log_w, log_nc)
-        if self.detection_time is None and self.posterior >= 1.0 - self.alpha:
+        self.log_odds = logsumexp(log_w) - log_nc
+        if self.detection_time is None and self.log_odds >= self._threshold:
             self.detection_time = self._n
         return self.posterior

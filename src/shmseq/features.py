@@ -14,7 +14,7 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from .errors import SingularDesign, ZeroVariance
+from .errors import NonFiniteSignal, SingularDesign, ZeroVariance
 
 DEFAULT_STD_FLOOR = 1e-12
 
@@ -108,10 +108,17 @@ class DsfConfig:
 def normalize_chunk(chunk: SignalChunk, std_floor: float = DEFAULT_STD_FLOOR) -> np.ndarray:
     """Standardize a chunk to zero mean and unit sample (n-1) standard deviation.
 
-    Raises ZeroVariance when the chunk standard deviation is below
-    ``std_floor``, which signals a dead or saturated sensor.
+    Raises NonFiniteSignal when a sample is nan or inf, and ZeroVariance when
+    the chunk standard deviation is below ``std_floor``, which signals a dead
+    or saturated sensor.
     """
     x = chunk.samples
+    if not np.isfinite(x).all():
+        bad = int(np.count_nonzero(~np.isfinite(x)))
+        raise NonFiniteSignal(
+            f"sensor {chunk.sensor_id} chunk {chunk.chunk_index}: "
+            f"{bad} of {x.size} samples are nan or inf"
+        )
     mu = float(x.mean())
     sigma = float(x.std(ddof=1))
     if sigma < std_floor:
@@ -214,7 +221,7 @@ def extract_dsf_stream(
         try:
             z = normalize_chunk(chunk)
             model = fit_ar(z, config.order)
-        except (ZeroVariance, SingularDesign) as err:
+        except (NonFiniteSignal, ZeroVariance, SingularDesign) as err:
             annotated = type(err)(f"chunk {chunk.chunk_index}: {err}")
             annotated.chunk_index = chunk.chunk_index
             raise annotated from err

@@ -12,10 +12,10 @@ from __future__ import annotations
 import csv
 import json
 import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 
 import numpy as np
+from scipy.special import expit
 
 from . import shearsim
 from .detector import DetectorState, GeometricPrior, detect, update
@@ -50,7 +50,6 @@ class PipelineConfig:
     warmup: int | None = None  # adaptive mode: steps before detection is allowed (default m+1)
     dump_dsf: bool = False
     dump_estimates: bool = False
-    max_workers: int = 4
 
     def validate(self) -> None:
         if not self.input_csv or not self.training_csv:
@@ -136,7 +135,7 @@ class SensorRun:
     column: str
     sensor_id: int
     position: str
-    trace: list[tuple[int, float]] = field(default_factory=list)
+    trace: list[tuple[int, float]] = field(default_factory=list)  # (step, log odds)
     detection_time: int | None = None
     outcome: SensorOutcome | None = None
     final_posterior: float = 0.0
@@ -185,7 +184,7 @@ def _process_sensor(
     postdamage: np.ndarray | None,
     dsf_config: DsfConfig,
     config: PipelineConfig,
-) -> SensorRun:
+) -> None:
     prior = GeometricPrior(config.rho)
     train_dsfs = extract_dsf_stream(training, dsf_config, sensor_id=run.sensor_id)
     g = fit_predamage(train_dsfs)
@@ -196,40 +195,31 @@ def _process_sensor(
     if config.mode == "known":
         post_dsfs = extract_dsf_stream(postdamage, dsf_config, sensor_id=run.sensor_id)
         f = fit_predamage(post_dsfs)
-        state = DetectorState(sensor_id=run.sensor_id)
+        detector = DetectorState(sensor_id=run.sensor_id)
         for x in dsfs:
-            state = update(state, x, g, f, prior)
-            detect(state, config.alpha)
-            run.trace.append((state.step, state.posterior))
-        run.detection_time = state.detection_time
-        run.final_posterior = state.posterior
-        run.outcome = SensorOutcome(
-            sensor_id=run.sensor_id,
-            position=run.position,
-            pre=g,
-            post=f,
-            detection_time=state.detection_time,
-        )
+            detector = update(detector, x, g, f, prior)
+            detect(detector, config.alpha)
+            run.trace.append((detector.step, detector.log_odds))
     else:
-        det = AdaptiveDetector(
+        detector = AdaptiveDetector(
             g, prior, config.alpha, sensor_id=run.sensor_id, warmup=config.warmup
         )
         for x in dsfs:
-            posterior = det.update(x)
-            run.trace.append((det.step, posterior))
-            if config.dump_estimates and det.is_ready:
-                est = det.params_estimate
-                run.estimates.append((det.step, est.mean.copy(), est.cov.copy()))
-        run.detection_time = det.detection_time
-        run.final_posterior = det.posterior
-        run.outcome = SensorOutcome(
-            sensor_id=run.sensor_id,
-            position=run.position,
-            pre=g,
-            post=det.params_estimate if det.is_ready else None,
-            detection_time=det.detection_time,
-        )
-    return run
+            detector.update(x)
+            run.trace.append((detector.step, detector.log_odds))
+            if config.dump_estimates and detector.is_ready:
+                est = detector.params_estimate
+                run.estimates.append((detector.step, est.mean.copy(), est.cov.copy()))
+        f = detector.params_estimate if detector.is_ready else None
+    run.detection_time = detector.detection_time
+    run.final_posterior = detector.posterior
+    run.outcome = SensorOutcome(
+        sensor_id=run.sensor_id,
+        position=run.position,
+        pre=g,
+        post=f,
+        detection_time=detector.detection_time,
+    )
 
 
 def run(config: PipelineConfig) -> RunResult:
@@ -256,34 +246,23 @@ def run(config: PipelineConfig) -> RunResult:
         chunk_size=config.chunk_size, order=order, coef_indices=config.coef_indices
     )
 
-    columns = list(input_signals)
     runs = []
-    for col in columns:
-        runs.append(
-            SensorRun(
-                column=col,
-                sensor_id=_sensor_id(col),
-                position=config.positions.get(col, col),
-            )
+    for col in input_signals:
+        run_obj = SensorRun(
+            column=col, sensor_id=_sensor_id(col), position=config.positions.get(col, col)
         )
-
-    def work(run_obj: SensorRun) -> SensorRun:
         try:
-            return _process_sensor(
+            _process_sensor(
                 run_obj,
-                input_signals[run_obj.column],
-                train_signals[run_obj.column],
-                post_signals[run_obj.column] if post_signals is not None else None,
+                input_signals[col],
+                train_signals[col],
+                post_signals[col] if post_signals is not None else None,
                 dsf_config,
                 config,
             )
         except ShmSeqError as err:
             run_obj.error = str(err)
-            return run_obj
-
-    workers = max(1, min(config.max_workers, len(runs)))
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        runs = list(pool.map(work, runs))
+        runs.append(run_obj)
 
     good = [r for r in runs if r.error is None]
     if not good:
@@ -347,10 +326,11 @@ def _write_outputs(config, runs, report, summary) -> dict:
     with open(paths["trace"], "w", newline="") as fh:
         fh.write("sensor_id,step,posterior,ccdf\n")
         for r in sorted(runs, key=lambda r: r.sensor_id):
-            for step, posterior in r.trace:
+            for step, log_odds in r.trace:
+                # the CCDF from -r keeps its relative precision once the posterior rounds to 1
                 fh.write(
-                    f"{r.sensor_id},{step},{format(posterior, '.12g')},"
-                    f"{format(1.0 - posterior, '.12g')}\n"
+                    f"{r.sensor_id},{step},{format(expit(log_odds), '.12g')},"
+                    f"{format(expit(-log_odds), '.12g')}\n"
                 )
     with open(paths["summary"], "w") as fh:
         json.dump(summary, fh, indent=2, sort_keys=True)

@@ -1,6 +1,7 @@
 """End-to-end pipeline and CLI tests on small synthetic scenarios."""
 
 import json
+import math
 
 import numpy as np
 import pytest
@@ -138,6 +139,35 @@ class TestRun:
         assert abs(det.posterior - state.posterior) < 1e-9
 
 
+    def test_ccdf_resolves_past_posterior_rounding(self, datasets, tmp_path):
+        """Where the posterior prints as 1 the CCDF still follows exp(-r)."""
+        config = base_config(
+            datasets, tmp_path / "out", mode="known", postdamage_csv=str(datasets / "post" / "data.csv")
+        )
+        pipeline.run(config)
+        _, train = read_signal_csv(config.training_csv)
+        _, post = read_signal_csv(config.postdamage_csv)
+        _, signals = read_signal_csv(config.input_csv)
+        cfg = DsfConfig(chunk_size=400, order=3)
+        log_odds = {}
+        for col, samples in signals.items():
+            g = fit_predamage(extract_dsf_stream(train[col], cfg))
+            f = fit_predamage(extract_dsf_stream(post[col], cfg))
+            state = DetectorState()
+            for x in extract_dsf_stream(samples, cfg):
+                state = update(state, x, g, f, GeometricPrior(config.rho))
+                log_odds[int(col.split("_")[1]), state.step] = state.log_odds
+        strong = 0
+        for line in (tmp_path / "out" / "trace.csv").read_text().splitlines()[1:]:
+            sid, step, _, ccdf = line.split(",")
+            r = log_odds[int(sid), int(step)]
+            assert float(ccdf) > 0.0
+            if r > 40.0:
+                strong += 1
+                assert abs(float(ccdf) - math.exp(-r)) <= 1e-9 * math.exp(-r)
+        assert strong > 0
+
+
 class TestInputValidation:
     def test_malformed_cell_cites_row(self, datasets, tmp_path):
         src = (datasets / "damaged" / "data.csv").read_text().splitlines()
@@ -148,6 +178,29 @@ class TestInputValidation:
         bad.write_text("\n".join(src) + "\n")
         with pytest.raises(ConfigError, match="row 17"):
             read_signal_csv(bad)
+
+    @pytest.mark.parametrize("cell", ["nan", "inf"])
+    def test_non_finite_cell_fails_only_its_sensor(self, datasets, tmp_path, capfd, cell):
+        src = (datasets / "damaged" / "data.csv").read_text().splitlines()
+        fields = src[1000].split(",")  # sample 1000 of sensor_2, in chunk 3
+        fields[2] = cell
+        src[1000] = ",".join(fields)
+        bad = tmp_path / "bad.csv"
+        bad.write_text("\n".join(src) + "\n")
+        for mode in ("adaptive", "known"):
+            config = base_config(
+                datasets,
+                tmp_path / mode,
+                input_csv=str(bad),
+                mode=mode,
+                postdamage_csv=str(datasets / "post" / "data.csv"),
+            )
+            result = pipeline.run(config)
+            sensors = {s["sensor_id"]: s for s in result.summary["sensors"]}
+            assert "sensor 2 chunk 3" in sensors[2]["error"]
+            assert all("error" not in sensors[i] and "tau" in sensors[i] for i in (1, 3, 4))
+            assert [e["id"] for e in result.localization["sensors"]] == [1, 3, 4]
+        assert "DLASCL" not in capfd.readouterr().err
 
     def test_short_row_cites_row(self, tmp_path):
         bad = tmp_path / "bad.csv"
