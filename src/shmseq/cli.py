@@ -35,7 +35,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("--chunk-size", dest="chunk_size", type=int)
     p_run.add_argument("--order", help="AR order, or 'auto' for AIC selection")
     p_run.add_argument("--p-max", dest="p_max", type=int, help="largest order tried by 'auto'")
-    p_run.add_argument("--coeffs", help="comma-separated 1-based AR coefficient subset")
+    p_run.add_argument(
+        "--coeffs", dest="coef_indices", metavar="COEFFS",
+        help="comma-separated 1-based AR coefficient subset",
+    )
     p_run.add_argument("--lambda-true", dest="lambda_true", type=int, help="true damage chunk for delay reporting")
     p_run.add_argument("--warmup", type=int, help="adaptive mode: steps before detection is allowed")
     p_run.add_argument("--positions", help="comma-separated column=label pairs")
@@ -56,42 +59,10 @@ def _run_config(args: argparse.Namespace) -> pipeline.PipelineConfig:
                 data = json.load(fh)
         except (OSError, json.JSONDecodeError) as err:
             raise ConfigError(f"{args.config}: {err}") from err
-    overrides = {
-        "input_csv": args.input_csv,
-        "training_csv": args.training_csv,
-        "postdamage_csv": args.postdamage_csv,
-        "metadata_json": args.metadata_json,
-        "output_dir": args.output_dir,
-        "mode": args.mode,
-        "alpha": args.alpha,
-        "rho": args.rho,
-        "chunk_size": args.chunk_size,
-        "p_max": args.p_max,
-        "lambda_true": args.lambda_true,
-        "warmup": args.warmup,
-        "dump_dsf": args.dump_dsf,
-        "dump_estimates": args.dump_estimates,
-    }
-    if args.order is not None:
-        overrides["order"] = args.order if args.order == "auto" else int(args.order)
-    if args.coeffs is not None:
-        try:
-            overrides["coef_indices"] = tuple(int(t) for t in args.coeffs.split(","))
-        except ValueError:
-            raise ConfigError(f"cannot parse --coeffs {args.coeffs!r}") from None
-    if args.positions is not None:
-        positions = {}
-        for pair in args.positions.split(","):
-            if "=" not in pair:
-                raise ConfigError(f"cannot parse --positions entry {pair!r}")
-            col, label = pair.split("=", 1)
-            positions[col.strip()] = label.strip()
-        overrides["positions"] = positions
-    for key, value in overrides.items():
-        if value is not None:
-            data[key] = value
-    if isinstance(data.get("order"), str) and data["order"] != "auto":
-        data["order"] = int(data["order"])
+        if not isinstance(data, dict):
+            raise ConfigError(f"{args.config}: expected a JSON object of run settings")
+    fields = pipeline.PipelineConfig.__dataclass_fields__
+    data.update((k, v) for k, v in vars(args).items() if k in fields and v is not None)
     return pipeline.PipelineConfig.from_dict(data)
 
 

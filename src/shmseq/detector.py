@@ -30,6 +30,7 @@ from scipy.special import expit
 from .errors import DegenerateDelay, DimensionMismatch, NotPositiveDefinite
 
 LOG_2PI = float(np.log(2.0 * np.pi))
+PD_FLOOR = 1e-10  # a covariance is positive definite when its smallest eigenvalue exceeds this
 
 
 @dataclass
@@ -37,14 +38,13 @@ class GaussianParams:
     """Mean and covariance of a feature distribution, with cached Cholesky factor.
 
     The covariance must be symmetric and positive definite: its smallest
-    eigenvalue has to exceed ``pd_floor``. The lower-triangular factor and
+    eigenvalue has to exceed ``PD_FLOOR``. The lower-triangular factor and
     log determinant are computed once at construction; density evaluations
     never invert the unfactored matrix.
     """
 
     mean: np.ndarray
     cov: np.ndarray
-    pd_floor: float = 1e-10
     chol: np.ndarray = field(init=False, repr=False)
     log_det: float = field(init=False, repr=False)
 
@@ -63,9 +63,9 @@ class GaussianParams:
             raise ValueError("covariance must be symmetric")
         self.cov = 0.5 * (self.cov + self.cov.T)
         min_eig = float(np.linalg.eigvalsh(self.cov).min())
-        if not min_eig > self.pd_floor:
+        if not min_eig > PD_FLOOR:
             raise NotPositiveDefinite(
-                f"smallest covariance eigenvalue {min_eig:.3e} not above floor {self.pd_floor:.0e}"
+                f"smallest covariance eigenvalue {min_eig:.3e} not above floor {PD_FLOOR:.0e}"
             )
         self.chol = np.linalg.cholesky(self.cov)
         self.log_det = 2.0 * float(np.log(np.diag(self.chol)).sum())
@@ -75,13 +75,12 @@ class GaussianParams:
         return self.mean.size
 
     @classmethod
-    def _trusted(cls, mean: np.ndarray, cov: np.ndarray, pd_floor: float = 1e-10):
+    def _trusted(cls, mean: np.ndarray, cov: np.ndarray):
         # fast path for covariances already symmetric by construction
         # (per-step re-estimation); still fails closed on a non-PD matrix
         obj = object.__new__(cls)
         obj.mean = mean
         obj.cov = cov
-        obj.pd_floor = pd_floor
         try:
             obj.chol = np.linalg.cholesky(cov)
         except np.linalg.LinAlgError as err:
@@ -197,7 +196,6 @@ class DetectorState:
     never changes.
     """
 
-    sensor_id: int = 0
     step: int = 0
     log_odds: float = -math.inf
     detection_time: int | None = None
@@ -223,10 +221,7 @@ def update(
         - log_density(g, x)
     )
     return DetectorState(
-        sensor_id=state.sensor_id,
-        step=state.step + 1,
-        log_odds=log_odds,
-        detection_time=state.detection_time,
+        step=state.step + 1, log_odds=log_odds, detection_time=state.detection_time
     )
 
 

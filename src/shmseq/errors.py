@@ -18,7 +18,7 @@ class SingularDesign(ShmSeqError):
 
 
 class NotPositiveDefinite(ShmSeqError):
-    """A covariance matrix is not positive definite above the configured floor."""
+    """A covariance matrix is not positive definite above the floor."""
 
 
 class DimensionMismatch(ShmSeqError):

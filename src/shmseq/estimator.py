@@ -28,34 +28,30 @@ import math
 import numpy as np
 from scipy.special import expit
 
-from .detector import GaussianParams, log_density, log_density_many, log_odds_threshold
+from .detector import GaussianParams, _vector, log_density, log_density_many, log_odds_threshold
 from .errors import EmptyStream, EstimatesUnready, InsufficientTraining
 
-DEFAULT_RIDGE_SCALE = 1e-6
-DEFAULT_RIDGE_FLOOR = 1e-9
+RIDGE_SCALE = 1e-6
+RIDGE_FLOOR = 1e-9
 
 
 def _as_matrix(dsfs) -> np.ndarray:
     if isinstance(dsfs, np.ndarray):
         return np.atleast_2d(np.asarray(dsfs, dtype=float))
-    rows = [np.atleast_1d(np.asarray(getattr(x, "values", x), dtype=float)) for x in dsfs]
+    rows = [_vector(x) for x in dsfs]
     if not rows:
         return np.empty((0, 0))
     return np.vstack(rows)
 
 
-def ridge_regularize(
-    cov: np.ndarray,
-    scale: float = DEFAULT_RIDGE_SCALE,
-    floor: float = DEFAULT_RIDGE_FLOOR,
-) -> np.ndarray:
-    """Add delta*I with delta = max(scale * trace / m, floor).
+def ridge_regularize(cov: np.ndarray) -> np.ndarray:
+    """Add delta*I with delta = max(RIDGE_SCALE * trace / m, RIDGE_FLOOR).
 
     Early-stream covariance estimates are rank deficient; the ridge keeps
     them invertible without visibly moving converged estimates.
     """
     m = cov.shape[0]
-    delta = max(scale * float(np.trace(cov)) / m, floor)
+    delta = max(RIDGE_SCALE * float(np.trace(cov)) / m, RIDGE_FLOOR)
     return cov + delta * np.eye(m)
 
 
@@ -79,24 +75,13 @@ def weighted_moments(dsfs, prior) -> tuple[np.ndarray, np.ndarray, float]:
     return mu, 0.5 * (cov + cov.T), wsum
 
 
-def estimate_params(
-    dsfs,
-    prior,
-    *,
-    ridge_scale: float = DEFAULT_RIDGE_SCALE,
-    ridge_floor: float = DEFAULT_RIDGE_FLOOR,
-) -> GaussianParams:
+def estimate_params(dsfs, prior) -> GaussianParams:
     """Closed-form ridge-regularized post-change parameter estimate from x[1..N]."""
     mu, cov, _ = weighted_moments(dsfs, prior)
-    return GaussianParams(mean=mu, cov=ridge_regularize(cov, ridge_scale, ridge_floor))
+    return GaussianParams(mean=mu, cov=ridge_regularize(cov))
 
 
-def fit_predamage(
-    training,
-    *,
-    ridge_scale: float = DEFAULT_RIDGE_SCALE,
-    ridge_floor: float = DEFAULT_RIDGE_FLOOR,
-) -> GaussianParams:
+def fit_predamage(training) -> GaussianParams:
     """Baseline distribution from healthy-regime feature vectors.
 
     Sample mean and unbiased (n-1) sample covariance, ridge regularized.
@@ -109,7 +94,7 @@ def fit_predamage(
     mu = x.mean(axis=0)
     xc = x - mu
     cov = xc.T @ xc / (n - 1)
-    cov = ridge_regularize(0.5 * (cov + cov.T), ridge_scale, ridge_floor)
+    cov = ridge_regularize(0.5 * (cov + cov.T))
     return GaussianParams(mean=mu, cov=cov)
 
 
@@ -205,17 +190,12 @@ class AdaptiveDetector:
         *,
         sensor_id: int = 0,
         warmup: int | None = None,
-        ridge_scale: float = DEFAULT_RIDGE_SCALE,
-        ridge_floor: float = DEFAULT_RIDGE_FLOOR,
     ) -> None:
         self._threshold = log_odds_threshold(alpha)
         self.g = g
         self.prior = prior
-        self.alpha = alpha
         self.sensor_id = sensor_id
         self.warmup = g.dim + 1 if warmup is None else int(warmup)
-        self.ridge_scale = ridge_scale
-        self.ridge_floor = ridge_floor
         self.log_odds = -math.inf
         self.detection_time: int | None = None
         self._rows = np.empty((64, g.dim))
@@ -225,10 +205,6 @@ class AdaptiveDetector:
         self._sum_wx = np.zeros(g.dim)
         self._sum_wxx = np.zeros((g.dim, g.dim))
         self._estimate: GaussianParams | None = None
-
-    @property
-    def dim(self) -> int:
-        return self.g.dim
 
     @property
     def step(self) -> int:
@@ -248,14 +224,6 @@ class AdaptiveDetector:
         return self._sum_w
 
     @property
-    def sum_wx(self) -> np.ndarray:
-        return self._sum_wx.copy()
-
-    @property
-    def sum_wxx(self) -> np.ndarray:
-        return self._sum_wxx.copy()
-
-    @property
     def params_estimate(self) -> GaussianParams:
         if not self.is_ready or self._estimate is None:
             raise EstimatesUnready(
@@ -273,7 +241,7 @@ class AdaptiveDetector:
 
     def update(self, x) -> float:
         """Ingest one feature sample; return the current posterior."""
-        v = np.atleast_1d(np.asarray(getattr(x, "values", x), dtype=float))
+        v = _vector(x)
         if self._n == self._rows.shape[0]:
             self._rows = np.vstack([self._rows, np.empty_like(self._rows)])
             self._log_g = np.concatenate([self._log_g, np.empty_like(self._log_g)])
@@ -289,9 +257,7 @@ class AdaptiveDetector:
             return 0.0
 
         mu, cov = self.raw_estimate()
-        self._estimate = GaussianParams._trusted(
-            mu, ridge_regularize(cov, self.ridge_scale, self.ridge_floor)
-        )
+        self._estimate = GaussianParams._trusted(mu, ridge_regularize(cov))
         log_f = log_density_many(self._estimate, self._rows[: self._n])
         log_w, log_nc = hypothesis_log_weights(self._log_g[: self._n], log_f, self.prior)
         self.log_odds = logsumexp(log_w) - log_nc

@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import NonFiniteSignal, SingularDesign, ZeroVariance
 
-DEFAULT_STD_FLOOR = 1e-12
+STD_FLOOR = 1e-12  # a chunk with a smaller standard deviation is a dead sensor
 
 
 @dataclass
@@ -26,14 +26,11 @@ class SignalChunk:
     sensor_id: int
     chunk_index: int
     samples: np.ndarray
-    sample_rate: float = 1.0
 
     def __post_init__(self) -> None:
         self.samples = np.asarray(self.samples, dtype=float).ravel()
         if self.samples.size < 2:
             raise ValueError("a chunk needs at least two samples")
-        if not self.sample_rate > 0:
-            raise ValueError("sample_rate must be positive")
 
     @property
     def size(self) -> int:
@@ -105,12 +102,12 @@ class DsfConfig:
         return self.order if self.coef_indices is None else len(self.coef_indices)
 
 
-def normalize_chunk(chunk: SignalChunk, std_floor: float = DEFAULT_STD_FLOOR) -> np.ndarray:
+def normalize_chunk(chunk: SignalChunk) -> np.ndarray:
     """Standardize a chunk to zero mean and unit sample (n-1) standard deviation.
 
     Raises NonFiniteSignal when a sample is nan or inf, and ZeroVariance when
-    the chunk standard deviation is below ``std_floor``, which signals a dead
-    or saturated sensor.
+    the chunk standard deviation is below ``STD_FLOOR``, which signals a dead
+    or saturated sensor. Both messages name the sensor and the chunk.
     """
     x = chunk.samples
     if not np.isfinite(x).all():
@@ -121,10 +118,10 @@ def normalize_chunk(chunk: SignalChunk, std_floor: float = DEFAULT_STD_FLOOR) ->
         )
     mu = float(x.mean())
     sigma = float(x.std(ddof=1))
-    if sigma < std_floor:
+    if sigma < STD_FLOOR:
         raise ZeroVariance(
             f"sensor {chunk.sensor_id} chunk {chunk.chunk_index}: "
-            f"standard deviation {sigma:.3e} below floor {std_floor:.0e}"
+            f"standard deviation {sigma:.3e} below floor {STD_FLOOR:.0e}"
         )
     return (x - mu) / sigma
 
@@ -186,12 +183,7 @@ def select_order(chunks: Sequence[SignalChunk], p_max: int) -> int:
     return int(np.argmin(aic_values(chunks, p_max))) + 1
 
 
-def iter_chunks(
-    samples: np.ndarray,
-    chunk_size: int,
-    sensor_id: int = 0,
-    sample_rate: float = 1.0,
-) -> Iterator[SignalChunk]:
+def iter_chunks(samples: np.ndarray, chunk_size: int, sensor_id: int = 0) -> Iterator[SignalChunk]:
     """Split a stream into complete chunks; a trailing partial chunk is dropped."""
     x = np.asarray(samples, dtype=float).ravel()
     for k in range(x.size // chunk_size):
@@ -199,30 +191,28 @@ def iter_chunks(
             sensor_id=sensor_id,
             chunk_index=k + 1,
             samples=x[k * chunk_size : (k + 1) * chunk_size],
-            sample_rate=sample_rate,
         )
 
 
 def extract_dsf_stream(
-    samples: np.ndarray,
-    config: DsfConfig,
-    *,
-    sensor_id: int = 0,
-    sample_rate: float = 1.0,
+    samples: np.ndarray, config: DsfConfig, *, sensor_id: int = 0
 ) -> list[DsfVector]:
     """Turn a raw stream into one feature vector per complete chunk.
 
     Extraction is deterministic: identical input bytes produce identical
-    feature sequences. Chunk-level failures are re-raised with the chunk
-    index attached.
+    feature sequences. A chunk-level failure carries the chunk index as
+    ``chunk_index`` and names the sensor and the chunk once in its message.
     """
     out: list[DsfVector] = []
-    for chunk in iter_chunks(samples, config.chunk_size, sensor_id, sample_rate):
+    for chunk in iter_chunks(samples, config.chunk_size, sensor_id):
         try:
             z = normalize_chunk(chunk)
             model = fit_ar(z, config.order)
-        except (NonFiniteSignal, ZeroVariance, SingularDesign) as err:
-            annotated = type(err)(f"chunk {chunk.chunk_index}: {err}")
+        except (NonFiniteSignal, ZeroVariance) as err:
+            err.chunk_index = chunk.chunk_index  # normalize_chunk's message names the location
+            raise
+        except SingularDesign as err:
+            annotated = SingularDesign(f"sensor {sensor_id} chunk {chunk.chunk_index}: {err}")
             annotated.chunk_index = chunk.chunk_index
             raise annotated from err
         if config.coef_indices is None:

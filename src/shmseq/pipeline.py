@@ -9,24 +9,53 @@ itself. All outputs are flat files and deterministic given the inputs.
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import json
 import os
+import types
+import typing
 from dataclasses import dataclass, field, replace
+from typing import Literal
 
 import numpy as np
 from scipy.special import expit
 
 from . import shearsim
 from .detector import DetectorState, GeometricPrior, detect, update
-from .errors import ConfigError, ShmSeqError
+from .errors import ConfigError, NonFiniteSignal, ShmSeqError, ZeroVariance
 from .estimator import AdaptiveDetector, fit_predamage
-from .features import DsfConfig, SignalChunk, extract_dsf_stream, iter_chunks, select_order
+from .features import (
+    DsfConfig,
+    SignalChunk,
+    extract_dsf_stream,
+    iter_chunks,
+    normalize_chunk,
+    select_order,
+)
 from .localization import SensorOutcome, build_report
 
 EXIT_CLEAN = 0
 EXIT_ERROR = 1
 EXIT_DETECTED = 2
+
+
+def _is_instance(value, hint) -> bool:
+    """isinstance against a field annotation (unions, Literal, tuple[X, ...], dict[K, V])."""
+    origin, args = typing.get_origin(hint), typing.get_args(hint)
+    if origin in (typing.Union, types.UnionType):
+        return any(_is_instance(value, h) for h in args)
+    if origin is Literal:
+        return value in args
+    if origin is tuple:
+        return isinstance(value, tuple) and all(_is_instance(v, args[0]) for v in value)
+    if origin is dict:
+        return isinstance(value, dict) and all(
+            _is_instance(k, args[0]) and _is_instance(v, args[1]) for k, v in value.items()
+        )
+    if isinstance(value, bool) and hint is not bool:
+        return False  # JSON true/false is no number
+    return isinstance(value, (int, float) if hint is float else hint)
 
 
 @dataclass
@@ -37,12 +66,12 @@ class PipelineConfig:
     training_csv: str = ""
     output_dir: str = "out"
     chunk_size: int = 1600
-    order: int | str = "auto"
+    order: int | Literal["auto"] = "auto"
     p_max: int = 12
     coef_indices: tuple[int, ...] | None = None
     alpha: float = 1e-5
     rho: float = 1e-5
-    mode: str = "adaptive"  # "known" | "adaptive"
+    mode: Literal["known", "adaptive"] = "adaptive"
     postdamage_csv: str | None = None
     metadata_json: str | None = None
     lambda_true: int | None = None
@@ -52,19 +81,20 @@ class PipelineConfig:
     dump_estimates: bool = False
 
     def validate(self) -> None:
+        for name, hint in typing.get_type_hints(type(self)).items():
+            value = getattr(self, name)
+            if not _is_instance(value, hint):
+                expected = self.__dataclass_fields__[name].type
+                raise ConfigError(f"{name} must be {expected}, got {value!r}")
         if not self.input_csv or not self.training_csv:
             raise ConfigError("input_csv and training_csv are required")
         if not 0.0 < self.alpha < 1.0:
             raise ConfigError("alpha must lie strictly between 0 and 1")
         if not 0.0 < self.rho < 1.0:
             raise ConfigError("rho must lie strictly between 0 and 1")
-        if self.mode not in ("known", "adaptive"):
-            raise ConfigError("mode must be 'known' or 'adaptive'")
         if self.mode == "known" and not self.postdamage_csv:
             raise ConfigError("known mode needs postdamage_csv to learn f from")
-        if isinstance(self.order, str):
-            if self.order != "auto":
-                raise ConfigError("order must be an integer or 'auto'")
+        if self.order == "auto":
             if self.p_max < 1:
                 raise ConfigError("p_max must be >= 1")
             if self.chunk_size <= self.p_max + 1:
@@ -77,14 +107,33 @@ class PipelineConfig:
 
     @classmethod
     def from_dict(cls, data: dict) -> "PipelineConfig":
-        known = {f for f in cls.__dataclass_fields__}
-        bad = set(data) - known
+        """Config from JSON values, or from the strings the CLI flags give.
+
+        ``order`` may also be an integer string, ``coef_indices`` a list or a
+        comma-separated string of integers, and ``positions`` a string of
+        comma-separated ``column=label`` pairs. A string that does not parse
+        is kept, and ``validate`` reports it.
+        """
+        bad = set(data) - set(cls.__dataclass_fields__)
         if bad:
             raise ConfigError(f"unknown config keys: {sorted(bad)}")
-        cfg = cls(**data)
-        if cfg.coef_indices is not None:
-            cfg.coef_indices = tuple(int(i) for i in cfg.coef_indices)
-        return cfg
+        data = dict(data)
+        order = data.get("order")
+        if isinstance(order, str) and order != "auto":
+            with contextlib.suppress(ValueError):
+                data["order"] = int(order)
+        coefs = data.get("coef_indices")
+        if isinstance(coefs, str):
+            with contextlib.suppress(ValueError):
+                coefs = [int(t) for t in coefs.split(",")]
+        if isinstance(coefs, list):
+            data["coef_indices"] = tuple(coefs)
+        positions = data.get("positions")
+        if isinstance(positions, str):
+            pairs = [pair.split("=", 1) for pair in positions.split(",")]
+            if all(len(pair) == 2 for pair in pairs):
+                data["positions"] = {col.strip(): label.strip() for col, label in pairs}
+        return cls(**data)
 
 
 def read_signal_csv(path) -> tuple[np.ndarray, dict[str, np.ndarray]]:
@@ -169,9 +218,23 @@ def _resolve_metadata(config: PipelineConfig) -> PipelineConfig:
 
 
 def _training_chunks(signals: dict[str, np.ndarray], chunk_size: int) -> list[SignalChunk]:
-    chunks = []
+    """Training chunks for AIC order selection.
+
+    A column with a chunk that ``normalize_chunk`` rejects is left out, so
+    only its own sensor fails, when its features are extracted.
+    """
+    chunks, rejected = [], []
     for col, samples in signals.items():
-        chunks.extend(iter_chunks(samples, chunk_size, sensor_id=_sensor_id(col)))
+        col_chunks = list(iter_chunks(samples, chunk_size, sensor_id=_sensor_id(col)))
+        try:
+            for chunk in col_chunks:
+                normalize_chunk(chunk)
+        except (NonFiniteSignal, ZeroVariance) as err:
+            rejected.append(str(err))
+        else:
+            chunks.extend(col_chunks)
+    if rejected and not chunks:
+        raise ConfigError("no training column is fit for order selection: " + "; ".join(rejected))
     if not chunks:
         raise ConfigError("training data is shorter than one chunk")
     return chunks
@@ -195,7 +258,7 @@ def _process_sensor(
     if config.mode == "known":
         post_dsfs = extract_dsf_stream(postdamage, dsf_config, sensor_id=run.sensor_id)
         f = fit_predamage(post_dsfs)
-        detector = DetectorState(sensor_id=run.sensor_id)
+        detector = DetectorState()
         for x in dsfs:
             detector = update(detector, x, g, f, prior)
             detect(detector, config.alpha)

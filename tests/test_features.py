@@ -163,6 +163,14 @@ class TestExtract:
             extract_dsf_stream(data, cfg)
         assert exc.value.chunk_index == 3
 
+    def test_singular_design_names_sensor_and_chunk(self):
+        rng = np.random.default_rng(1)
+        data = np.concatenate([rng.normal(size=100), [1.0, -1.0] * 50])
+        cfg = DsfConfig(chunk_size=100, order=2)
+        with pytest.raises(SingularDesign, match="^sensor 5 chunk 2: ") as exc:
+            extract_dsf_stream(data, cfg, sensor_id=5)
+        assert exc.value.chunk_index == 2
+
     def test_config_validation(self):
         with pytest.raises(ValueError):
             DsfConfig(chunk_size=5, order=4)

@@ -198,9 +198,38 @@ class TestInputValidation:
             result = pipeline.run(config)
             sensors = {s["sensor_id"]: s for s in result.summary["sensors"]}
             assert "sensor 2 chunk 3" in sensors[2]["error"]
+            assert sensors[2]["error"].count("chunk 3") == 1
             assert all("error" not in sensors[i] and "tau" in sensors[i] for i in (1, 3, 4))
             assert [e["id"] for e in result.localization["sensors"]] == [1, 3, 4]
         assert "DLASCL" not in capfd.readouterr().err
+
+    @pytest.mark.parametrize("cell", ["nan", "inf"])
+    def test_non_finite_training_cell_under_auto_order_fails_only_its_sensor(
+        self, datasets, tmp_path, cell
+    ):
+        src = (datasets / "train" / "data.csv").read_text().splitlines()
+        fields = src[1000].split(",")  # sample 1000 of sensor_3, in chunk 3
+        fields[3] = cell
+        src[1000] = ",".join(fields)
+        bad = tmp_path / "bad_train.csv"
+        bad.write_text("\n".join(src) + "\n")
+        config = base_config(datasets, tmp_path / "out", training_csv=str(bad), order="auto")
+        result = pipeline.run(config)
+        sensors = {s["sensor_id"]: s for s in result.summary["sensors"]}
+        assert sensors[3]["error"].startswith("sensor 3 chunk 3: ")
+        assert sensors[3]["error"].count("chunk 3") == 1
+        assert all("error" not in sensors[i] and "tau" in sensors[i] for i in (1, 2, 4))
+        assert isinstance(result.summary["order"], int)
+
+    def test_auto_order_with_no_usable_training_column_is_a_config_error(self, datasets, tmp_path):
+        src = (datasets / "train" / "data.csv").read_text().splitlines()
+        fields = src[1].split(",")
+        src[1] = ",".join(fields[:1] + ["nan"] * (len(fields) - 1))
+        bad = tmp_path / "bad_train.csv"
+        bad.write_text("\n".join(src) + "\n")
+        config = base_config(datasets, tmp_path / "out", training_csv=str(bad), order="auto")
+        with pytest.raises(ConfigError, match="order selection"):
+            pipeline.run(config)
 
     def test_short_row_cites_row(self, tmp_path):
         bad = tmp_path / "bad.csv"
@@ -283,6 +312,86 @@ class TestCli:
             ]
         )
         assert code == 1
+
+    @pytest.mark.parametrize(
+        "setting, flags",
+        [
+            ({"order": 7.5}, []),
+            ({"chunk_size": "400"}, []),
+            ({"alpha": "1e-5"}, []),
+            ({"coef_indices": 3}, []),
+            ({}, ["--order", "abc"]),
+        ],
+        ids=["order-float", "chunk_size-str", "alpha-str", "coef_indices-int", "order-flag"],
+    )
+    def test_bad_setting_exits_1_naming_it(self, datasets, tmp_path, capsys, setting, flags):
+        config_path = tmp_path / "run.json"
+        run = {
+            "input_csv": str(datasets / "damaged" / "data.csv"),
+            "training_csv": str(datasets / "train" / "data.csv"),
+            "output_dir": str(tmp_path / "out"),
+        }
+        config_path.write_text(json.dumps({**run, **setting}))
+        code = cli.main(["run", "--config", str(config_path), *flags])
+        err = capsys.readouterr().err.splitlines()
+        key = next(iter(setting), "order")
+        assert code == 1
+        assert len(err) == 1 and err[0].startswith(f"error: {key} "), err
+        assert not (tmp_path / "out").exists()
+
+    def test_every_run_flag_lands_in_its_field(self, tmp_path):
+        settings = {
+            "input_csv": "in.csv",
+            "training_csv": "train.csv",
+            "postdamage_csv": "post.csv",
+            "metadata_json": "meta.json",
+            "output_dir": "elsewhere",
+            "mode": "known",
+            "alpha": 1e-3,
+            "rho": 2e-4,
+            "chunk_size": 800,
+            "order": 5,
+            "p_max": 9,
+            "coef_indices": [2, 4],
+            "lambda_true": 41,
+            "warmup": 30,
+            "positions": {"sensor_1": "roof", "sensor_2": "base"},
+            "dump_dsf": True,
+            "dump_estimates": True,
+        }
+        argv = [
+            "run",
+            "--input", "in.csv",
+            "--training", "train.csv",
+            "--post-training", "post.csv",
+            "--metadata", "meta.json",
+            "--out", "elsewhere",
+            "--mode", "known",
+            "--alpha", "1e-3",
+            "--rho", "2e-4",
+            "--chunk-size", "800",
+            "--order", "5",
+            "--p-max", "9",
+            "--coeffs", "2,4",
+            "--lambda-true", "41",
+            "--warmup", "30",
+            "--positions", "sensor_1=roof,sensor_2=base",
+            "--dump-dsf",
+            "--dump-estimates",
+        ]
+        assert set(settings) == set(PipelineConfig.__dataclass_fields__)
+        from_flags = cli._run_config(cli.build_parser().parse_args(argv))
+        config_path = tmp_path / "run.json"
+        config_path.write_text(json.dumps(settings))
+        from_file = cli._run_config(
+            cli.build_parser().parse_args(["run", "--config", str(config_path)])
+        )
+        default = PipelineConfig()
+        for key in settings:
+            flag_value, file_value = getattr(from_flags, key), getattr(from_file, key)
+            assert flag_value == file_value != getattr(default, key), key
+        assert from_flags.coef_indices == (2, 4)
+        from_flags.validate()
 
     def test_config_file_with_flag_override(self, datasets, tmp_path):
         config_path = tmp_path / "run.json"
