@@ -34,7 +34,6 @@ from .estimator import (
 from .features import (
     ArModel,
     DsfConfig,
-    DsfVector,
     SignalChunk,
     extract_dsf_stream,
     fit_ar,
@@ -62,7 +61,6 @@ __all__ = [
     "DetectorState",
     "DimensionMismatch",
     "DsfConfig",
-    "DsfVector",
     "EigenFailure",
     "EmptyStream",
     "EstimatesUnready",

@@ -67,7 +67,10 @@ def _run_config(args: argparse.Namespace) -> pipeline.PipelineConfig:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    try:
+        args = build_parser().parse_args(argv)
+    except SystemExit as err:
+        return 1 if err.code else 0  # argparse exits 2 on a usage error; 2 means damage here
     try:
         if args.command == "gen":
             paths = pipeline.gen(args.scenario, args.out, seed=args.seed)
@@ -81,10 +84,7 @@ def main(argv=None) -> int:
         if args.command == "report":
             print(pipeline.report(args.run_dir, args.out))
             return 0
-    except ShmSeqError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 1
-    except ValueError as err:
+    except (ShmSeqError, ValueError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 1
     return 0

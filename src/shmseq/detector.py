@@ -90,8 +90,7 @@ class GaussianParams:
 
 
 def _vector(x) -> np.ndarray:
-    # accepts a plain array or anything carrying a .values array (DsfVector)
-    return np.atleast_1d(np.asarray(getattr(x, "values", x), dtype=float))
+    return np.atleast_1d(np.asarray(x, dtype=float))
 
 
 def log_density(params: GaussianParams, x) -> float:

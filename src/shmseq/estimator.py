@@ -36,12 +36,9 @@ RIDGE_FLOOR = 1e-9
 
 
 def _as_matrix(dsfs) -> np.ndarray:
-    if isinstance(dsfs, np.ndarray):
-        return np.atleast_2d(np.asarray(dsfs, dtype=float))
-    rows = [_vector(x) for x in dsfs]
-    if not rows:
-        return np.empty((0, 0))
-    return np.vstack(rows)
+    """(N, m) matrix of N feature rows; an empty sequence is N = 0 rows of m = 0."""
+    x = np.asarray(dsfs, dtype=float)
+    return np.empty((0, 0)) if x.size == 0 and x.ndim < 2 else np.atleast_2d(x)
 
 
 def ridge_regularize(cov: np.ndarray) -> np.ndarray:

@@ -32,10 +32,6 @@ class SignalChunk:
         if self.samples.size < 2:
             raise ValueError("a chunk needs at least two samples")
 
-    @property
-    def size(self) -> int:
-        return self.samples.size
-
 
 @dataclass
 class ArModel:
@@ -53,24 +49,6 @@ class ArModel:
             raise ValueError("coefficient count must equal the order")
         if self.residual_variance < 0:
             raise ValueError("residual variance must be non-negative")
-
-
-@dataclass
-class DsfVector:
-    """Feature vector of one sensor at one detector time step."""
-
-    sensor_id: int
-    step: int
-    values: np.ndarray
-
-    def __post_init__(self) -> None:
-        self.values = np.atleast_1d(np.asarray(self.values, dtype=float))
-        if self.values.size < 1 or not np.all(np.isfinite(self.values)):
-            raise ValueError("feature vector must be non-empty and finite")
-
-    @property
-    def dim(self) -> int:
-        return self.values.size
 
 
 @dataclass(frozen=True)
@@ -196,18 +174,20 @@ def iter_chunks(samples: np.ndarray, chunk_size: int, sensor_id: int = 0) -> Ite
 
 def extract_dsf_stream(
     samples: np.ndarray, config: DsfConfig, *, sensor_id: int = 0
-) -> list[DsfVector]:
-    """Turn a raw stream into one feature vector per complete chunk.
+) -> np.ndarray:
+    """Turn a raw stream into an (N, ``config.dim``) feature matrix, one row per complete chunk.
 
-    Extraction is deterministic: identical input bytes produce identical
-    feature sequences. A chunk-level failure carries the chunk index as
-    ``chunk_index`` and names the sensor and the chunk once in its message.
+    Row k holds the features of chunk k + 1. Extraction is deterministic:
+    identical input bytes produce identical features. A chunk-level failure
+    carries the chunk index as ``chunk_index`` and names the sensor and the
+    chunk once in its message.
     """
-    out: list[DsfVector] = []
-    for chunk in iter_chunks(samples, config.chunk_size, sensor_id):
+    chunks = list(iter_chunks(samples, config.chunk_size, sensor_id))
+    coefs = slice(None) if config.coef_indices is None else np.asarray(config.coef_indices) - 1
+    out = np.empty((len(chunks), config.dim))
+    for row, chunk in zip(out, chunks):
         try:
-            z = normalize_chunk(chunk)
-            model = fit_ar(z, config.order)
+            row[:] = fit_ar(normalize_chunk(chunk), config.order).coefficients[coefs]
         except (NonFiniteSignal, ZeroVariance) as err:
             err.chunk_index = chunk.chunk_index  # normalize_chunk's message names the location
             raise
@@ -215,9 +195,4 @@ def extract_dsf_stream(
             annotated = SingularDesign(f"sensor {sensor_id} chunk {chunk.chunk_index}: {err}")
             annotated.chunk_index = chunk.chunk_index
             raise annotated from err
-        if config.coef_indices is None:
-            values = model.coefficients
-        else:
-            values = model.coefficients[np.asarray(config.coef_indices) - 1]
-        out.append(DsfVector(sensor_id=sensor_id, step=chunk.chunk_index, values=values))
     return out

@@ -151,9 +151,11 @@ def read_signal_csv(path) -> tuple[np.ndarray, dict[str, np.ndarray]]:
         header = [h.strip() for h in header]
         if len(header) < 2 or header[0] != "time":
             raise ConfigError(f"{path}: row 1: header must be 'time,sensor_<id>,...'")
-        for name in header[1:]:
+        for j, name in enumerate(header[1:], start=1):
             if not name.startswith("sensor_") or not name[len("sensor_") :].isdigit():
                 raise ConfigError(f"{path}: row 1: bad sensor column name {name!r}")
+            if _sensor_id(name) in map(_sensor_id, header[1:j]):
+                raise ConfigError(f"{path}: row 1: sensor {_sensor_id(name)} has two columns")
         columns: list[list[float]] = [[] for _ in header]
         for row_no, row in enumerate(reader, start=2):
             if not row:
@@ -189,7 +191,7 @@ class SensorRun:
     outcome: SensorOutcome | None = None
     final_posterior: float = 0.0
     estimates: list[tuple[int, np.ndarray, np.ndarray]] = field(default_factory=list)
-    dsfs: list = field(default_factory=list)
+    dsfs: np.ndarray = field(default_factory=lambda: np.empty((0, 0)))  # (N, m), row k = step k+1
     error: str | None = None
 
 
@@ -205,19 +207,28 @@ class RunResult:
 def _resolve_metadata(config: PipelineConfig) -> PipelineConfig:
     if not config.metadata_json:
         return config
+    path = config.metadata_json
     try:
-        with open(config.metadata_json) as fh:
+        with open(path) as fh:
             meta = json.load(fh)
     except (OSError, json.JSONDecodeError) as err:
-        raise ConfigError(f"{config.metadata_json}: {err}") from err
-    positions = dict(config.positions)
-    for entry in meta.get("sensors", []):
-        positions.setdefault(entry["column"], entry.get("position", entry["column"]))
+        raise ConfigError(f"{path}: {err}") from err
+    sensors = meta.get("sensors", []) if isinstance(meta, dict) else None
+    if not isinstance(sensors, list) or not all(
+        isinstance(s, dict) and isinstance(s.get("column"), str) for s in sensors
+    ):
+        raise ConfigError(f"{path}: expected an object whose 'sensors' each name a 'column'")
+    positions = {s["column"]: s.get("position", s["column"]) for s in sensors}
     lam = config.lambda_true if config.lambda_true is not None else meta.get("lambda_chunk")
-    return replace(config, positions=positions, lambda_true=lam)
+    resolved = replace(config, positions={**positions, **config.positions}, lambda_true=lam)
+    try:
+        resolved.validate()
+    except ConfigError as err:
+        raise ConfigError(f"{path}: {err}") from err
+    return resolved
 
 
-def _training_chunks(signals: dict[str, np.ndarray], chunk_size: int) -> list[SignalChunk]:
+def _training_chunks(signals: dict[str, np.ndarray], chunk_size: int, path) -> list[SignalChunk]:
     """Training chunks for AIC order selection.
 
     A column with a chunk that ``normalize_chunk`` rejects is left out, so
@@ -234,10 +245,21 @@ def _training_chunks(signals: dict[str, np.ndarray], chunk_size: int) -> list[Si
         else:
             chunks.extend(col_chunks)
     if rejected and not chunks:
-        raise ConfigError("no training column is fit for order selection: " + "; ".join(rejected))
+        raise ConfigError(
+            f"no training column in {path} is fit for order selection: " + "; ".join(rejected)
+        )
     if not chunks:
-        raise ConfigError("training data is shorter than one chunk")
+        raise ConfigError(f"training data in {path} is shorter than one chunk")
     return chunks
+
+
+def _features(samples: np.ndarray, path, dsf_config: DsfConfig, sensor_id: int) -> np.ndarray:
+    """``extract_dsf_stream``, with the file the samples came from named in its error."""
+    try:
+        return extract_dsf_stream(samples, dsf_config, sensor_id=sensor_id)
+    except ShmSeqError as err:
+        err.args = (f"{err} (in {path})",)  # keeps the type and chunk_index
+        raise
 
 
 def _process_sensor(
@@ -249,15 +271,13 @@ def _process_sensor(
     config: PipelineConfig,
 ) -> None:
     prior = GeometricPrior(config.rho)
-    train_dsfs = extract_dsf_stream(training, dsf_config, sensor_id=run.sensor_id)
-    g = fit_predamage(train_dsfs)
-    dsfs = extract_dsf_stream(stream, dsf_config, sensor_id=run.sensor_id)
+    g = fit_predamage(_features(training, config.training_csv, dsf_config, run.sensor_id))
+    dsfs = _features(stream, config.input_csv, dsf_config, run.sensor_id)
     if config.dump_dsf:
         run.dsfs = dsfs
 
     if config.mode == "known":
-        post_dsfs = extract_dsf_stream(postdamage, dsf_config, sensor_id=run.sensor_id)
-        f = fit_predamage(post_dsfs)
+        f = fit_predamage(_features(postdamage, config.postdamage_csv, dsf_config, run.sensor_id))
         detector = DetectorState()
         for x in dsfs:
             detector = update(detector, x, g, f, prior)
@@ -302,7 +322,9 @@ def run(config: PipelineConfig) -> RunResult:
             raise ConfigError(f"post-damage training data lacks columns {missing}")
 
     if isinstance(config.order, str):
-        order = select_order(_training_chunks(train_signals, config.chunk_size), config.p_max)
+        order = select_order(
+            _training_chunks(train_signals, config.chunk_size, config.training_csv), config.p_max
+        )
     else:
         order = config.order
     dsf_config = DsfConfig(
@@ -386,15 +408,10 @@ def _write_outputs(config, runs, report, summary) -> dict:
         "summary": os.path.join(config.output_dir, "summary.json"),
         "localization": os.path.join(config.output_dir, "localization.json"),
     }
-    with open(paths["trace"], "w", newline="") as fh:
-        fh.write("sensor_id,step,posterior,ccdf\n")
-        for r in sorted(runs, key=lambda r: r.sensor_id):
-            for step, log_odds in r.trace:
-                # the CCDF from -r keeps its relative precision once the posterior rounds to 1
-                fh.write(
-                    f"{r.sensor_id},{step},{format(expit(log_odds), '.12g')},"
-                    f"{format(expit(-log_odds), '.12g')}\n"
-                )
+    # the CCDF from -r keeps its relative precision once the posterior rounds to 1
+    _write_steps(paths["trace"], ["posterior", "ccdf"], runs, lambda r: [
+        (step, expit(log_odds), expit(-log_odds)) for step, log_odds in r.trace
+    ])
     with open(paths["summary"], "w") as fh:
         json.dump(summary, fh, indent=2, sort_keys=True)
         fh.write("\n")
@@ -410,31 +427,37 @@ def _write_outputs(config, runs, report, summary) -> dict:
     return paths
 
 
+def _write_steps(path, names: list[str], runs, rows) -> None:
+    """Write a `sensor_id,step,<names>` CSV with one np.savetxt call.
+
+    ``rows(run)`` gives the run's rows of step and values. Ids and steps are
+    printed as integers, values with 12 significant digits.
+    """
+    width = len(names) + 1
+    blocks = [np.empty((0, width + 1))]
+    for r in sorted(runs, key=lambda r: r.sensor_id):
+        block = np.asarray(rows(r), dtype=float).reshape(-1, width)
+        blocks.append(np.column_stack((np.full(len(block), r.sensor_id), block)))
+    np.savetxt(
+        path, np.vstack(blocks), fmt=["%d", "%d"] + ["%.12g"] * len(names), delimiter=",",
+        header=",".join(["sensor_id", "step", *names]), comments="",
+    )
+
+
 def _write_dsf(path, runs) -> None:
-    dims = {r.dsfs[0].dim for r in runs if r.dsfs}
-    m = max(dims) if dims else 0
-    with open(path, "w", newline="") as fh:
-        fh.write("sensor_id,step," + ",".join(f"coef_{i}" for i in range(1, m + 1)) + "\n")
-        for r in sorted(runs, key=lambda r: r.sensor_id):
-            for v in r.dsfs:
-                vals = ",".join(format(c, ".12g") for c in v.values)
-                fh.write(f"{r.sensor_id},{v.step},{vals}\n")
+    m = max(r.dsfs.shape[1] for r in runs)
+    _write_steps(path, [f"coef_{i}" for i in range(1, m + 1)], runs, lambda r: np.column_stack(
+        (np.arange(1, len(r.dsfs) + 1), r.dsfs)
+    ))
 
 
 def _write_estimates(path, runs) -> None:
-    ms = {est[1].size for r in runs for est in r.estimates}
-    m = max(ms) if ms else 0
-    header = ["sensor_id", "step"]
-    header += [f"mu_hat_{i}" for i in range(1, m + 1)]
-    header += [f"sigma_hat_{i}_{j}" for i in range(1, m + 1) for j in range(1, m + 1)]
-    with open(path, "w", newline="") as fh:
-        fh.write(",".join(header) + "\n")
-        for r in sorted(runs, key=lambda r: r.sensor_id):
-            for step, mu, cov in r.estimates:
-                cells = [str(r.sensor_id), str(step)]
-                cells += [format(v, ".12g") for v in mu]
-                cells += [format(v, ".12g") for v in cov.ravel()]
-                fh.write(",".join(cells) + "\n")
+    m = max((mu.size for r in runs for _, mu, _ in r.estimates), default=0)
+    names = [f"mu_hat_{i}" for i in range(1, m + 1)]
+    names += [f"sigma_hat_{i}_{j}" for i in range(1, m + 1) for j in range(1, m + 1)]
+    _write_steps(path, names, runs, lambda r: [
+        (step, *mu, *cov.ravel()) for step, mu, cov in r.estimates
+    ])
 
 
 def gen(scenario: dict | str, out_dir: str, seed: int | None = None) -> dict:

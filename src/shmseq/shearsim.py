@@ -273,12 +273,11 @@ class SimulationResult:
         return [f"sensor_{i}" for i in self.sensor_ids]
 
     def to_csv(self, path) -> None:
-        with open(path, "w", newline="") as fh:
-            fh.write("time," + ",".join(self.column_names) + "\n")
-            for i in range(self.time.size):
-                row = [format(self.time[i], ".6f")]
-                row += [format(v, ".12g") for v in self.signals[i]]
-                fh.write(",".join(row) + "\n")
+        np.savetxt(
+            path, np.column_stack((self.time, self.signals)), delimiter=",",
+            fmt=["%.6f"] + ["%.12g"] * self.signals.shape[1],
+            header="time," + ",".join(self.column_names), comments="",
+        )
 
     def metadata(self) -> dict:
         return {

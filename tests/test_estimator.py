@@ -88,6 +88,8 @@ class TestEstimateParams:
     def test_empty_stream(self):
         with pytest.raises(EmptyStream):
             estimate_params(np.empty((0, 2)), GeometricPrior(0.1))
+        with pytest.raises(EmptyStream):
+            estimate_params([], GeometricPrior(0.1))
 
     def test_monte_carlo_accuracy(self):
         """50 pre-change + 500 post-change samples pin the parameters down."""
@@ -193,6 +195,8 @@ class TestFitPredamage:
             fit_predamage(np.zeros((3, 7)))
         with pytest.raises(InsufficientTraining):
             fit_predamage(np.array([[1.0]]))
+        with pytest.raises(InsufficientTraining):
+            fit_predamage([])
 
 
 class TestAdaptiveDetector:

@@ -125,19 +125,22 @@ class TestExtract:
     def test_chunk_count(self):
         rng = np.random.default_rng(2)
         cfg = DsfConfig(chunk_size=100, order=3)
-        dsfs = extract_dsf_stream(gen_ar([0.5], 1040, rng), cfg)
+        data = gen_ar([0.5], 1040, rng)
+        dsfs = extract_dsf_stream(data, cfg)
         assert len(dsfs) == 10
-        assert [v.step for v in dsfs] == list(range(1, 11))
-        assert all(v.dim == 3 for v in dsfs)
+        for k, row in enumerate(dsfs):  # row k holds chunk (step) k + 1
+            z = normalize_chunk(chunk(data[100 * k : 100 * (k + 1)], index=k + 1))
+            assert np.array_equal(row, fit_ar(z, 3).coefficients)
+        assert dsfs.shape[1] == 3
 
     def test_coefficient_subset(self):
         rng = np.random.default_rng(2)
         cfg = DsfConfig(chunk_size=100, order=7, coef_indices=(1, 2))
         dsfs = extract_dsf_stream(gen_ar([0.5, -0.3], 700, rng), cfg)
-        assert all(v.dim == 2 for v in dsfs)
+        assert dsfs.shape[1] == 2
         full = extract_dsf_stream(gen_ar([0.5, -0.3], 700, np.random.default_rng(2)),
                                   DsfConfig(chunk_size=100, order=7))
-        assert np.allclose(dsfs[0].values, full[0].values[:2])
+        assert np.allclose(dsfs[0], full[0, :2])
 
     def test_deterministic(self):
         rng = np.random.default_rng(17)
@@ -145,13 +148,13 @@ class TestExtract:
         cfg = DsfConfig(chunk_size=150, order=4)
         a = extract_dsf_stream(data, cfg)
         b = extract_dsf_stream(data.copy(), cfg)
-        assert all(np.array_equal(x.values, y.values) for x, y in zip(a, b))
+        assert np.array_equal(a, b)
 
     def test_stationary_mean_matches_generating_coefficients(self):
         rng = np.random.default_rng(99)
         cfg = DsfConfig(chunk_size=2000, order=2)
         dsfs = extract_dsf_stream(gen_ar([0.5, -0.3], 2000 * 60, rng), cfg)
-        values = np.array([v.values for v in dsfs])
+        values = dsfs
         se = values.std(axis=0, ddof=1) / np.sqrt(len(dsfs))
         assert np.all(np.abs(values.mean(axis=0) - [0.5, -0.3]) < 3 * se)
 

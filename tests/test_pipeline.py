@@ -199,6 +199,7 @@ class TestInputValidation:
             sensors = {s["sensor_id"]: s for s in result.summary["sensors"]}
             assert "sensor 2 chunk 3" in sensors[2]["error"]
             assert sensors[2]["error"].count("chunk 3") == 1
+            assert str(bad) in sensors[2]["error"]  # names the file
             assert all("error" not in sensors[i] and "tau" in sensors[i] for i in (1, 3, 4))
             assert [e["id"] for e in result.localization["sensors"]] == [1, 3, 4]
         assert "DLASCL" not in capfd.readouterr().err
@@ -218,6 +219,7 @@ class TestInputValidation:
         sensors = {s["sensor_id"]: s for s in result.summary["sensors"]}
         assert sensors[3]["error"].startswith("sensor 3 chunk 3: ")
         assert sensors[3]["error"].count("chunk 3") == 1
+        assert str(bad) in sensors[3]["error"]  # names the file
         assert all("error" not in sensors[i] and "tau" in sensors[i] for i in (1, 2, 4))
         assert isinstance(result.summary["order"], int)
 
@@ -239,9 +241,29 @@ class TestInputValidation:
 
     def test_bad_header(self, tmp_path):
         bad = tmp_path / "bad.csv"
-        bad.write_text("when,sensor_1\n0.0,1.0\n")
-        with pytest.raises(ConfigError, match="row 1"):
-            read_signal_csv(bad)
+        for header in ("when,sensor_1", "time,sensor_1,sensor_1"):
+            bad.write_text(f"{header}\n0.0,1.0,1.0\n")
+            with pytest.raises(ConfigError, match="row 1"):
+                read_signal_csv(bad)
+
+    @pytest.mark.parametrize(
+        "metadata",
+        [{"sensors": [{"id": 1}]}, [], {"sensors": 3}, {"lambda_chunk": "41"}],
+        ids=["no-column", "list", "sensors-int", "lambda-str"],
+    )
+    def test_malformed_metadata_exits_1_naming_it(self, datasets, tmp_path, capsys, metadata):
+        meta = tmp_path / "metadata.json"
+        meta.write_text(json.dumps(metadata))
+        code = cli.main([
+            "run",
+            "--input", str(datasets / "damaged" / "data.csv"),
+            "--training", str(datasets / "train" / "data.csv"),
+            "--metadata", str(meta),
+            "--out", str(tmp_path / "out"),
+        ])
+        err = capsys.readouterr().err.splitlines()
+        assert code == 1
+        assert len(err) == 1 and err[0].startswith(f"error: {meta}: "), err
 
     def test_config_validation(self):
         with pytest.raises(ConfigError):
@@ -301,6 +323,19 @@ class TestCli:
         a = (tmp_path / "a" / "data.csv").read_bytes()
         assert a == (tmp_path / "b" / "data.csv").read_bytes()
         assert a != (tmp_path / "c" / "data.csv").read_bytes()
+
+    @pytest.mark.parametrize(
+        "argv, code",
+        [
+            (["run", "--input", "a.csv", "--training", "b.csv", "--alpha", "abc"], 1),
+            (["run", "--no-such-flag"], 1),
+            ([], 1),
+            (["--help"], 0),
+        ],
+        ids=["bad-value", "unknown-flag", "no-subcommand", "help"],
+    )
+    def test_usage_error_exits_1_not_2(self, capsys, argv, code):
+        assert cli.main(argv) == code  # 2 would read as "damage declared"
 
     def test_error_exit_code(self, tmp_path):
         code = cli.main(

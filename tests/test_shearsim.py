@@ -9,6 +9,7 @@ from shmseq.shearsim import (
     DamageScenario,
     Excitation,
     ShearFrameModel,
+    SimulationResult,
     _lti_response,
     _lti_response_loop,
     _zoh_system,
@@ -112,6 +113,25 @@ class TestSimulate:
             paths.append(path)
         assert paths[0].read_bytes() == paths[1].read_bytes()
 
+    def test_csv_cell_format(self, tmp_path):
+        """Time with 6 decimals, samples with 12 significant digits."""
+        result = SimulationResult(
+            time=np.array([0.0, 0.02]),
+            signals=np.array([[-0.0, 1e-05], [0.1, 1.23456789012e14]]),
+            sensor_ids=[1, 2],
+            sensor_stories=[1, 2],
+            sample_rate=50.0,
+            chunk_size=2,
+            lambda_chunk=None,
+            seed=0,
+        )
+        result.to_csv(tmp_path / "data.csv")
+        assert (tmp_path / "data.csv").read_text() == (
+            "time,sensor_1,sensor_2\n"
+            "0.000000,-0,1e-05\n"
+            "0.020000,0.1,1.23456789012e+14\n"
+        )
+
     def test_sensor_layout_and_metadata(self):
         exc = Excitation(seed=2, intensity=50.0, sample_rate=50.0, duration_s=12.0)
         damaged = DamageScenario(story=3, retention=0.6, lambda_chunk=2)
@@ -171,8 +191,8 @@ class TestSimulate:
         result = simulate(model, damaged, exc, chunk_size=500)
         cfg = DsfConfig(chunk_size=500, order=4)
         dsfs = extract_dsf_stream(result.signals[:, 0], cfg)
-        first = np.array([v.values for v in dsfs[:20]])
-        second = np.array([v.values for v in dsfs[20:40]])
+        first = dsfs[:20]
+        second = dsfs[20:40]
         pooled_se = np.sqrt(
             first.var(axis=0, ddof=1) / len(first) + second.var(axis=0, ddof=1) / len(second)
         )
