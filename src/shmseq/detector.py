@@ -111,8 +111,32 @@ def log_density_many(params: GaussianParams, xs: np.ndarray) -> np.ndarray:
     return -0.5 * (params.dim * LOG_2PI + params.log_det + np.sum(z * z, axis=0))
 
 
+def _float_if_scalar(out):
+    return float(out) if np.ndim(out) == 0 else out
+
+
+class _ChangePrior:
+    """A prior on the change step given by two logs; the probabilities follow.
+
+    Subclasses define ``log_mass(k)`` = ln P(change = k) and ``log_tail(n)``
+    = ln P(change > n). Every method takes a step or an array of steps and
+    returns a float or an array to match.
+    """
+
+    def mass(self, k):
+        return _float_if_scalar(np.exp(self.log_mass(k)))
+
+    def tail(self, n):
+        """P(change > n)."""
+        return _float_if_scalar(np.exp(self.log_tail(n)))
+
+    def cdf(self, n):
+        """P(change <= n) = 1 - P(change > n), without cancellation near 0."""
+        return _float_if_scalar(-np.expm1(self.log_tail(n)))
+
+
 @dataclass(frozen=True)
-class GeometricPrior:
+class GeometricPrior(_ChangePrior):
     """Geometric prior on the change step: P(change = k) = rho * (1-rho)^(k-1)."""
 
     rho: float
@@ -122,31 +146,14 @@ class GeometricPrior:
             raise ValueError("rho must lie strictly between 0 and 1")
 
     def log_mass(self, k):
-        k = np.asarray(k)
-        out = math.log(self.rho) + (k - 1) * math.log1p(-self.rho)
-        return float(out) if out.ndim == 0 else out
-
-    def mass(self, k):
-        return np.exp(self.log_mass(k))
+        return _float_if_scalar(math.log(self.rho) + (np.asarray(k) - 1) * math.log1p(-self.rho))
 
     def log_tail(self, n):
-        n = np.asarray(n)
-        out = n * math.log1p(-self.rho)
-        return float(out) if out.ndim == 0 else out
-
-    def tail(self, n):
-        """P(change > n)."""
-        return np.exp(self.log_tail(n))
-
-    def cdf(self, n):
-        """P(change <= n) = 1 - (1-rho)^n."""
-        n = np.asarray(n)
-        out = -np.expm1(n * math.log1p(-self.rho))
-        return float(out) if out.ndim == 0 else out
+        return _float_if_scalar(np.asarray(n) * math.log1p(-self.rho))
 
 
 @dataclass(frozen=True)
-class PointMassPrior:
+class PointMassPrior(_ChangePrior):
     """Degenerate prior putting all mass on a single change step.
 
     Used by the parameter estimator as the everything-after-k limit of the
@@ -161,38 +168,19 @@ class PointMassPrior:
             raise ValueError("the change step must be >= 1")
 
     def log_mass(self, k):
-        k = np.asarray(k)
-        out = np.where(k == self.k0, 0.0, -np.inf)
-        return float(out) if out.ndim == 0 else out
-
-    def mass(self, k):
-        k = np.asarray(k)
-        out = np.where(k == self.k0, 1.0, 0.0)
-        return float(out) if out.ndim == 0 else out
+        return _float_if_scalar(np.where(np.asarray(k) == self.k0, 0.0, -np.inf))
 
     def log_tail(self, n):
-        n = np.asarray(n)
-        out = np.where(n < self.k0, 0.0, -np.inf)
-        return float(out) if out.ndim == 0 else out
-
-    def tail(self, n):
-        n = np.asarray(n)
-        out = np.where(n < self.k0, 1.0, 0.0)
-        return float(out) if out.ndim == 0 else out
-
-    def cdf(self, n):
-        n = np.asarray(n)
-        out = np.where(n >= self.k0, 1.0, 0.0)
-        return float(out) if out.ndim == 0 else out
+        return _float_if_scalar(np.where(np.asarray(n) < self.k0, 0.0, -np.inf))
 
 
-@dataclass
+@dataclass(eq=False)
 class DetectorState:
     """Running state of one sensor's detector.
 
     ``log_odds`` is the log posterior odds r of a change at or before
     ``step`` (-inf before the first sample). ``detection_time``, once set,
-    never changes.
+    never changes. States compare by identity, so they can key a dict.
     """
 
     step: int = 0

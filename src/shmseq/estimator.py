@@ -23,12 +23,17 @@ and the log posterior odds are logsumexp(w_k) - w_nc.
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
-from scipy.special import expit
 
-from .detector import GaussianParams, _vector, log_density, log_density_many, log_odds_threshold
+from .detector import (
+    DetectorState,
+    GaussianParams,
+    _vector,
+    detect,
+    log_density,
+    log_density_many,
+    log_odds_threshold,
+)
 from .errors import EmptyStream, EstimatesUnready, InsufficientTraining
 
 RIDGE_SCALE = 1e-6
@@ -104,12 +109,13 @@ def logsumexp(a) -> float:
     return float(hi + np.log(np.exp(a - hi).sum()))
 
 
-def hypothesis_log_likelihoods(log_g, log_f) -> tuple[np.ndarray, float]:
-    """Stream log likelihood under each change-at-k hypothesis, and under no change.
+def hypothesis_log_weights(log_g, log_f, prior) -> tuple[np.ndarray, np.ndarray, float]:
+    """Hypothesis log likelihoods and log weights from per-sample log densities.
 
-    Entry k-1 of the array is sum_{n<k} ln g(x[n]) + sum_{n>=k} ln f(x[n])
-    for k = 1..N; the float is sum_n ln g(x[n]). No prior enters, so the
-    sums stay finite under priors with zero-mass steps.
+    Returns (per_k, log_w, log_nc). Entry k-1 of ``per_k`` is
+    sum_{n<k} ln g(x[n]) + sum_{n>=k} ln f(x[n]) for k = 1..N; no prior
+    enters, so it stays finite under priors with zero-mass steps. ``log_w``
+    holds w_1..w_N = ln pi(k) + per_k and ``log_nc`` is w_nc.
     """
     log_g = np.asarray(log_g, dtype=float)
     log_f = np.asarray(log_f, dtype=float)
@@ -117,22 +123,24 @@ def hypothesis_log_likelihoods(log_g, log_f) -> tuple[np.ndarray, float]:
         raise ValueError("need matching, non-empty density arrays")
     cum_g = np.concatenate(([0.0], np.cumsum(log_g)))
     cum_f = np.concatenate(([0.0], np.cumsum(log_f)))
-    return cum_g[:-1] + (cum_f[-1] - cum_f[:-1]), float(cum_g[-1])
-
-
-def hypothesis_log_weights(log_g, log_f, prior) -> tuple[np.ndarray, float]:
-    """All N+1 hypothesis log weights (w_1..w_N, w_nc) from per-sample log densities."""
-    per_k, log_g_total = hypothesis_log_likelihoods(log_g, log_f)
+    per_k = cum_g[:-1] + (cum_f[-1] - cum_f[:-1])
     n = per_k.size
     log_w = prior.log_mass(np.arange(1, n + 1)) + per_k
-    return log_w, float(prior.log_tail(n) + log_g_total)
+    return per_k, log_w, float(prior.log_tail(n) + cum_g[-1])
+
+
+def _scored_hypotheses(dsfs, prior, g: GaussianParams, f: GaussianParams):
+    """``hypothesis_log_weights`` of the stream x[1..N] scored under g and f."""
+    x = _as_matrix(dsfs)
+    if x.shape[0] == 0:
+        raise EmptyStream("cannot score zero samples")
+    return hypothesis_log_weights(log_density_many(g, x), log_density_many(f, x), prior)
 
 
 def exact_log_posterior(dsfs, prior, g: GaussianParams, f: GaussianParams) -> float:
     """ln P(change <= N | x[1..N]) by direct hypothesis enumeration (log domain)."""
-    x = _as_matrix(dsfs)
-    log_w, log_nc = hypothesis_log_weights(log_density_many(g, x), log_density_many(f, x), prior)
-    return float(logsumexp(log_w) - logsumexp(np.append(log_w, log_nc)))
+    _, log_w, log_nc = _scored_hypotheses(dsfs, prior, g, f)
+    return logsumexp(log_w) - logsumexp(np.append(log_w, log_nc))
 
 
 def prior_weighted_log_likelihood(dsfs, prior, g: GaussianParams, theta: GaussianParams) -> float:
@@ -141,12 +149,8 @@ def prior_weighted_log_likelihood(dsfs, prior, g: GaussianParams, theta: Gaussia
     The theta-dependent part of the Jensen surrogate; `estimate_params` is
     its exact stationary point in (mu, Sigma).
     """
-    x = _as_matrix(dsfs)
-    n = x.shape[0]
-    if n == 0:
-        raise EmptyStream("cannot evaluate the bound on zero samples")
-    per_k, _ = hypothesis_log_likelihoods(log_density_many(g, x), log_density_many(theta, x))
-    return float(np.asarray(prior.mass(np.arange(1, n + 1))) @ per_k)
+    per_k, _, _ = _scored_hypotheses(dsfs, prior, g, theta)
+    return float(prior.mass(np.arange(1, per_k.size + 1)) @ per_k)
 
 
 def jensen_lower_bound(dsfs, prior, g: GaussianParams, theta: GaussianParams) -> float:
@@ -157,26 +161,22 @@ def jensen_lower_bound(dsfs, prior, g: GaussianParams, theta: GaussianParams) ->
     from the exact posterior computation on the same data (with f = theta)
     so the surrogate is directly comparable to `exact_log_posterior`.
     """
-    x = _as_matrix(dsfs)
-    if x.shape[0] == 0:
-        raise EmptyStream("cannot evaluate the bound on zero samples")
-    log_w, log_nc = hypothesis_log_weights(
-        log_density_many(g, x), log_density_many(theta, x), prior
-    )
-    log_c = -float(logsumexp(np.append(log_w, log_nc)))
-    return log_c + prior_weighted_log_likelihood(x, prior, g, theta)
+    per_k, log_w, log_nc = _scored_hypotheses(dsfs, prior, g, theta)
+    log_c = -logsumexp(np.append(log_w, log_nc))
+    return log_c + float(prior.mass(np.arange(1, per_k.size + 1)) @ per_k)
 
 
-class AdaptiveDetector:
+class AdaptiveDetector(DetectorState):
     """Sequential detector for an unknown post-change distribution.
 
-    Keeps the stream seen so far, refreshes (mu_hat, Sigma_hat) through
-    running prior-CDF sums at every step, re-scores all stored samples with
-    the frozen current estimate, and applies the same log-odds threshold as
-    the known-parameter detector. Until ``warmup`` samples (default m + 1)
-    have arrived the covariance estimate is rank deficient even with the
-    ridge, so detection is suppressed and the log odds held at -inf
-    (posterior 0).
+    A ``DetectorState`` (same ``step``, ``log_odds``, ``posterior`` and
+    ``detection_time``, latched by the same ``detect``) whose f is the
+    running estimate. It keeps the stream seen so far, refreshes
+    (mu_hat, Sigma_hat) through running prior-CDF sums at every step and
+    re-scores all stored samples with the frozen current estimate. Until
+    ``warmup`` samples (default m + 1) have arrived the covariance estimate
+    is rank deficient even with the ridge, so detection is suppressed and
+    the log odds held at -inf (posterior 0).
     """
 
     def __init__(
@@ -188,29 +188,19 @@ class AdaptiveDetector:
         sensor_id: int = 0,
         warmup: int | None = None,
     ) -> None:
-        self._threshold = log_odds_threshold(alpha)
+        super().__init__()
+        log_odds_threshold(alpha)  # reject a bad alpha before any sample arrives
+        self.alpha = alpha
         self.g = g
         self.prior = prior
         self.sensor_id = sensor_id
         self.warmup = g.dim + 1 if warmup is None else int(warmup)
-        self.log_odds = -math.inf
-        self.detection_time: int | None = None
         self._rows = np.empty((64, g.dim))
         self._log_g = np.empty(64)
-        self._n = 0
         self._sum_w = 0.0
         self._sum_wx = np.zeros(g.dim)
         self._sum_wxx = np.zeros((g.dim, g.dim))
         self._estimate: GaussianParams | None = None
-
-    @property
-    def step(self) -> int:
-        return self._n
-
-    @property
-    def posterior(self) -> float:
-        """P(change <= step | samples so far) under the current estimate."""
-        return float(expit(self.log_odds))
 
     @property
     def is_ready(self) -> bool:
@@ -223,9 +213,7 @@ class AdaptiveDetector:
     @property
     def params_estimate(self) -> GaussianParams:
         if not self.is_ready or self._estimate is None:
-            raise EstimatesUnready(
-                f"estimates need {self.warmup} samples, have {self.step}"
-            )
+            raise EstimatesUnready(f"estimates need {self.warmup} samples, have {self.step}")
         return self._estimate
 
     def raw_estimate(self) -> tuple[np.ndarray, np.ndarray]:
@@ -239,25 +227,23 @@ class AdaptiveDetector:
     def update(self, x) -> float:
         """Ingest one feature sample; return the current posterior."""
         v = _vector(x)
-        if self._n == self._rows.shape[0]:
+        if self.step == self._rows.shape[0]:
             self._rows = np.vstack([self._rows, np.empty_like(self._rows)])
             self._log_g = np.concatenate([self._log_g, np.empty_like(self._log_g)])
-        self._rows[self._n] = v
-        self._log_g[self._n] = log_density(self.g, v)
-        self._n += 1
-        pi_n = float(self.prior.cdf(self._n))
+        self._rows[self.step] = v
+        self._log_g[self.step] = log_density(self.g, v)
+        self.step += 1
+        n = self.step
+        pi_n = float(self.prior.cdf(n))
         self._sum_w += pi_n
         self._sum_wx += pi_n * v
         self._sum_wxx += pi_n * np.outer(v, v)
 
-        if not self.is_ready:
-            return 0.0
-
-        mu, cov = self.raw_estimate()
-        self._estimate = GaussianParams._trusted(mu, ridge_regularize(cov))
-        log_f = log_density_many(self._estimate, self._rows[: self._n])
-        log_w, log_nc = hypothesis_log_weights(self._log_g[: self._n], log_f, self.prior)
-        self.log_odds = logsumexp(log_w) - log_nc
-        if self.detection_time is None and self.log_odds >= self._threshold:
-            self.detection_time = self._n
+        if self.is_ready:
+            mu, cov = self.raw_estimate()
+            self._estimate = GaussianParams._trusted(mu, ridge_regularize(cov))
+            log_f = log_density_many(self._estimate, self._rows[:n])
+            _, log_w, log_nc = hypothesis_log_weights(self._log_g[:n], log_f, self.prior)
+            self.log_odds = logsumexp(log_w) - log_nc
+        detect(self, self.alpha)
         return self.posterior

@@ -218,6 +218,12 @@ def _resolve_metadata(config: PipelineConfig) -> PipelineConfig:
         isinstance(s, dict) and isinstance(s.get("column"), str) for s in sensors
     ):
         raise ConfigError(f"{path}: expected an object whose 'sensors' each name a 'column'")
+    chunk_size = meta.get("chunk_size", config.chunk_size)
+    if chunk_size != config.chunk_size:
+        raise ConfigError(
+            f"{path}: chunk_size {chunk_size} differs from the run's chunk size"
+            f" {config.chunk_size}; pass --chunk-size {chunk_size}"
+        )
     positions = {s["column"]: s.get("position", s["column"]) for s in sensors}
     lam = config.lambda_true if config.lambda_true is not None else meta.get("lambda_chunk")
     resolved = replace(config, positions={**positions, **config.positions}, lambda_true=lam)

@@ -22,7 +22,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.linalg
-from scipy.signal import cont2discrete, lfilter
 
 from .errors import ConfigError, EigenFailure
 
@@ -154,6 +153,10 @@ def damping_matrix(model: ShearFrameModel, k_mat: np.ndarray) -> np.ndarray:
 
 
 def _zoh_system(model: ShearFrameModel, k_mat: np.ndarray, dt: float):
+    # scipy.signal is slow to import and only simulation needs it: imported
+    # here and in _lti_response, so `run` and `report` never load it
+    from scipy.signal import cont2discrete
+
     s = model.stories
     m_inv = np.diag(1.0 / model.masses)
     c_mat = damping_matrix(model, k_mat)
@@ -188,6 +191,8 @@ def _lti_response(ad, bd, cd, dd, forces, x0):
     C-speed IIR filters; the plain loop is kept as a fallback for badly
     conditioned eigenvector matrices. Returns (outputs, final state).
     """
+    from scipy.signal import lfilter
+
     try:
         evals, vecs = np.linalg.eig(ad)
     except np.linalg.LinAlgError:

@@ -8,6 +8,7 @@ from shmseq.detector import (
     GaussianParams,
     GeometricPrior,
     PointMassPrior,
+    detect,
     update,
 )
 from shmseq.errors import EmptyStream, EstimatesUnready, InsufficientTraining
@@ -229,6 +230,8 @@ class TestAdaptiveDetector:
                 break
         assert tau is not None and tau >= lam
         assert tau - lam <= 10
+        assert isinstance(det, DetectorState)  # same fields, latched by the same detect
+        assert detect(det, 1e-4) == det.detection_time
 
     def test_barely_lags_known_detector_under_huge_separation(self):
         """KL ~ 300: both detectors fire essentially at the change step."""

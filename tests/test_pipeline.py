@@ -2,6 +2,10 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -204,6 +208,29 @@ class TestInputValidation:
             assert [e["id"] for e in result.localization["sensors"]] == [1, 3, 4]
         assert "DLASCL" not in capfd.readouterr().err
 
+    def test_dead_chunk_fails_only_its_sensor(self, datasets, tmp_path):
+        src = (datasets / "damaged" / "data.csv").read_text().splitlines()
+        for row in range(801, 1201):  # all of chunk 3 of sensor_3
+            fields = src[row].split(",")
+            fields[3] = "0.5"
+            src[row] = ",".join(fields)
+        dead = tmp_path / "dead.csv"
+        dead.write_text("\n".join(src) + "\n")
+        for mode in ("adaptive", "known"):
+            config = base_config(
+                datasets,
+                tmp_path / mode,
+                input_csv=str(dead),
+                mode=mode,
+                postdamage_csv=str(datasets / "post" / "data.csv"),
+            )
+            result = pipeline.run(config)
+            sensors = {s["sensor_id"]: s for s in result.summary["sensors"]}
+            assert sensors[3]["error"].startswith("sensor 3 chunk 3: standard deviation ")
+            assert str(dead) in sensors[3]["error"]
+            assert all("error" not in sensors[i] and "tau" in sensors[i] for i in (1, 2, 4))
+            assert [e["id"] for e in result.localization["sensors"]] == [1, 2, 4]
+
     @pytest.mark.parametrize("cell", ["nan", "inf"])
     def test_non_finite_training_cell_under_auto_order_fails_only_its_sensor(
         self, datasets, tmp_path, cell
@@ -248,8 +275,14 @@ class TestInputValidation:
 
     @pytest.mark.parametrize(
         "metadata",
-        [{"sensors": [{"id": 1}]}, [], {"sensors": 3}, {"lambda_chunk": "41"}],
-        ids=["no-column", "list", "sensors-int", "lambda-str"],
+        [
+            {"sensors": [{"id": 1}]},
+            [],
+            {"sensors": 3},
+            {"lambda_chunk": "41"},
+            {"chunk_size": 400, "sensors": []},  # the run's chunk size is the default 1600
+        ],
+        ids=["no-column", "list", "sensors-int", "lambda-str", "chunk-size"],
     )
     def test_malformed_metadata_exits_1_naming_it(self, datasets, tmp_path, capsys, metadata):
         meta = tmp_path / "metadata.json"
@@ -336,6 +369,15 @@ class TestCli:
     )
     def test_usage_error_exits_1_not_2(self, capsys, argv, code):
         assert cli.main(argv) == code  # 2 would read as "damage declared"
+
+    def test_cli_import_leaves_scipy_signal_unloaded(self):
+        src = str(Path(pipeline.__file__).parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+        probe = "import sys, shmseq.cli; print('scipy.signal' in sys.modules)"
+        out = subprocess.run(
+            [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
+        )
+        assert out.stdout.strip() == "False"
 
     def test_error_exit_code(self, tmp_path):
         code = cli.main(
