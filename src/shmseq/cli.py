@@ -70,24 +70,23 @@ def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
     except SystemExit as err:
-        return 1 if err.code else 0  # argparse exits 2 on a usage error; 2 means damage here
+        # argparse exits 2 on a usage error; 2 means damage here
+        return pipeline.EXIT_ERROR if err.code else pipeline.EXIT_CLEAN
     try:
         if args.command == "gen":
             paths = pipeline.gen(args.scenario, args.out, seed=args.seed)
             print(f"wrote {paths['data']} and {paths['metadata']}")
-            return 0
+            return pipeline.EXIT_CLEAN
         if args.command == "run":
             result = pipeline.run(_run_config(args))
             detected = result.summary["detected"]
             print(f"detected={detected} outputs in {result.output_dir}")
             return result.exit_code
-        if args.command == "report":
-            print(pipeline.report(args.run_dir, args.out))
-            return 0
+        print(pipeline.report(args.run_dir, args.out))  # the "report" command
+        return pipeline.EXIT_CLEAN
     except (ShmSeqError, ValueError) as err:
         print(f"error: {err}", file=sys.stderr)
-        return 1
-    return 0
+        return pipeline.EXIT_ERROR
 
 
 if __name__ == "__main__":

@@ -9,6 +9,7 @@ fixed or chosen by AIC on healthy-regime data.
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Iterator, Sequence
 
@@ -85,23 +86,28 @@ def normalize_chunk(chunk: SignalChunk) -> np.ndarray:
 
     Raises NonFiniteSignal when a sample is nan or inf, and ZeroVariance when
     the chunk standard deviation is below ``STD_FLOOR``, which signals a dead
-    or saturated sensor. Both messages name the sensor and the chunk.
+    or saturated sensor.
     """
     x = chunk.samples
     if not np.isfinite(x).all():
         bad = int(np.count_nonzero(~np.isfinite(x)))
-        raise NonFiniteSignal(
-            f"sensor {chunk.sensor_id} chunk {chunk.chunk_index}: "
-            f"{bad} of {x.size} samples are nan or inf"
-        )
+        raise NonFiniteSignal(f"{bad} of {x.size} samples are nan or inf")
     mu = float(x.mean())
     sigma = float(x.std(ddof=1))
     if sigma < STD_FLOOR:
-        raise ZeroVariance(
-            f"sensor {chunk.sensor_id} chunk {chunk.chunk_index}: "
-            f"standard deviation {sigma:.3e} below floor {STD_FLOOR:.0e}"
-        )
+        raise ZeroVariance(f"standard deviation {sigma:.3e} below floor {STD_FLOOR:.0e}")
     return (x - mu) / sigma
+
+
+@contextmanager
+def _located(chunk: SignalChunk) -> Iterator[None]:
+    """Add ``sensor S chunk K: `` and ``sensor_id``/``chunk_index`` to a chunk failure."""
+    try:
+        yield
+    except (NonFiniteSignal, ZeroVariance, SingularDesign) as err:
+        err.args = (f"sensor {chunk.sensor_id} chunk {chunk.chunk_index}: {err}",)
+        err.sensor_id, err.chunk_index = chunk.sensor_id, chunk.chunk_index
+        raise
 
 
 def fit_ar(normalized: np.ndarray, p: int) -> ArModel:
@@ -135,7 +141,7 @@ def aic_values(chunks: Sequence[SignalChunk], p_max: int) -> np.ndarray:
     the per-residual variance. Normalizing RSS by the residual count M - p
     (not M) matters: RSS loses one term per added order, and dividing by M
     would cancel the 2p penalty almost exactly, leaving order selection to
-    a coin flip.
+    a coin flip. A chunk-level failure names its sensor and chunk.
     """
     if p_max < 1:
         raise ValueError("p_max must be >= 1")
@@ -143,11 +149,10 @@ def aic_values(chunks: Sequence[SignalChunk], p_max: int) -> np.ndarray:
         raise ValueError("need at least one chunk")
     curves = np.empty((len(chunks), p_max))
     for i, chunk in enumerate(chunks):
-        z = normalize_chunk(chunk)
-        m_len = z.size
-        for p in range(1, p_max + 1):
-            with np.errstate(divide="ignore"):
-                curves[i, p - 1] = m_len * np.log(fit_ar(z, p).residual_variance) + 2 * p
+        with _located(chunk), np.errstate(divide="ignore"):
+            z = normalize_chunk(chunk)
+            for p in range(1, p_max + 1):
+                curves[i, p - 1] = z.size * np.log(fit_ar(z, p).residual_variance) + 2 * p
     return curves.mean(axis=0)
 
 
@@ -179,20 +184,12 @@ def extract_dsf_stream(
 
     Row k holds the features of chunk k + 1. Extraction is deterministic:
     identical input bytes produce identical features. A chunk-level failure
-    carries the chunk index as ``chunk_index`` and names the sensor and the
-    chunk once in its message.
+    names its sensor and chunk.
     """
     chunks = list(iter_chunks(samples, config.chunk_size, sensor_id))
     coefs = slice(None) if config.coef_indices is None else np.asarray(config.coef_indices) - 1
     out = np.empty((len(chunks), config.dim))
     for row, chunk in zip(out, chunks):
-        try:
+        with _located(chunk):
             row[:] = fit_ar(normalize_chunk(chunk), config.order).coefficients[coefs]
-        except (NonFiniteSignal, ZeroVariance) as err:
-            err.chunk_index = chunk.chunk_index  # normalize_chunk's message names the location
-            raise
-        except SingularDesign as err:
-            annotated = SingularDesign(f"sensor {sensor_id} chunk {chunk.chunk_index}: {err}")
-            annotated.chunk_index = chunk.chunk_index
-            raise annotated from err
     return out

@@ -23,16 +23,9 @@ from scipy.special import expit
 
 from . import shearsim
 from .detector import DetectorState, GeometricPrior, detect, update
-from .errors import ConfigError, NonFiniteSignal, ShmSeqError, ZeroVariance
+from .errors import ConfigError, NonFiniteSignal, ShmSeqError, SingularDesign, ZeroVariance
 from .estimator import AdaptiveDetector, fit_predamage
-from .features import (
-    DsfConfig,
-    SignalChunk,
-    extract_dsf_stream,
-    iter_chunks,
-    normalize_chunk,
-    select_order,
-)
+from .features import DsfConfig, extract_dsf_stream, iter_chunks, select_order
 from .localization import SensorOutcome, build_report
 
 EXIT_CLEAN = 0
@@ -94,16 +87,12 @@ class PipelineConfig:
             raise ConfigError("rho must lie strictly between 0 and 1")
         if self.mode == "known" and not self.postdamage_csv:
             raise ConfigError("known mode needs postdamage_csv to learn f from")
-        if self.order == "auto":
-            if self.p_max < 1:
-                raise ConfigError("p_max must be >= 1")
-            if self.chunk_size <= self.p_max + 1:
-                raise ConfigError("chunk_size must exceed p_max + 1")
-        else:
-            if self.order < 1:
-                raise ConfigError("order must be >= 1")
-            if self.chunk_size <= self.order + 1:
-                raise ConfigError("chunk_size must exceed order + 1")
+        name = "p_max" if self.order == "auto" else "order"
+        largest = getattr(self, name)  # the largest AR order the run may fit
+        if largest < 1:
+            raise ConfigError(f"{name} must be >= 1")
+        if self.chunk_size <= largest + 1:
+            raise ConfigError(f"chunk_size must exceed {name} + 1")
 
     @classmethod
     def from_dict(cls, data: dict) -> "PipelineConfig":
@@ -139,7 +128,7 @@ class PipelineConfig:
 def read_signal_csv(path) -> tuple[np.ndarray, dict[str, np.ndarray]]:
     """Strict reader for `time,sensor_<id>,...` files; errors cite the row."""
     try:
-        fh = open(path, newline="")
+        fh = open(path, newline="", encoding="utf-8-sig")  # Excel may write a BOM
     except OSError as err:
         raise ConfigError(f"{path}: {err}") from err
     with fh:
@@ -234,29 +223,35 @@ def _resolve_metadata(config: PipelineConfig) -> PipelineConfig:
     return resolved
 
 
-def _training_chunks(signals: dict[str, np.ndarray], chunk_size: int, path) -> list[SignalChunk]:
-    """Training chunks for AIC order selection.
+def _require_columns(signals: dict[str, np.ndarray], columns, what: str) -> None:
+    missing = [c for c in columns if c not in signals]
+    if missing:
+        raise ConfigError(f"{what} lacks columns {missing}")
 
-    A column with a chunk that ``normalize_chunk`` rejects is left out, so
-    only its own sensor fails, when its features are extracted.
+
+def _select_order(signals: dict[str, np.ndarray], chunk_size: int, p_max: int, path) -> int:
+    """AIC order selection on the chunks of every training column.
+
+    A column with a chunk that AIC cannot use is left out and the selection
+    run again, so only its own sensor can fail, when its features are
+    extracted at the chosen order.
     """
-    chunks, rejected = [], []
-    for col, samples in signals.items():
-        col_chunks = list(iter_chunks(samples, chunk_size, sensor_id=_sensor_id(col)))
+    columns = {
+        _sensor_id(col): list(iter_chunks(samples, chunk_size, sensor_id=_sensor_id(col)))
+        for col, samples in signals.items()
+    }
+    rejected = []
+    while any(columns.values()):
         try:
-            for chunk in col_chunks:
-                normalize_chunk(chunk)
-        except (NonFiniteSignal, ZeroVariance) as err:
+            return select_order([c for chunks in columns.values() for c in chunks], p_max)
+        except (NonFiniteSignal, ZeroVariance, SingularDesign) as err:
             rejected.append(str(err))
-        else:
-            chunks.extend(col_chunks)
-    if rejected and not chunks:
+            del columns[err.sensor_id]
+    if rejected:
         raise ConfigError(
             f"no training column in {path} is fit for order selection: " + "; ".join(rejected)
         )
-    if not chunks:
-        raise ConfigError(f"training data in {path} is shorter than one chunk")
-    return chunks
+    raise ConfigError(f"training data in {path} is shorter than one chunk")
 
 
 def _features(samples: np.ndarray, path, dsf_config: DsfConfig, sensor_id: int) -> np.ndarray:
@@ -317,20 +312,14 @@ def run(config: PipelineConfig) -> RunResult:
     config = _resolve_metadata(config)
     _, train_signals = read_signal_csv(config.training_csv)
     _, input_signals = read_signal_csv(config.input_csv)
-    missing = [c for c in input_signals if c not in train_signals]
-    if missing:
-        raise ConfigError(f"training data lacks columns {missing}")
+    _require_columns(train_signals, input_signals, "training data")
     post_signals = None
     if config.mode == "known":
         _, post_signals = read_signal_csv(config.postdamage_csv)
-        missing = [c for c in input_signals if c not in post_signals]
-        if missing:
-            raise ConfigError(f"post-damage training data lacks columns {missing}")
+        _require_columns(post_signals, input_signals, "post-damage training data")
 
     if isinstance(config.order, str):
-        order = select_order(
-            _training_chunks(train_signals, config.chunk_size, config.training_csv), config.p_max
-        )
+        order = _select_order(train_signals, config.chunk_size, config.p_max, config.training_csv)
     else:
         order = config.order
     dsf_config = DsfConfig(
@@ -362,13 +351,13 @@ def run(config: PipelineConfig) -> RunResult:
         )
 
     report = build_report([r.outcome for r in good], alpha=config.alpha, rho=config.rho)
+    localization = report.to_dict()
     summary = _summarize(runs, config, order)
-    paths = _write_outputs(config, runs, report, summary)
-    exit_code = EXIT_DETECTED if any(r.detection_time is not None for r in good) else EXIT_CLEAN
+    paths = _write_outputs(config, runs, localization, summary)
     return RunResult(
-        exit_code=exit_code,
+        exit_code=EXIT_DETECTED if summary["detected"] else EXIT_CLEAN,
         summary=summary,
-        localization=report.to_dict(),
+        localization=localization,
         output_dir=config.output_dir,
         paths=paths,
     )
@@ -407,7 +396,7 @@ def _summarize(runs: list[SensorRun], config: PipelineConfig, order: int) -> dic
     }
 
 
-def _write_outputs(config, runs, report, summary) -> dict:
+def _write_outputs(config, runs, localization, summary) -> dict:
     os.makedirs(config.output_dir, exist_ok=True)
     paths = {
         "trace": os.path.join(config.output_dir, "trace.csv"),
@@ -422,7 +411,7 @@ def _write_outputs(config, runs, report, summary) -> dict:
         json.dump(summary, fh, indent=2, sort_keys=True)
         fh.write("\n")
     with open(paths["localization"], "w") as fh:
-        json.dump(report.to_dict(), fh, indent=2, sort_keys=True)
+        json.dump(localization, fh, indent=2, sort_keys=True)
         fh.write("\n")
     if config.dump_dsf:
         paths["dsf"] = os.path.join(config.output_dir, "dsf.csv")

@@ -230,32 +230,26 @@ def response_to_forces(
     n = forces.shape[0]
     if forces.shape[1] != model.stories:
         raise ConfigError("force history needs one column per story")
-    dt = 1.0 / sample_rate
-    healthy = _zoh_system(model, model.stiffness_matrix(), dt)
-    x0 = np.zeros(2 * model.stories)
+    switch, k_damaged = n, model.stiffnesses
+    if scenario.is_damaged:
+        if n < scenario.lambda_chunk * chunk_size:
+            raise ConfigError(
+                f"duration covers {n // chunk_size} chunks; damage at chunk "
+                f"{scenario.lambda_chunk} needs at least {scenario.lambda_chunk}"
+            )
+        if scenario.story < 1 or scenario.story > model.stories:
+            raise ConfigError(f"damaged story {scenario.story} outside 1..{model.stories}")
+        switch = (scenario.lambda_chunk - 1) * chunk_size
+        k_damaged = model.stiffnesses.copy()
+        k_damaged[scenario.story - 1] *= scenario.retention
 
-    if not scenario.is_damaged:
-        out, _ = _lti_response(*healthy, forces, x0)
-        return out
-
-    switch = (scenario.lambda_chunk - 1) * chunk_size
-    if n < scenario.lambda_chunk * chunk_size:
-        raise ConfigError(
-            f"duration covers {n // chunk_size} chunks; damage at chunk "
-            f"{scenario.lambda_chunk} needs at least {scenario.lambda_chunk}"
-        )
-    if scenario.story < 1 or scenario.story > model.stories:
-        raise ConfigError(f"damaged story {scenario.story} outside 1..{model.stories}")
-    k_damaged = model.stiffnesses.copy()
-    k_damaged[scenario.story - 1] *= scenario.retention
-    damaged = _zoh_system(model, model.stiffness_matrix(k_damaged), dt)
-
-    if switch == 0:
-        out, _ = _lti_response(*damaged, forces, x0)
-        return out
-    pre, x_switch = _lti_response(*healthy, forces[:switch], x0)
-    post, _ = _lti_response(*damaged, forces[switch:], x_switch)
-    return np.vstack([pre, post])
+    out = np.empty((n, model.stories))
+    x = np.zeros(2 * model.stories)
+    for k, lo, hi in ((model.stiffnesses, 0, switch), (k_damaged, switch, n)):
+        if lo < hi:  # an empty segment builds no system
+            system = _zoh_system(model, model.stiffness_matrix(k), 1.0 / sample_rate)
+            out[lo:hi], x = _lti_response(*system, forces[lo:hi], x)
+    return out
 
 
 @dataclass

@@ -116,6 +116,15 @@ class TestSelectOrder:
         assert np.allclose(got, expected, rtol=0, atol=1e-10)
         assert select_order(chunks, 6) == int(np.argmin(expected)) + 1
 
+    def test_singular_chunk_names_sensor_and_chunk(self):
+        rng = np.random.default_rng(5)
+        chunks = [chunk(rng.normal(size=400), sensor_id=4, index=k + 1) for k in range(5)]
+        chunks[2] = chunk(np.sin(0.3 * np.arange(400)), sensor_id=4, index=3)  # a pure tone
+        with pytest.raises(SingularDesign, match="^sensor 4 chunk 3: ") as exc:
+            select_order(chunks, 6)
+        assert exc.value.chunk_index == 3
+        assert exc.value.sensor_id == 4
+
     def test_default_order_for_structural_data(self):
         # the structural-data default carried by the extraction config
         assert DsfConfig(chunk_size=100).order == 7

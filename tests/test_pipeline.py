@@ -250,6 +250,23 @@ class TestInputValidation:
         assert all("error" not in sensors[i] and "tau" in sensors[i] for i in (1, 2, 4))
         assert isinstance(result.summary["order"], int)
 
+    def test_pure_tone_training_chunk_under_auto_order_fails_at_most_its_sensor(
+        self, datasets, tmp_path
+    ):
+        src = (datasets / "train" / "data.csv").read_text().splitlines()
+        for row in range(401, 801):  # all of chunk 2 of sensor_3
+            fields = src[row].split(",")
+            fields[3] = repr(math.sin(0.3 * row))  # an AR(2) signal: AIC's lag matrix is singular
+            src[row] = ",".join(fields)
+        tone = tmp_path / "tone_train.csv"
+        tone.write_text("\n".join(src) + "\n")
+        config = base_config(datasets, tmp_path / "out", training_csv=str(tone), order="auto")
+        result = pipeline.run(config)
+        sensors = {s["sensor_id"]: s for s in result.summary["sensors"]}
+        assert all("error" not in sensors[i] and "tau" in sensors[i] for i in (1, 2, 4))
+        error = sensors[3].get("error")
+        assert error is None or (error.startswith("sensor 3 chunk 2: ") and str(tone) in error)
+
     def test_auto_order_with_no_usable_training_column_is_a_config_error(self, datasets, tmp_path):
         src = (datasets / "train" / "data.csv").read_text().splitlines()
         fields = src[1].split(",")
@@ -259,6 +276,17 @@ class TestInputValidation:
         config = base_config(datasets, tmp_path / "out", training_csv=str(bad), order="auto")
         with pytest.raises(ConfigError, match="order selection"):
             pipeline.run(config)
+
+    def test_byte_order_mark_is_ignored(self, tmp_path):
+        plain, marked = tmp_path / "plain.csv", tmp_path / "marked.csv"
+        text = "time,sensor_1,sensor_2\n0.0,1.0,-2.5\n0.02,3.0,4.0\n"
+        plain.write_text(text, encoding="utf-8")
+        marked.write_text("\ufeff" + text, encoding="utf-8")
+        time, signals = read_signal_csv(plain)
+        marked_time, marked_signals = read_signal_csv(marked)
+        assert np.array_equal(marked_time, time)
+        assert list(marked_signals) == list(signals) == ["sensor_1", "sensor_2"]
+        assert all(np.array_equal(marked_signals[c], signals[c]) for c in signals)
 
     def test_short_row_cites_row(self, tmp_path):
         bad = tmp_path / "bad.csv"

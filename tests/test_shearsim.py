@@ -96,6 +96,15 @@ class TestIntegration:
         assert np.array_equal(with_damage.signals[:switch], healthy.signals[:switch])
         assert not np.allclose(with_damage.signals[switch:], healthy.signals[switch:])
 
+    def test_damage_from_first_chunk_is_the_reduced_model(self):
+        model = default_model()
+        damaged = DamageScenario(story=2, retention=0.5, lambda_chunk=1)
+        reduced = ShearFrameModel(model.masses, model.stiffnesses * [1.0, 0.5, 1.0, 1.0], model.zeta)
+        exc = Excitation(seed=12, intensity=80.0, sample_rate=50.0, duration_s=20.0)
+        with_damage = simulate(model, damaged, exc, chunk_size=100)
+        healthy_reduced = simulate(reduced, DamageScenario.undamaged(), exc, chunk_size=100)
+        assert np.array_equal(with_damage.signals, healthy_reduced.signals)
+
 
 class TestSimulate:
     def test_zero_intensity_gives_zero_response(self):
