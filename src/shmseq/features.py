@@ -11,13 +11,16 @@ from __future__ import annotations
 
 from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Iterator, Sequence
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
-from .errors import NonFiniteSignal, SingularDesign, ZeroVariance
+from .errors import NonFiniteSignal, ShmSeqError, SingularDesign, ZeroVariance
 
 STD_FLOOR = 1e-12  # a chunk with a smaller standard deviation is a dead sensor
+# A lag matrix whose Gram matrix has lambda_min <= SINGULAR_RATIO * lambda_max (condition
+# number 1e5 or more) is rank deficient: SingularDesign.
+SINGULAR_RATIO = 1e-10
 
 
 @dataclass
@@ -81,6 +84,37 @@ class DsfConfig:
         return self.order if self.coef_indices is None else len(self.coef_indices)
 
 
+def _standardize(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Standardize each row of x (K, M) to zero mean and unit sample (n-1) standard deviation.
+
+    Also returns the mask of rows that cannot be standardized: a nan or inf
+    sample, or a standard deviation below ``STD_FLOOR``. Those rows come back
+    as zeros, and none of them emits a RuntimeWarning.
+    """
+    m_len = x.shape[1]
+    with np.errstate(invalid="ignore", over="ignore", divide="ignore"):
+        dev = x - x.sum(axis=1, keepdims=True) / m_len
+        sigma = np.sqrt((dev * dev).sum(axis=1, keepdims=True) / (m_len - 1))
+        z = dev / sigma
+    bad = ~(sigma[:, 0] >= STD_FLOOR)
+    if bad.any():
+        z[bad] = 0.0
+    return z, bad
+
+
+def _standardize_error(x: np.ndarray) -> ShmSeqError:
+    """The error of a chunk that ``_standardize`` rejected; non-finite samples come first."""
+    bad = int(np.count_nonzero(~np.isfinite(x)))
+    if bad:
+        return NonFiniteSignal(f"{bad} of {x.size} samples are nan or inf")
+    sigma = float(x.std(ddof=1))
+    return ZeroVariance(f"standard deviation {sigma:.3e} below floor {STD_FLOOR:.0e}")
+
+
+def _singular(rank: int, p: int) -> SingularDesign:
+    return SingularDesign(f"lag regressor matrix is rank deficient (rank {rank} < {p})")
+
+
 def normalize_chunk(chunk: SignalChunk) -> np.ndarray:
     """Standardize a chunk to zero mean and unit sample (n-1) standard deviation.
 
@@ -88,15 +122,10 @@ def normalize_chunk(chunk: SignalChunk) -> np.ndarray:
     the chunk standard deviation is below ``STD_FLOOR``, which signals a dead
     or saturated sensor.
     """
-    x = chunk.samples
-    if not np.isfinite(x).all():
-        bad = int(np.count_nonzero(~np.isfinite(x)))
-        raise NonFiniteSignal(f"{bad} of {x.size} samples are nan or inf")
-    mu = float(x.mean())
-    sigma = float(x.std(ddof=1))
-    if sigma < STD_FLOOR:
-        raise ZeroVariance(f"standard deviation {sigma:.3e} below floor {STD_FLOOR:.0e}")
-    return (x - mu) / sigma
+    z, bad = _standardize(chunk.samples[None, :])
+    if bad[0]:
+        raise _standardize_error(chunk.samples)
+    return z[0]
 
 
 @contextmanager
@@ -110,28 +139,101 @@ def _located(chunk: SignalChunk) -> Iterator[None]:
         raise
 
 
+def _lags(z: np.ndarray, p_max: int) -> np.ndarray:
+    """Lag regressors of every row of z (K, M) up to order ``p_max``, as (K, p_max, M - 1).
+
+    Entry ``[:, j, t]`` is ``z[:, t - j]``, lag j + 1 of the sample
+    ``z[:, t + 1]``; entries with t < j are left unset and never read. The
+    AR(p) lag matrices are the views ``[:, :p, p - 1:]``, so every order up
+    to ``p_max`` shares one copy.
+    """
+    m_len = z.shape[1]
+    if m_len <= p_max + 1:
+        raise ValueError(f"need more than {p_max + 1} samples to fit AR({p_max}), got {m_len}")
+    lags = np.empty((z.shape[0], p_max, m_len - 1))
+    for j in range(p_max):
+        lags[:, j, j:] = z[:, : m_len - 1 - j]
+    return lags
+
+
+def _fit_stack(
+    z: np.ndarray, lags: np.ndarray, p: int, with_rss: bool = False
+) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
+    """Fit AR(p) to every row of z (K, M) by least squares in one stacked solve.
+
+    ``lags`` is ``_lags(z, p_max)`` for some p_max >= p. Row k is fitted as
+    ``fit_ar`` describes, through its normal equations: the (K, p, p) Gram
+    matrices of the lag regressors are formed with one batched product and
+    solved with one ``np.linalg.solve``. Returns the (K, p) coefficients,
+    each row's numerical rank (the number of Gram eigenvalues above
+    ``SINGULAR_RATIO`` times the largest) and, with ``with_rss``, each row's
+    residual sum of squares, from explicit residuals. A row of rank < p is
+    singular; its coefficients are meaningless.
+    """
+    design = lags[:, :p, p - 1 :]
+    target = z[:, p:, None]
+    gram = design @ design.transpose(0, 2, 1)
+    eig = np.linalg.eigvalsh(gram)
+    singular = eig[:, 0] <= SINGULAR_RATIO * eig[:, -1]
+    rank = np.full(len(z), p)
+    if singular.any():
+        low = eig[singular]
+        rank[singular] = np.count_nonzero(low > SINGULAR_RATIO * low[:, -1:], axis=1)
+        gram[singular] = np.eye(p)  # so that the stacked solve cannot fail on them
+    coef = np.linalg.solve(gram, design @ target)
+    if not with_rss:
+        return coef[:, :, 0], rank, None
+    resid = target[:, :, 0] - (coef.transpose(0, 2, 1) @ design)[:, 0]
+    return coef[:, :, 0], rank, np.einsum("km,km->k", resid, resid)
+
+
+def _raise_first_failure(
+    chunk_at: Callable[[int], SignalChunk],
+    x: np.ndarray,
+    bad: np.ndarray,
+    ranks: np.ndarray,
+    orders: Sequence[int],
+) -> None:
+    """Raise the failure of the first chunk, in chunk order, that cannot be fit.
+
+    Row i of x is a raw chunk, ``bad`` marks the rows ``_standardize``
+    rejected and ``ranks[i, j]`` is row i's rank at AR order ``orders[j]``.
+    Within a chunk a non-finite sample comes first, then zero variance, then
+    the lowest order whose lag matrix is singular. ``chunk_at(i)`` gives the
+    chunk of row i, which the error names.
+    """
+    deficient = ranks < orders
+    failing = bad | deficient.any(axis=1)
+    if not failing.any():
+        return
+    i = int(np.argmax(failing))
+    with _located(chunk_at(i)):
+        if bad[i]:
+            raise _standardize_error(x[i])
+        j = int(np.argmax(deficient[i]))
+        raise _singular(int(ranks[i, j]), int(orders[j]))
+
+
 def fit_ar(normalized: np.ndarray, p: int) -> ArModel:
     """Fit an AR(p) model by least squares over the lagged regressors.
 
     The input is expected to be a normalized (zero-mean) chunk, so no
     intercept term is included. The coefficients minimize the sum of squared
     one-step prediction residuals over the last M - p samples and the
-    residual variance is RSS / (M - p).
+    residual variance is RSS / (M - p). The lag matrix counts as rank
+    deficient (``SingularDesign``) when the smallest eigenvalue of its Gram
+    matrix is at most ``SINGULAR_RATIO`` times the largest, i.e. when its
+    condition number is 1e5 or more. That is stricter than an SVD rank at
+    machine precision, which the Gram matrix cannot give without an SVD of
+    its own.
     """
     x = np.asarray(normalized, dtype=float).ravel()
-    m_len = x.size
     if p < 1:
         raise ValueError("AR order must be >= 1")
-    if m_len <= p + 1:
-        raise ValueError(f"need more than {p + 1} samples to fit AR({p}), got {m_len}")
-    design = np.stack([x[p - j : m_len - j] for j in range(1, p + 1)], axis=1)
-    target = x[p:]
-    coef, _, rank, _ = np.linalg.lstsq(design, target, rcond=None)
-    if rank < p:
-        raise SingularDesign(f"lag regressor matrix is rank deficient (rank {rank} < {p})")
-    resid = target - design @ coef
-    rss = float(resid @ resid)
-    return ArModel(order=p, coefficients=coef, residual_variance=rss / (m_len - p))
+    coef, rank, rss = _fit_stack(x[None, :], _lags(x[None, :], p), p, with_rss=True)
+    if rank[0] < p:
+        raise _singular(int(rank[0]), p)
+    return ArModel(order=p, coefficients=coef[0], residual_variance=float(rss[0]) / (x.size - p))
 
 
 def aic_values(chunks: Sequence[SignalChunk], p_max: int) -> np.ndarray:
@@ -141,18 +243,25 @@ def aic_values(chunks: Sequence[SignalChunk], p_max: int) -> np.ndarray:
     the per-residual variance. Normalizing RSS by the residual count M - p
     (not M) matters: RSS loses one term per added order, and dividing by M
     would cancel the 2p penalty almost exactly, leaving order selection to
-    a coin flip. A chunk-level failure names its sensor and chunk.
+    a coin flip. The chunks must all have the same length M; each order is
+    one stacked fit of all of them. The first chunk that cannot be fit
+    raises, naming its sensor and chunk, with its lowest failing order.
     """
     if p_max < 1:
         raise ValueError("p_max must be >= 1")
     if not chunks:
         raise ValueError("need at least one chunk")
+    x = np.stack([c.samples for c in chunks])  # a ValueError for chunks of unequal length
+    z, bad = _standardize(x)
+    m_len = x.shape[1]
     curves = np.empty((len(chunks), p_max))
-    for i, chunk in enumerate(chunks):
-        with _located(chunk), np.errstate(divide="ignore"):
-            z = normalize_chunk(chunk)
-            for p in range(1, p_max + 1):
-                curves[i, p - 1] = z.size * np.log(fit_ar(z, p).residual_variance) + 2 * p
+    ranks = np.empty((len(chunks), p_max), dtype=int)
+    lags = _lags(z, p_max)
+    for p in range(1, p_max + 1):
+        _, ranks[:, p - 1], rss = _fit_stack(z, lags, p, with_rss=True)
+        with np.errstate(divide="ignore"):
+            curves[:, p - 1] = m_len * np.log(rss / (m_len - p)) + 2 * p
+    _raise_first_failure(chunks.__getitem__, x, bad, ranks, range(1, p_max + 1))
     return curves.mean(axis=0)
 
 
@@ -182,14 +291,17 @@ def extract_dsf_stream(
 ) -> np.ndarray:
     """Turn a raw stream into an (N, ``config.dim``) feature matrix, one row per complete chunk.
 
-    Row k holds the features of chunk k + 1. Extraction is deterministic:
-    identical input bytes produce identical features. A chunk-level failure
-    names its sensor and chunk.
+    Row k holds the features of chunk k + 1; all chunks are fitted in one
+    stacked solve. Extraction is deterministic: identical input bytes
+    produce identical features. The first chunk that cannot be fit raises,
+    naming its sensor and chunk.
     """
-    chunks = list(iter_chunks(samples, config.chunk_size, sensor_id))
-    coefs = slice(None) if config.coef_indices is None else np.asarray(config.coef_indices) - 1
-    out = np.empty((len(chunks), config.dim))
-    for row, chunk in zip(out, chunks):
-        with _located(chunk):
-            row[:] = fit_ar(normalize_chunk(chunk), config.order).coefficients[coefs]
-    return out
+    x = np.asarray(samples, dtype=float).ravel()
+    n = x.size // config.chunk_size
+    x = x[: n * config.chunk_size].reshape(n, config.chunk_size)
+    z, bad = _standardize(x)
+    coef, rank, _ = _fit_stack(z, _lags(z, config.order), config.order)
+    _raise_first_failure(
+        lambda i: SignalChunk(sensor_id, i + 1, x[i]), x, bad, rank[:, None], [config.order]
+    )
+    return coef if config.coef_indices is None else coef[:, np.asarray(config.coef_indices) - 1]

@@ -15,6 +15,7 @@ import json
 import os
 import types
 import typing
+import warnings
 from dataclasses import dataclass, field, replace
 from typing import Literal
 
@@ -126,7 +127,13 @@ class PipelineConfig:
 
 
 def read_signal_csv(path) -> tuple[np.ndarray, dict[str, np.ndarray]]:
-    """Strict reader for `time,sensor_<id>,...` files; errors cite the row."""
+    """Strict reader for `time,sensor_<id>,...` files; errors cite the row.
+
+    After the header checks the data rows are parsed by one ``np.loadtxt``
+    call. When that raises, warns or finds another column count than the
+    header's, the file is read again row by row with ``float``, which also
+    takes quoted cells, ``1_0`` and blank lines, and cites the first bad row.
+    """
     try:
         fh = open(path, newline="", encoding="utf-8-sig")  # Excel may write a BOM
     except OSError as err:
@@ -145,25 +152,41 @@ def read_signal_csv(path) -> tuple[np.ndarray, dict[str, np.ndarray]]:
                 raise ConfigError(f"{path}: row 1: bad sensor column name {name!r}")
             if _sensor_id(name) in map(_sensor_id, header[1:j]):
                 raise ConfigError(f"{path}: row 1: sensor {_sensor_id(name)} has two columns")
-        columns: list[list[float]] = [[] for _ in header]
-        for row_no, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != len(header):
+        try:
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                data = np.loadtxt(fh, delimiter=",", comments=None, ndmin=2, dtype=float)
+        except Exception:  # anything loadtxt rejects, the row loop below cites or accepts
+            data = None
+        if data is None or data.shape[1] != len(header):
+            fh.seek(0)
+            reader = csv.reader(fh)
+            next(reader)
+            data = _read_rows(path, reader, len(header))
+    columns = np.ascontiguousarray(data.T)
+    return columns[0], dict(zip(header[1:], columns[1:]))
+
+
+def _read_rows(path, reader, width: int) -> np.ndarray:
+    """The data rows of ``reader`` as an (n, width) array, parsed cell by cell."""
+    rows = []
+    for row_no, row in enumerate(reader, start=2):
+        if not row:
+            continue
+        if len(row) != width:
+            raise ConfigError(f"{path}: row {row_no}: expected {width} fields, got {len(row)}")
+        values = []
+        for cell in row:
+            try:
+                values.append(float(cell))
+            except ValueError:
                 raise ConfigError(
-                    f"{path}: row {row_no}: expected {len(header)} fields, got {len(row)}"
-                )
-            for j, cell in enumerate(row):
-                try:
-                    columns[j].append(float(cell))
-                except ValueError:
-                    raise ConfigError(
-                        f"{path}: row {row_no}: cannot parse {cell!r} as a number"
-                    ) from None
-        if not columns[0]:
-            raise ConfigError(f"{path}: no data rows")
-    time = np.asarray(columns[0])
-    return time, {name: np.asarray(col) for name, col in zip(header[1:], columns[1:])}
+                    f"{path}: row {row_no}: cannot parse {cell!r} as a number"
+                ) from None
+        rows.append(values)
+    if not rows:
+        raise ConfigError(f"{path}: no data rows")
+    return np.array(rows)
 
 
 def _sensor_id(column: str) -> int:
@@ -310,6 +333,8 @@ def run(config: PipelineConfig) -> RunResult:
     """Execute the full pipeline and write trace/summary/localization files."""
     config.validate()
     config = _resolve_metadata(config)
+    with _writing_to(config.output_dir):  # fail before the work, not after it
+        os.makedirs(config.output_dir, exist_ok=True)
     _, train_signals = read_signal_csv(config.training_csv)
     _, input_signals = read_signal_csv(config.input_csv)
     _require_columns(train_signals, input_signals, "training data")
@@ -353,7 +378,8 @@ def run(config: PipelineConfig) -> RunResult:
     report = build_report([r.outcome for r in good], alpha=config.alpha, rho=config.rho)
     localization = report.to_dict()
     summary = _summarize(runs, config, order)
-    paths = _write_outputs(config, runs, localization, summary)
+    with _writing_to(config.output_dir):
+        paths = _write_outputs(config, runs, localization, summary)
     return RunResult(
         exit_code=EXIT_DETECTED if summary["detected"] else EXIT_CLEAN,
         summary=summary,
@@ -396,8 +422,16 @@ def _summarize(runs: list[SensorRun], config: PipelineConfig, order: int) -> dic
     }
 
 
+@contextlib.contextmanager
+def _writing_to(path: str):
+    """Turn an OSError from creating or writing outputs into a ConfigError naming ``path``."""
+    try:
+        yield
+    except OSError as err:
+        raise ConfigError(f"cannot write to {path}: {err}") from err
+
+
 def _write_outputs(config, runs, localization, summary) -> dict:
-    os.makedirs(config.output_dir, exist_ok=True)
     paths = {
         "trace": os.path.join(config.output_dir, "trace.csv"),
         "summary": os.path.join(config.output_dir, "summary.json"),
@@ -494,12 +528,14 @@ def gen(scenario: dict | str, out_dir: str, seed: int | None = None) -> dict:
     except (KeyError, TypeError, ValueError) as err:
         raise ConfigError(f"bad scenario description: {err}") from err
 
+    with _writing_to(out_dir):  # fail before the simulation, not after it
+        os.makedirs(out_dir, exist_ok=True)
     result = shearsim.simulate(model, dmg, excitation, chunk_size, sensors_per_story)
-    os.makedirs(out_dir, exist_ok=True)
     data_path = os.path.join(out_dir, "data.csv")
     meta_path = os.path.join(out_dir, "metadata.json")
-    result.to_csv(data_path)
-    result.metadata_to_json(meta_path)
+    with _writing_to(out_dir):
+        result.to_csv(data_path)
+        result.metadata_to_json(meta_path)
     return {"data": data_path, "metadata": meta_path}
 
 
@@ -540,7 +576,7 @@ def report(run_dir: str, out_path: str | None = None) -> str:
         "series": series,
     }
     out_path = out_path or os.path.join(run_dir, "ccdf_plot.json")
-    with open(out_path, "w") as fh:
+    with _writing_to(out_path), open(out_path, "w") as fh:
         json.dump(plot, fh, indent=2, sort_keys=True)
         fh.write("\n")
 

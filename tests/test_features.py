@@ -1,9 +1,11 @@
 """Tests for chunk normalization, AR fitting and order selection."""
 
+import warnings
+
 import numpy as np
 import pytest
 
-from shmseq.errors import SingularDesign, ZeroVariance
+from shmseq.errors import NonFiniteSignal, SingularDesign, ZeroVariance
 from shmseq.features import (
     ArModel,
     DsfConfig,
@@ -80,6 +82,17 @@ class TestFitAr:
         with pytest.raises(SingularDesign):
             fit_ar(x, 2)
 
+    def test_singularity_floor(self):
+        rng = np.random.default_rng(6)
+        tone = np.sin(0.3 * np.arange(400))
+        z = normalize_chunk(chunk(tone + 1e-2 * rng.normal(size=400)))
+        model = fit_ar(z, 12)  # nearly a tone, still full rank
+        design = np.column_stack([z[12 - j : 400 - j] for j in range(1, 13)])
+        coef, *_ = np.linalg.lstsq(design, z[12:], rcond=None)
+        assert np.allclose(model.coefficients, coef, rtol=0, atol=1e-9)
+        with pytest.raises(SingularDesign, match=r"\(rank \d+ < 12\)"):
+            fit_ar(normalize_chunk(chunk(tone)), 12)
+
     def test_model_validation(self):
         with pytest.raises(ValueError):
             ArModel(order=2, coefficients=[0.5], residual_variance=1.0)
@@ -102,19 +115,20 @@ class TestSelectOrder:
         """The published AIC curve must match an independent re-evaluation."""
         rng = np.random.default_rng(3)
         chunks = [chunk(gen_ar([0.4, 0.2], 600, rng), index=k + 1) for k in range(5)]
-        got = aic_values(chunks, 6)
-        expected = np.zeros(6)
-        for c in chunks:
-            z = (c.samples - c.samples.mean()) / c.samples.std(ddof=1)
-            m_len = z.size
-            for p in range(1, 7):
-                design = np.column_stack([z[p - j : m_len - j] for j in range(1, p + 1)])
-                coef, *_ = np.linalg.lstsq(design, z[p:], rcond=None)
-                rss = float(np.sum((z[p:] - design @ coef) ** 2))
-                expected[p - 1] += m_len * np.log(rss / (m_len - p)) + 2 * p
-        expected /= len(chunks)
-        assert np.allclose(got, expected, rtol=0, atol=1e-10)
-        assert select_order(chunks, 6) == int(np.argmin(expected)) + 1
+        for p_max in (6, 12):
+            got = aic_values(chunks, p_max)
+            expected = np.zeros(p_max)
+            for c in chunks:
+                z = (c.samples - c.samples.mean()) / c.samples.std(ddof=1)
+                m_len = z.size
+                for p in range(1, p_max + 1):
+                    design = np.column_stack([z[p - j : m_len - j] for j in range(1, p + 1)])
+                    coef, *_ = np.linalg.lstsq(design, z[p:], rcond=None)
+                    rss = float(np.sum((z[p:] - design @ coef) ** 2))
+                    expected[p - 1] += m_len * np.log(rss / (m_len - p)) + 2 * p
+            expected /= len(chunks)
+            assert np.allclose(got, expected, rtol=0, atol=1e-10)
+            assert select_order(chunks, p_max) == int(np.argmin(expected)) + 1
 
     def test_singular_chunk_names_sensor_and_chunk(self):
         rng = np.random.default_rng(5)
@@ -182,6 +196,44 @@ class TestExtract:
         with pytest.raises(SingularDesign, match="^sensor 5 chunk 2: ") as exc:
             extract_dsf_stream(data, cfg, sensor_id=5)
         assert exc.value.chunk_index == 2
+
+    @pytest.mark.parametrize("order", range(1, 13))
+    def test_rows_match_per_chunk_lstsq(self, order):
+        rng = np.random.default_rng(12)
+        data = gen_ar([0.5, -0.4, 0.3], 400 * 6, rng)
+        dsfs = extract_dsf_stream(data, DsfConfig(chunk_size=400, order=order))
+        for k, row in enumerate(dsfs):
+            z = normalize_chunk(chunk(data[400 * k : 400 * (k + 1)], index=k + 1))
+            design = np.column_stack([z[order - j : 400 - j] for j in range(1, order + 1)])
+            coef, *_ = np.linalg.lstsq(design, z[order:], rcond=None)
+            assert np.allclose(row, coef, rtol=0, atol=1e-12)
+            assert np.allclose(fit_ar(z, order).coefficients, coef, rtol=0, atol=1e-12)
+
+    def test_first_failing_chunk_wins(self):
+        # chunk 2 is a pure tone (singular at order 6), chunk 4 holds a nan
+        rng = np.random.default_rng(8)
+        data = rng.normal(size=400 * 5)
+        data[400:800] = np.sin(0.3 * np.arange(400))
+        data[1300] = np.nan
+        with pytest.raises(SingularDesign, match="^sensor 7 chunk 2: ") as exc:
+            extract_dsf_stream(data, DsfConfig(chunk_size=400, order=6), sensor_id=7)
+        assert exc.value.chunk_index == 2
+        chunks = [chunk(data[400 * k : 400 * (k + 1)], sensor_id=7, index=k + 1) for k in range(5)]
+        with pytest.raises(SingularDesign, match="^sensor 7 chunk 2: ") as exc:
+            select_order(chunks, 6)
+        assert exc.value.chunk_index == 2
+        # at order 3 the tone (a sinusoid plus the removed mean) is full rank, for lstsq too
+        assert extract_dsf_stream(data[400:800], DsfConfig(chunk_size=400, order=3)).shape == (1, 3)
+
+    @pytest.mark.parametrize("cell", [np.nan, np.inf])
+    def test_non_finite_chunk_raises_without_warning(self, cell):
+        rng = np.random.default_rng(9)
+        data = rng.normal(size=400)
+        data[250] = cell
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NonFiniteSignal, match="^sensor 0 chunk 3: 1 of 100 samples"):
+                extract_dsf_stream(data, DsfConfig(chunk_size=100, order=2))
 
     def test_config_validation(self):
         with pytest.raises(ValueError):

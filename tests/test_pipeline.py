@@ -288,6 +288,31 @@ class TestInputValidation:
         assert list(marked_signals) == list(signals) == ["sensor_1", "sensor_2"]
         assert all(np.array_equal(marked_signals[c], signals[c]) for c in signals)
 
+    def test_one_call_ingest_equals_the_row_loop(self, datasets, monkeypatch):
+        path = datasets / "damaged" / "data.csv"
+        parsed, loadtxt = [], np.loadtxt
+        monkeypatch.setattr(np, "loadtxt", lambda *a, **k: parsed.append(loadtxt(*a, **k)) or parsed[0])
+        time, signals = read_signal_csv(path)
+        assert parsed[0].shape == (time.size, 1 + len(signals))  # one call parsed every row
+
+        def reject(*args, **kwargs):
+            raise ValueError("forced onto the row loop")
+
+        monkeypatch.setattr(np, "loadtxt", reject)
+        strict_time, strict_signals = read_signal_csv(path)
+        assert np.array_equal(time, strict_time)
+        assert list(signals) == list(strict_signals)
+        assert all(np.array_equal(signals[c], strict_signals[c]) for c in signals)
+
+    def test_cells_only_the_row_loop_takes_still_parse(self, tmp_path):
+        text = 'time,sensor_1\n0.0,"1.5"\n\n0.02,1_0\n'
+        for name, prefix in (("plain.csv", ""), ("marked.csv", "\ufeff")):
+            path = tmp_path / name
+            path.write_text(prefix + text, encoding="utf-8")
+            time, signals = read_signal_csv(path)
+            assert time.tolist() == [0.0, 0.02]
+            assert signals["sensor_1"].tolist() == [1.5, 10.0]
+
     def test_short_row_cites_row(self, tmp_path):
         bad = tmp_path / "bad.csv"
         bad.write_text("time,sensor_1\n0.0,1.0\n0.1\n")
@@ -397,6 +422,41 @@ class TestCli:
     )
     def test_usage_error_exits_1_not_2(self, capsys, argv, code):
         assert cli.main(argv) == code  # 2 would read as "damage declared"
+
+    def test_run_into_a_file_exits_1_before_the_work(self, datasets, tmp_path, capsys, monkeypatch):
+        taken = tmp_path / "taken"
+        taken.write_text("")
+        monkeypatch.setattr(pipeline, "read_signal_csv", None)  # the work would fail loudly
+        code = cli.main([
+            "run",
+            "--input", str(datasets / "damaged" / "data.csv"),
+            "--training", str(datasets / "train" / "data.csv"),
+            "--chunk-size", "400",
+            "--out", str(taken),
+        ])
+        err = capsys.readouterr().err.splitlines()
+        assert code == 1
+        assert len(err) == 1 and err[0].startswith("error: ") and str(taken) in err[0], err
+
+    def test_gen_under_a_file_exits_1_before_the_work(self, tmp_path, capsys, monkeypatch):
+        scen = tmp_path / "scenario.json"
+        scen.write_text(json.dumps(scenario_dict(1, 24.0)))
+        taken = tmp_path / "taken"
+        taken.write_text("")
+        monkeypatch.setattr(pipeline.shearsim, "simulate", None)  # the work would fail loudly
+        code = cli.main(["gen", "--scenario", str(scen), "--out", str(taken / "x")])
+        err = capsys.readouterr().err.splitlines()
+        assert code == 1
+        assert len(err) == 1 and err[0].startswith("error: ") and str(taken / "x") in err[0], err
+
+    def test_report_into_a_missing_directory_exits_1(self, datasets, tmp_path, capsys):
+        out = tmp_path / "out"
+        pipeline.run(base_config(datasets, out))
+        plot = tmp_path / "missing" / "plot.json"
+        code = cli.main(["report", "--run-dir", str(out), "--out", str(plot)])
+        err = capsys.readouterr().err.splitlines()
+        assert code == 1
+        assert len(err) == 1 and err[0].startswith("error: ") and str(plot) in err[0], err
 
     def test_cli_import_leaves_scipy_signal_unloaded(self):
         src = str(Path(pipeline.__file__).parents[1])
