@@ -11,14 +11,13 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import solve_triangular
 
 from .detector import GaussianParams
 from .errors import DimensionMismatch
 
 
 def kl_gaussian(f: GaussianParams, g: GaussianParams) -> float:
-    """KL distance D(f || g) between Gaussians, via triangular factors.
+    """KL distance D(f || g) between Gaussians, via g's cached inverse factor.
 
     0.5 * [tr(S0^-1 S1) + (m0-m1)' S0^-1 (m0-m1) - m + ln(det S0 / det S1)]
     with f = (m1, S1) and g = (m0, S0). Tiny negative rounding results are
@@ -26,8 +25,8 @@ def kl_gaussian(f: GaussianParams, g: GaussianParams) -> float:
     """
     if f.dim != g.dim:
         raise DimensionMismatch(f"dimensions differ: {f.dim} vs {g.dim}")
-    a = solve_triangular(g.chol, f.chol, lower=True)
-    z = solve_triangular(g.chol, g.mean - f.mean, lower=True)
+    a = g.chol_inv @ f.chol
+    z = g.chol_inv @ (g.mean - f.mean)
     kl = 0.5 * (float(np.sum(a * a)) + float(z @ z) - f.dim + (g.log_det - f.log_det))
     return max(kl, 0.0)
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import contextlib
 import csv
+import itertools
 import json
 import os
 import types
@@ -20,10 +21,9 @@ from dataclasses import dataclass, field, replace
 from typing import Literal
 
 import numpy as np
-from scipy.special import expit
 
 from . import shearsim
-from .detector import DetectorState, GeometricPrior, detect, update
+from .detector import DetectorState, GeometricPrior, detect, logistic, update
 from .errors import ConfigError, NonFiniteSignal, ShmSeqError, SingularDesign, ZeroVariance
 from .estimator import AdaptiveDetector, fit_predamage
 from .features import DsfConfig, extract_dsf_stream, iter_chunks, select_order
@@ -32,6 +32,7 @@ from .localization import SensorOutcome, build_report
 EXIT_CLEAN = 0
 EXIT_ERROR = 1
 EXIT_DETECTED = 2
+TIME_TOL = 1e-6  # s: `gen` prints times to the microsecond
 
 
 def _is_instance(value, hint) -> bool:
@@ -126,13 +127,20 @@ class PipelineConfig:
         return cls(**data)
 
 
-def read_signal_csv(path) -> tuple[np.ndarray, dict[str, np.ndarray]]:
+def read_signal_csv(
+    path, sample_interval: float | None = None
+) -> tuple[np.ndarray, dict[str, np.ndarray]]:
     """Strict reader for `time,sensor_<id>,...` files; errors cite the row.
 
     After the header checks the data rows are parsed by one ``np.loadtxt``
     call. When that raises, warns or finds another column count than the
     header's, the file is read again row by row with ``float``, which also
     takes quoted cells, ``1_0`` and blank lines, and cites the first bad row.
+
+    The time column must be finite and strictly increasing, and every time
+    step must lie within ``TIME_TOL`` of the sample interval: the median
+    step, or ``sample_interval`` when given (another file's, which this one
+    must match).
     """
     try:
         fh = open(path, newline="", encoding="utf-8-sig")  # Excel may write a BOM
@@ -163,8 +171,57 @@ def read_signal_csv(path) -> tuple[np.ndarray, dict[str, np.ndarray]]:
             reader = csv.reader(fh)
             next(reader)
             data = _read_rows(path, reader, len(header))
+        bad = _check_time(data[:, 0], sample_interval)
+        if bad is not None:
+            index, problem = bad
+            raise ConfigError(f"{path}: row {_row_number(fh, index)}: {problem}")
     columns = np.ascontiguousarray(data.T)
     return columns[0], dict(zip(header[1:], columns[1:]))
+
+
+def _sample_interval(time: np.ndarray) -> float:
+    """The sample interval of a time column: its median step."""
+    return float(np.median(np.diff(time)))
+
+
+def _check_time(time: np.ndarray, interval: float | None) -> tuple[int, str] | None:
+    """(index of the first bad time, what is wrong), or None for a good column.
+
+    Checked in turn: every time is finite, every step is positive, every step
+    lies within ``TIME_TOL`` of ``interval`` (default: the column's own).
+    """
+    finite = np.isfinite(time)
+    if not finite.all():
+        i = int(np.argmin(finite))
+        return i, f"time {time[i]} is not a finite number"
+    if time.size < 2:
+        return None
+    steps = np.diff(time)
+    if not (steps > 0).all():
+        i = int(np.argmin(steps > 0)) + 1
+        return i, f"time {float(time[i])} s does not come after {float(time[i - 1])} s"
+    whose = "the training file's sample interval"
+    if interval is None:
+        whose, interval = "the sample interval", _sample_interval(time)
+    # widened by a few units in the last place of the times, for their own rounding
+    tol = TIME_TOL + 4 * float(np.spacing(np.abs(time).max()))
+    uneven = np.abs(steps - interval) > tol
+    if not uneven.any():
+        return None
+    i = int(np.argmax(uneven)) + 1
+    return i, (
+        f"time step {steps[i - 1]:.9g} s differs from {whose} {interval:.9g} s"
+        f" by more than {TIME_TOL:g} s"
+    )
+
+
+def _row_number(fh, index: int) -> int:
+    """File row of data row ``index`` (0-based): the header is row 1, blank rows count."""
+    fh.seek(0)
+    reader = csv.reader(fh)
+    next(reader)
+    data_rows = (row_no for row_no, row in enumerate(reader, start=2) if row)
+    return next(itertools.islice(data_rows, index, None))
 
 
 def _read_rows(path, reader, width: int) -> np.ndarray:
@@ -335,12 +392,13 @@ def run(config: PipelineConfig) -> RunResult:
     config = _resolve_metadata(config)
     with _writing_to(config.output_dir):  # fail before the work, not after it
         os.makedirs(config.output_dir, exist_ok=True)
-    _, train_signals = read_signal_csv(config.training_csv)
-    _, input_signals = read_signal_csv(config.input_csv)
+    train_time, train_signals = read_signal_csv(config.training_csv)
+    interval = _sample_interval(train_time) if train_time.size > 1 else None
+    _, input_signals = read_signal_csv(config.input_csv, interval)
     _require_columns(train_signals, input_signals, "training data")
     post_signals = None
     if config.mode == "known":
-        _, post_signals = read_signal_csv(config.postdamage_csv)
+        _, post_signals = read_signal_csv(config.postdamage_csv, interval)
         _require_columns(post_signals, input_signals, "post-damage training data")
 
     if isinstance(config.order, str):
@@ -439,7 +497,7 @@ def _write_outputs(config, runs, localization, summary) -> dict:
     }
     # the CCDF from -r keeps its relative precision once the posterior rounds to 1
     _write_steps(paths["trace"], ["posterior", "ccdf"], runs, lambda r: [
-        (step, expit(log_odds), expit(-log_odds)) for step, log_odds in r.trace
+        (step, logistic(log_odds), logistic(-log_odds)) for step, log_odds in r.trace
     ])
     with open(paths["summary"], "w") as fh:
         json.dump(summary, fh, indent=2, sort_keys=True)

@@ -21,7 +21,6 @@ import json
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg
 
 from .errors import ConfigError, EigenFailure
 
@@ -130,6 +129,9 @@ class Excitation:
 
 
 def _modal(model: ShearFrameModel, k_mat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    # like scipy.signal below, imported here so that `run` and `report` never load it
+    import scipy.linalg
+
     try:
         w2, phi = scipy.linalg.eigh(k_mat, model.mass_matrix())
     except (scipy.linalg.LinAlgError, np.linalg.LinAlgError) as err:

@@ -319,6 +319,55 @@ class TestInputValidation:
         with pytest.raises(ConfigError, match="row 3"):
             read_signal_csv(bad)
 
+    @pytest.mark.parametrize(
+        "row, cell, message",
+        [
+            (17, "0.280000", r"row 17: time 0\.28 s does not come after 0\.28 s"),
+            (17, "nan", "row 17: time nan is not a finite number"),
+            (None, None, r"row 31: time step 0\.04 s differs from the sample interval 0\.02 s"),
+        ],
+        ids=["repeated", "nan", "missing-row"],
+    )
+    def test_bad_time_column_cites_row(self, datasets, tmp_path, row, cell, message):
+        src = (datasets / "damaged" / "data.csv").read_text().splitlines()
+        if row is None:
+            del src[30]  # the sample of row 31
+        else:
+            fields = src[row - 1].split(",")
+            fields[0] = cell
+            src[row - 1] = ",".join(fields)
+        bad = tmp_path / "bad.csv"
+        bad.write_text("\n".join(src) + "\n")
+        with pytest.raises(ConfigError, match=message):
+            read_signal_csv(bad)
+
+    def test_time_row_counts_blank_rows(self, tmp_path):
+        bad = tmp_path / "bad.csv"
+        bad.write_text("time,sensor_1\n0.0,1.0\n\n0.5,2.0\n1.0,3.0\n\n2.0,4.0\n")
+        with pytest.raises(ConfigError, match="row 7: time step 1 s differs"):
+            read_signal_csv(bad)
+
+    def test_times_printed_to_the_microsecond_are_even(self, tmp_path):
+        scenario = scenario_dict(7, 30.0)
+        scenario["excitation"]["fs"] = 300.0  # 1/300 s is no whole number of microseconds
+        paths = pipeline.gen(scenario, str(tmp_path))
+        time, _ = read_signal_csv(paths["data"], 1.0 / 300.0)
+        assert time.size == 9000 and np.ptp(np.diff(time)) > 0.5e-6
+
+    @pytest.mark.parametrize("which", ["input_csv", "postdamage_csv"])
+    def test_sample_rate_must_match_the_training_file(self, datasets, tmp_path, which):
+        src = (datasets / "damaged" / "data.csv").read_text().splitlines()
+        halved = tmp_path / "halved.csv"
+        halved.write_text("\n".join(src[:1] + src[1::2]) + "\n")  # every other sample: 25 Hz
+        files = {"postdamage_csv": str(datasets / "post" / "data.csv"), which: str(halved)}
+        config = base_config(datasets, tmp_path / "out", mode="known", **files)
+        with pytest.raises(ConfigError) as err:
+            pipeline.run(config)
+        assert str(err.value) == (
+            f"{halved}: row 3: time step 0.04 s differs from the training file's"
+            " sample interval 0.02 s by more than 1e-06 s"
+        )
+
     def test_bad_header(self, tmp_path):
         bad = tmp_path / "bad.csv"
         for header in ("when,sensor_1", "time,sensor_1,sensor_1"):
@@ -466,6 +515,34 @@ class TestCli:
             [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
         )
         assert out.stdout.strip() == "False"
+
+    def test_detection_path_loads_no_scipy(self, datasets, tmp_path):
+        src = str(Path(pipeline.__file__).parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+        run = (
+            "from shmseq import pipeline;"
+            f"config = dict(input_csv={str(datasets / 'damaged' / 'data.csv')!r},"
+            f" training_csv={str(datasets / 'train' / 'data.csv')!r},"
+            f" postdamage_csv={str(datasets / 'post' / 'data.csv')!r},"
+            " chunk_size=400, order=3);"
+            f"pipeline.run(pipeline.PipelineConfig(**config, mode='known', output_dir={str(tmp_path / 'k')!r}));"
+            f"pipeline.run(pipeline.PipelineConfig(**config, mode='adaptive', output_dir={str(tmp_path / 'a')!r}));"
+        )
+        gen = f"pipeline.gen({scenario_dict(5, 40.0)!r}, {str(tmp_path / 'gen')!r});"
+        loaded = "print(sorted({m.split('.')[0] for m in sys.modules} & {'scipy'}))"
+        for probe, expected in [
+            ("import sys, shmseq;", "[]"),
+            ("import sys, shmseq.cli;", "[]"),
+            ("import sys;" + run, "[]"),
+            ("import sys;" + run + gen, "['scipy']"),  # the simulator still has it
+        ]:
+            out = subprocess.run(
+                [sys.executable, "-c", probe + loaded],
+                env=env, capture_output=True, text=True, check=True, timeout=300,
+            )
+            assert out.stdout.strip() == expected, probe
+        assert (tmp_path / "k" / "trace.csv").exists() and (tmp_path / "a" / "trace.csv").exists()
+        assert (tmp_path / "gen" / "data.csv").exists()
 
     def test_error_exit_code(self, tmp_path):
         code = cli.main(
