@@ -89,6 +89,10 @@ class PipelineConfig:
             raise ConfigError("rho must lie strictly between 0 and 1")
         if self.mode == "known" and not self.postdamage_csv:
             raise ConfigError("known mode needs postdamage_csv to learn f from")
+        for name in ("warmup", "lambda_true"):  # detector steps count from 1
+            value = getattr(self, name)
+            if value is not None and value < 1:
+                raise ConfigError(f"{name} must be >= 1, got {value}")
         name = "p_max" if self.order == "auto" else "order"
         largest = getattr(self, name)  # the largest AR order the run may fit
         if largest < 1:

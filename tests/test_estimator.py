@@ -9,15 +9,18 @@ from shmseq.detector import (
     GeometricPrior,
     PointMassPrior,
     detect,
+    log_density_many,
     update,
 )
-from shmseq.errors import EmptyStream, EstimatesUnready, InsufficientTraining
+from shmseq.errors import DimensionMismatch, EmptyStream, EstimatesUnready, InsufficientTraining
 from shmseq.estimator import (
     AdaptiveDetector,
     estimate_params,
     exact_log_posterior,
     fit_predamage,
+    hypothesis_log_weights,
     jensen_lower_bound,
+    logsumexp,
     prior_weighted_log_likelihood,
     weighted_moments,
 )
@@ -216,6 +219,20 @@ class TestAdaptiveDetector:
         assert det.is_ready
         assert det.params_estimate.dim == 7
 
+    def test_warmup_below_one_rejected(self):
+        g = GaussianParams(np.zeros(2), np.eye(2))
+        for warmup in (0, -3):
+            with pytest.raises(ValueError, match="warmup"):
+                AdaptiveDetector(g, GeometricPrior(0.01), 1e-3, warmup=warmup)
+
+    def test_sample_of_wrong_dimension_rejected(self):
+        g = GaussianParams(np.zeros(2), np.eye(2))
+        det = AdaptiveDetector(g, GeometricPrior(0.01), 1e-3)
+        for x in ([1.0], [1.0, 2.0, 3.0]):
+            with pytest.raises(DimensionMismatch):
+                det.update(x)
+        assert det.step == 0 and det.sum_w == 0.0
+
     def test_detects_strong_change_after_true_step(self):
         g = GaussianParams([0.0], [[1.0]])
         det = AdaptiveDetector(g, GeometricPrior(1e-2), 1e-4)
@@ -287,3 +304,37 @@ class TestAdaptiveDetector:
             state = update(state, row, g, det.params_estimate, prior)
         assert 0.0 < det.posterior < 1.0
         assert abs(det.posterior - state.posterior) < 1e-9
+
+    @pytest.mark.parametrize("m", [1, 2, 7, 12])
+    def test_log_odds_match_enumeration(self, m):
+        """At every step the log odds equal the offline hypothesis enumeration.
+
+        Feature-like data: means near +-1, spread about 1e-2 and a mean shift
+        at step 91 of 150, so the stream crosses two buffer doublings (64 and
+        128 rows) and, at m = 12, starts from the near-singular warm-up step.
+        """
+        rng = np.random.default_rng(500 + m)
+        mean = rng.choice([-1.0, 1.0], m) * rng.uniform(0.8, 1.2, m)
+        a = rng.normal(0.0, 1e-2, (m, m))
+        cov = a @ a.T / m + 1e-5 * np.eye(m)
+        shift = 2e-2 * rng.choice([-1.0, 1.0], m)
+        prior = GeometricPrior(1e-3)
+        g = fit_predamage(rng.multivariate_normal(mean, cov, size=100))
+        xs = np.vstack(
+            [
+                rng.multivariate_normal(mean, cov, size=90),
+                rng.multivariate_normal(mean + shift, cov, size=60),
+            ]
+        )
+        det = AdaptiveDetector(g, prior, 1e-5)
+        for n, row in enumerate(xs, start=1):
+            det.update(row)
+            if not det.is_ready:
+                assert det.log_odds == -np.inf
+                continue
+            _, log_w, log_nc = hypothesis_log_weights(
+                log_density_many(g, xs[:n]), log_density_many(det.params_estimate, xs[:n]), prior
+            )
+            r = logsumexp(log_w) - log_nc
+            assert abs(det.log_odds - r) <= 1e-9 * max(1.0, abs(r)), (n, det.log_odds, r)
+        assert det.step == 150 and det.detection_time is not None

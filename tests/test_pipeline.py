@@ -581,6 +581,32 @@ class TestCli:
         assert len(err) == 1 and err[0].startswith(f"error: {key} "), err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize(
+        "flags",
+        [
+            ["--warmup", "-3"],
+            ["--warmup", "0"],
+            ["--lambda-true", "-4"],
+            ["--lambda-true", "0"],
+        ],
+        ids=["warmup-negative", "warmup-zero", "lambda_true-negative", "lambda_true-zero"],
+    )
+    def test_step_setting_below_one_exits_1_naming_it(self, datasets, tmp_path, capsys, flags):
+        code = cli.main([
+            "run",
+            "--input", str(datasets / "damaged" / "data.csv"),
+            "--training", str(datasets / "train" / "data.csv"),
+            "--out", str(tmp_path / "out"),
+            *flags,
+        ])
+        err = capsys.readouterr().err.splitlines()
+        key = flags[0][2:].replace("-", "_")
+        assert code == 1
+        assert len(err) == 1 and err[0].startswith(f"error: {key} must be >= 1"), err
+        assert not (tmp_path / "out").exists()
+        with pytest.raises(ConfigError, match=key):
+            PipelineConfig(input_csv="a.csv", training_csv="b.csv", **{key: int(flags[1])}).validate()
+
     def test_every_run_flag_lands_in_its_field(self, tmp_path):
         settings = {
             "input_csv": "in.csv",
