@@ -561,13 +561,12 @@ def gen(scenario: dict | str, out_dir: str, seed: int | None = None) -> dict:
             raise ConfigError(f"{scenario}: {err}") from err
     try:
         stories = int(scenario["stories"])
-        masses = np.broadcast_to(np.asarray(scenario["masses"], dtype=float), (stories,))
-        stiffnesses = np.broadcast_to(np.asarray(scenario["stiffnesses"], dtype=float), (stories,))
-        model = shearsim.ShearFrameModel(
-            masses=masses.copy(),
-            stiffnesses=stiffnesses.copy(),
-            zeta=scenario.get("zeta", 0.02),
-        )
+        # objects, so that the model sees a bool or a string as it was written
+        per_story = [
+            np.broadcast_to(np.asarray(scenario[key], dtype=object), (stories,))
+            for key in ("masses", "stiffnesses")
+        ]
+        model = shearsim.ShearFrameModel(*per_story, zeta=scenario.get("zeta", 0.02))
         damage = scenario.get("damage")
         if damage:
             dmg = shearsim.DamageScenario(
@@ -580,14 +579,14 @@ def gen(scenario: dict | str, out_dir: str, seed: int | None = None) -> dict:
         exc_cfg = scenario["excitation"]
         excitation = shearsim.Excitation(
             seed=int(exc_cfg["seed"]) if seed is None else int(seed),
-            intensity=float(exc_cfg["intensity"]),
-            sample_rate=float(exc_cfg["fs"]),
-            duration_s=float(exc_cfg["duration_s"]),
+            intensity=exc_cfg["intensity"],
+            sample_rate=exc_cfg["fs"],
+            duration_s=exc_cfg["duration_s"],
             noise_snr_db=scenario.get("noise_snr_db", 40.0),
         )
         chunk_size = int(scenario["chunk_size"])
         sensors_per_story = int(scenario.get("sensors_per_story", 1))
-    except (KeyError, TypeError, ValueError) as err:
+    except (KeyError, TypeError, ValueError, OverflowError) as err:
         raise ConfigError(f"bad scenario description: {err}") from err
 
     with _writing_to(out_dir):  # fail before the simulation, not after it

@@ -25,6 +25,25 @@ import numpy as np
 from .errors import ConfigError, EigenFailure
 
 
+def _finite(name: str, value, scalar: bool = False) -> np.ndarray:
+    """``value`` as a float array, or a ValueError naming ``name``.
+
+    Every entry must be a finite int or float; a bool or a string is not a
+    number here, though numpy would convert either.
+    """
+    items = np.asarray(value, dtype=object)
+    shown = items.tolist()
+    if (scalar and items.ndim) or not all(
+        isinstance(v, (int, float, np.integer, np.floating)) and not isinstance(v, bool)
+        for v in items.flat
+    ):
+        raise ValueError(f"{name} must be {'a number' if scalar else 'numbers'}, got {shown!r}")
+    arr = items.astype(float)
+    if not np.all(np.isfinite(arr)):
+        raise ValueError(f"{name} must be finite, got {shown!r}")
+    return arr
+
+
 @dataclass
 class ShearFrameModel:
     """Lumped-mass shear building: per-story masses, stiffnesses, modal damping."""
@@ -34,14 +53,14 @@ class ShearFrameModel:
     zeta: np.ndarray = 0.02
 
     def __post_init__(self) -> None:
-        self.masses = np.atleast_1d(np.asarray(self.masses, dtype=float))
-        self.stiffnesses = np.atleast_1d(np.asarray(self.stiffnesses, dtype=float))
+        self.masses = np.atleast_1d(_finite("masses", self.masses))
+        self.stiffnesses = np.atleast_1d(_finite("stiffnesses", self.stiffnesses))
         s = self.masses.size
         if s < 1 or self.stiffnesses.size != s:
             raise ValueError("need one mass and one stiffness per story")
         if np.any(self.masses <= 0) or np.any(self.stiffnesses <= 0):
             raise ValueError("masses and stiffnesses must be positive")
-        zeta = np.asarray(self.zeta, dtype=float)
+        zeta = _finite("zeta", self.zeta)
         if zeta.ndim == 0:
             zeta = np.full(s, float(zeta))
         if zeta.size != s or np.any(zeta < 0) or np.any(zeta >= 1):
@@ -118,6 +137,10 @@ class Excitation:
     noise_snr_db: float | None = 40.0
 
     def __post_init__(self) -> None:
+        for name in ("sample_rate", "duration_s", "intensity"):
+            setattr(self, name, float(_finite(name, getattr(self, name), scalar=True)))
+        if self.noise_snr_db is not None:  # None: no measurement noise
+            self.noise_snr_db = float(_finite("noise_snr_db", self.noise_snr_db, scalar=True))
         if self.sample_rate <= 0 or self.duration_s <= 0:
             raise ValueError("sample_rate and duration_s must be positive")
         if self.intensity < 0:
@@ -189,9 +212,15 @@ def _lti_response_loop(ad, bd, cd, dd, forces, x0):
 def _lti_response(ad, bd, cd, dd, forces, x0):
     """Run x[n+1] = Ad x[n] + Bd u[n], y[n] = Cd x[n] + Dd u[n] over all samples.
 
-    The recursion is diagonalized so the per-mode scalar updates run as
-    C-speed IIR filters; the plain loop is kept as a fallback for badly
-    conditioned eigenvector matrices. Returns (outputs, final state).
+    The recursion is diagonalized, Ad = V diag(lambda) V^-1, so each mode
+    z = V^-1 x is a scalar recursion run as a C-speed IIR filter. V is
+    inverted once, and one small matrix product projects all the forces.
+    Ad is real, so LAPACK returns its complex eigenpairs as exact
+    conjugates, and only the modes with imag(lambda) >= 0 are filtered:
+    x = Re(V_keep (weight z)), with weight 2 for a complex mode (it stands
+    for its twin too) and 1 for a real one. Cd is folded into that basis.
+    The plain loop runs instead when ``eig`` fails or cond(V) > 1e10.
+    Returns (outputs, final state).
     """
     from scipy.signal import lfilter
 
@@ -201,18 +230,17 @@ def _lti_response(ad, bd, cd, dd, forces, x0):
         return _lti_response_loop(ad, bd, cd, dd, forces, x0)
     if np.linalg.cond(vecs) > 1e10:
         return _lti_response_loop(ad, bd, cd, dd, forces, x0)
-    w = np.linalg.solve(vecs, bd @ forces.T)  # (2S, n) complex
-    z0 = np.linalg.solve(vecs, x0.astype(complex))
-    z = np.empty_like(w)
+    keep = evals.imag >= 0
+    to_modal = np.linalg.inv(vecs)[keep]
+    basis = vecs[:, keep] * np.where(evals[keep].imag > 0, 2.0, 1.0)
+    z = (to_modal @ bd) @ forces.T  # (modes kept, n) complex, filtered in place
+    z0 = to_modal @ x0
     z_final = np.empty_like(z0)
-    for i in range(evals.size):
-        zi, zf = lfilter([0.0, 1.0], [1.0, -evals[i]], w[i], zi=np.array([z0[i]]))
-        z[i] = zi
+    for i, lam in enumerate(evals[keep]):
+        z[i], zf = lfilter([0.0, 1.0], [1.0, -lam], z[i], zi=z0[i : i + 1])
         z_final[i] = zf[0]
-    x_path = (vecs @ z).real
-    x_end = (vecs @ z_final).real
-    out = x_path.T @ cd.T + forces @ dd.T
-    return out, x_end
+    out = (z.T @ (cd @ basis).T).real + forces @ dd.T
+    return out, (basis @ z_final).real
 
 
 def response_to_forces(
@@ -325,27 +353,19 @@ def simulate(
     forces = rng.normal(0.0, excitation.intensity, size=(n, model.stories)) if excitation.intensity > 0 else np.zeros((n, model.stories))
     accel = response_to_forces(model, scenario, forces, excitation.sample_rate, chunk_size)
 
-    channels = []
-    ids = []
-    stories = []
-    sid = 1
-    for story in range(1, model.stories + 1):
-        base = accel[:, story - 1]
-        rms = float(np.sqrt(np.mean(base**2)))
-        for _ in range(sensors_per_story):
-            sig = base.copy()
-            if excitation.noise_snr_db is not None and rms > 0.0:
-                std = rms * 10.0 ** (-excitation.noise_snr_db / 20.0)
-                sig = sig + rng.normal(0.0, std, size=n)
-            channels.append(sig)
-            ids.append(sid)
-            stories.append(story)
-            sid += 1
+    signals = np.repeat(accel, sensors_per_story, axis=1)
+    stories = np.repeat(np.arange(1, model.stories + 1), sensors_per_story).tolist()
+    if excitation.noise_snr_db is not None:
+        rms = [float(np.sqrt(np.mean(accel[:, j] ** 2))) for j in range(model.stories)]
+        for col, story in enumerate(stories):  # one draw per sensor, in column order
+            if rms[story - 1] > 0.0:
+                std = rms[story - 1] * 10.0 ** (-excitation.noise_snr_db / 20.0)
+                signals[:, col] += rng.normal(0.0, std, size=n)
 
     return SimulationResult(
         time=np.arange(n) / excitation.sample_rate,
-        signals=np.column_stack(channels),
-        sensor_ids=ids,
+        signals=signals,
+        sensor_ids=list(range(1, len(stories) + 1)),
         sensor_stories=stories,
         sample_rate=excitation.sample_rate,
         chunk_size=chunk_size,

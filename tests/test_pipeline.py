@@ -460,6 +460,46 @@ class TestCli:
         assert a != (tmp_path / "c" / "data.csv").read_bytes()
 
     @pytest.mark.parametrize(
+        "key, text, field",
+        [
+            ("noise_snr_db", '"40"', "noise_snr_db"),
+            ("noise_snr_db", "NaN", "noise_snr_db"),
+            ("noise_snr_db", "-1e400", "noise_snr_db"),
+            ("noise_snr_db", "true", "noise_snr_db"),
+            ("duration_s", "1e400", "duration_s"),
+            ("intensity", "1e400", "intensity"),
+            ("intensity", "NaN", "intensity"),
+            ("fs", "NaN", "sample_rate"),
+            ("fs", "false", "sample_rate"),
+            ("masses", "NaN", "masses"),
+            ("stiffnesses", "[1e5, true, 1e5, 1e5]", "stiffnesses"),
+            ("zeta", "NaN", "zeta"),
+        ],
+    )
+    def test_bad_scenario_value_exits_1_naming_it(self, tmp_path, capsys, key, text, field):
+        scenario = scenario_dict(1, 24.0)
+        where = scenario["excitation"] if key in scenario["excitation"] else scenario
+        where[key] = "@VALUE@"
+        scen = tmp_path / "scenario.json"
+        scen.write_text(json.dumps(scenario).replace('"@VALUE@"', text))
+        code = cli.main(["gen", "--scenario", str(scen), "--out", str(tmp_path / "out")])
+        err = capsys.readouterr().err.splitlines()
+        assert code == 1
+        assert len(err) == 1 and err[0].startswith("error: bad scenario description: " + field), err
+        assert not (tmp_path / "out" / "data.csv").exists()
+
+    def test_null_noise_snr_means_no_noise(self, tmp_path):
+        signals = {}
+        for name, snr in (("noisy", 40.0), ("silent", None)):
+            scen = tmp_path / f"{name}.json"
+            scen.write_text(json.dumps(dict(scenario_dict(1, 24.0), noise_snr_db=snr)))
+            assert cli.main(["gen", "--scenario", str(scen), "--out", str(tmp_path / name)]) == 0
+            signals[name] = np.loadtxt(tmp_path / name / "data.csv", delimiter=",", skiprows=1)[:, 1:]
+        noise = signals["noisy"] - signals["silent"]
+        rms = np.sqrt(np.mean(signals["silent"] ** 2, axis=0))
+        assert np.all(noise.std(axis=0) > 0.005 * rms) and np.all(noise.std(axis=0) < 0.02 * rms)
+
+    @pytest.mark.parametrize(
         "argv, code",
         [
             (["run", "--input", "a.csv", "--training", "b.csv", "--alpha", "abc"], 1),

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from shmseq import shearsim
 from shmseq.errors import ConfigError
 from shmseq.features import DsfConfig, extract_dsf_stream
 from shmseq.shearsim import (
@@ -74,6 +75,58 @@ class TestIntegration:
         scale = np.abs(slow).max()
         assert np.abs(fast - slow).max() < 1e-9 * scale
         assert np.abs(x_fast - x_slow).max() < 1e-9 * max(1.0, np.abs(x_slow).max())
+
+    def test_modal_kernel_matches_loop_from_a_nonzero_state(self):
+        model = default_model()
+        system = _zoh_system(model, model.stiffness_matrix(), 1.0 / 50.0)
+        rng = np.random.default_rng(4)
+        forces = rng.normal(0.0, 50.0, size=(6000, 4))
+        x0 = rng.normal(0.0, 0.01, size=8)
+        fast, x_fast = _lti_response(*system, forces, x0)
+        slow, x_slow = _lti_response_loop(*system, forces, x0)
+        assert np.abs(fast - slow).max() < 1e-9 * np.abs(slow).max()
+        assert np.abs(x_fast - x_slow).max() < 1e-9 * max(1.0, np.abs(x_slow).max())
+
+    def test_modal_kernel_with_a_real_mode_and_a_complex_pair(self):
+        # rotation by 0.3 rad scaled by 0.95 on the first two states, 0.5 on the third
+        c, s = 0.95 * np.cos(0.3), 0.95 * np.sin(0.3)
+        rot = np.array([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 0.5]])
+        basis = np.array([[1.0, 0.2, 0.1], [0.3, 1.0, -0.2], [0.1, 0.4, 1.0]])
+        ad = basis @ rot @ np.linalg.inv(basis)
+        evals = np.linalg.eigvals(ad)
+        assert np.sum(evals.imag == 0) == 1 and np.sum(evals.imag > 0) == 1
+        rng = np.random.default_rng(5)
+        bd, cd, dd = rng.normal(size=(3, 2)), rng.normal(size=(2, 3)), rng.normal(size=(2, 2))
+        forces = rng.normal(size=(5000, 2))
+        x0 = np.array([0.5, -1.0, 2.0])
+        fast, x_fast = _lti_response(ad, bd, cd, dd, forces, x0)
+        slow, x_slow = _lti_response_loop(ad, bd, cd, dd, forces, x0)
+        assert np.abs(fast - slow).max() < 1e-9 * np.abs(slow).max()
+        assert np.abs(x_fast - x_slow).max() < 1e-9 * max(1.0, np.abs(x_slow).max())
+
+    def test_response_across_a_damage_switch_matches_loop(self, monkeypatch):
+        model = default_model()
+        damaged = DamageScenario(story=2, retention=0.5, lambda_chunk=11)
+        forces = np.random.default_rng(6).normal(0.0, 100.0, size=(6000, 4))
+        fast = response_to_forces(model, damaged, forces, 50.0, 400)
+        monkeypatch.setattr(shearsim, "_lti_response", _lti_response_loop)
+        slow = response_to_forces(model, damaged, forces, 50.0, 400)
+        assert np.abs(fast - slow).max() < 1e-9 * np.abs(slow).max()
+
+    @pytest.mark.parametrize(
+        "scenario, chunks",
+        [(DamageScenario(story=2, retention=0.5, lambda_chunk=101), 200),  # the benchmark's
+         (DamageScenario(story=2, retention=0.5, lambda_chunk=41), 61)],  # C7's
+        ids=["benchmark", "acceptance"],
+    )
+    def test_shear_frames_never_fall_back_to_the_loop(self, monkeypatch, scenario, chunks):
+        def refuse(*args):
+            raise AssertionError("the per-sample loop ran")
+
+        monkeypatch.setattr(shearsim, "_lti_response_loop", refuse)
+        exc = Excitation(seed=7, intensity=100.0, sample_rate=50.0, duration_s=chunks * 8.0)
+        result = simulate(default_model(), scenario, exc, chunk_size=400)
+        assert result.signals.shape == (chunks * 400, 4)
 
     def test_response_decays_when_forcing_stops(self):
         # stiff, well damped model so the free decay fits in a short window
