@@ -287,21 +287,28 @@ def iter_chunks(samples: np.ndarray, chunk_size: int, sensor_id: int = 0) -> Ite
 
 
 def extract_dsf_stream(
-    samples: np.ndarray, config: DsfConfig, *, sensor_id: int = 0
+    samples: np.ndarray,
+    config: DsfConfig,
+    *,
+    sensor_id: int = 0,
+    chunk_numbers: Sequence[int] | None = None,
 ) -> np.ndarray:
     """Turn a raw stream into an (N, ``config.dim``) feature matrix, one row per complete chunk.
 
     Row k holds the features of chunk k + 1; all chunks are fitted in one
     stacked solve. Extraction is deterministic: identical input bytes
     produce identical features. The first chunk that cannot be fit raises,
-    naming its sensor and chunk.
+    naming its sensor and chunk: chunk k + 1, or ``chunk_numbers[k]`` when
+    the stream's chunks were picked from a longer one.
     """
     x = np.asarray(samples, dtype=float).ravel()
     n = x.size // config.chunk_size
     x = x[: n * config.chunk_size].reshape(n, config.chunk_size)
+    numbers = range(1, n + 1) if chunk_numbers is None else chunk_numbers
     z, bad = _standardize(x)
     coef, rank, _ = _fit_stack(z, _lags(z, config.order), config.order)
     _raise_first_failure(
-        lambda i: SignalChunk(sensor_id, i + 1, x[i]), x, bad, rank[:, None], [config.order]
+        lambda i: SignalChunk(sensor_id, int(numbers[i]), x[i]), x, bad, rank[:, None],
+        [config.order],
     )
     return coef if config.coef_indices is None else coef[:, np.asarray(config.coef_indices) - 1]

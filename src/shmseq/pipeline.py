@@ -24,10 +24,13 @@ import numpy as np
 
 from . import shearsim
 from .detector import DetectorState, GeometricPrior, detect, logistic, update
-from .errors import ConfigError, NonFiniteSignal, ShmSeqError, SingularDesign, ZeroVariance
+from .errors import (
+    ConfigError, InsufficientTraining, NonFiniteSignal, ShmSeqError, SingularDesign, ZeroVariance
+)
 from .estimator import AdaptiveDetector, fit_predamage
 from .features import DsfConfig, extract_dsf_stream, iter_chunks, select_order
 from .localization import SensorOutcome, build_report
+from .tables import write_csv
 
 EXIT_CLEAN = 0
 EXIT_ERROR = 1
@@ -265,6 +268,7 @@ class SensorRun:
     final_posterior: float = 0.0
     estimates: list[tuple[int, np.ndarray, np.ndarray]] = field(default_factory=list)
     dsfs: np.ndarray = field(default_factory=lambda: np.empty((0, 0)))  # (N, m), row k = step k+1
+    skipped_training_chunks: list[str] = field(default_factory=list)  # the chunk errors
     error: str | None = None
 
 
@@ -347,6 +351,36 @@ def _features(samples: np.ndarray, path, dsf_config: DsfConfig, sensor_id: int) 
         raise
 
 
+def _training_features(
+    run: SensorRun, samples: np.ndarray, path, dsf_config: DsfConfig
+) -> np.ndarray:
+    """The features of a training stream, without the chunks that cannot be fit.
+
+    Each rejected chunk's error, with ``path``, is listed on
+    ``run.skipped_training_chunks`` and the other chunks are fitted again.
+    Raises ``InsufficientTraining`` once fewer than the ``max(2, m)``
+    vectors that ``fit_predamage`` needs are left.
+    """
+    size = dsf_config.chunk_size
+    chunks = samples[: samples.size // size * size].reshape(-1, size)
+    keep = np.ones(len(chunks), dtype=bool)
+    need = max(2, dsf_config.dim)
+    while True:
+        try:
+            return extract_dsf_stream(
+                chunks[keep].ravel(), dsf_config, sensor_id=run.sensor_id,
+                chunk_numbers=np.flatnonzero(keep) + 1,
+            )
+        except (NonFiniteSignal, ZeroVariance, SingularDesign) as err:
+            run.skipped_training_chunks.append(f"{err} (in {path})")
+            keep[err.chunk_index - 1] = False
+        kept = np.count_nonzero(keep)
+        if kept < need:
+            raise InsufficientTraining(
+                f"{kept} of {len(keep)} training chunks in {path} can be fit, need >= {need}"
+            )
+
+
 def _process_sensor(
     run: SensorRun,
     stream: np.ndarray,
@@ -356,13 +390,13 @@ def _process_sensor(
     config: PipelineConfig,
 ) -> None:
     prior = GeometricPrior(config.rho)
-    g = fit_predamage(_features(training, config.training_csv, dsf_config, run.sensor_id))
+    g = fit_predamage(_training_features(run, training, config.training_csv, dsf_config))
     dsfs = _features(stream, config.input_csv, dsf_config, run.sensor_id)
     if config.dump_dsf:
         run.dsfs = dsfs
 
     if config.mode == "known":
-        f = fit_predamage(_features(postdamage, config.postdamage_csv, dsf_config, run.sensor_id))
+        f = fit_predamage(_training_features(run, postdamage, config.postdamage_csv, dsf_config))
         detector = DetectorState()
         for x in dsfs:
             detector = update(detector, x, g, f, prior)
@@ -455,6 +489,8 @@ def _summarize(runs: list[SensorRun], config: PipelineConfig, order: int) -> dic
     sensors = []
     for r in sorted(runs, key=lambda r: r.sensor_id):
         entry: dict = {"sensor_id": r.sensor_id, "position": r.position}
+        if r.skipped_training_chunks:
+            entry["skipped_training_chunks"] = r.skipped_training_chunks
         if r.error is not None:
             entry["error"] = r.error
         else:
@@ -519,7 +555,7 @@ def _write_outputs(config, runs, localization, summary) -> dict:
 
 
 def _write_steps(path, names: list[str], runs, rows) -> None:
-    """Write a `sensor_id,step,<names>` CSV with one np.savetxt call.
+    """Write a `sensor_id,step,<names>` CSV, the rows of every run in sensor order.
 
     ``rows(run)`` gives the run's rows of step and values. Ids and steps are
     printed as integers, values with 12 significant digits.
@@ -529,9 +565,9 @@ def _write_steps(path, names: list[str], runs, rows) -> None:
     for r in sorted(runs, key=lambda r: r.sensor_id):
         block = np.asarray(rows(r), dtype=float).reshape(-1, width)
         blocks.append(np.column_stack((np.full(len(block), r.sensor_id), block)))
-    np.savetxt(
-        path, np.vstack(blocks), fmt=["%d", "%d"] + ["%.12g"] * len(names), delimiter=",",
-        header=",".join(["sensor_id", "step", *names]), comments="",
+    write_csv(
+        path, ",".join(["sensor_id", "step", *names]),
+        ["%d", "%d"] + ["%.12g"] * len(names), np.vstack(blocks),
     )
 
 
@@ -551,6 +587,13 @@ def _write_estimates(path, runs) -> None:
     ])
 
 
+def _integer(name: str, value) -> int:
+    """A scenario value that must be a JSON integer: no float, bool or string is converted."""
+    if not _is_instance(value, int):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return value
+
+
 def gen(scenario: dict | str, out_dir: str, seed: int | None = None) -> dict:
     """Generate a labeled data set from a scenario description (dict or JSON path)."""
     if isinstance(scenario, str):
@@ -560,7 +603,7 @@ def gen(scenario: dict | str, out_dir: str, seed: int | None = None) -> dict:
         except (OSError, json.JSONDecodeError) as err:
             raise ConfigError(f"{scenario}: {err}") from err
     try:
-        stories = int(scenario["stories"])
+        stories = _integer("stories", scenario["stories"])
         # objects, so that the model sees a bool or a string as it was written
         per_story = [
             np.broadcast_to(np.asarray(scenario[key], dtype=object), (stories,))
@@ -570,22 +613,22 @@ def gen(scenario: dict | str, out_dir: str, seed: int | None = None) -> dict:
         damage = scenario.get("damage")
         if damage:
             dmg = shearsim.DamageScenario(
-                story=int(damage["story"]),
+                story=_integer("damage.story", damage["story"]),
                 retention=float(damage["r"]),
-                lambda_chunk=int(damage["lambda_chunk"]),
+                lambda_chunk=_integer("damage.lambda_chunk", damage["lambda_chunk"]),
             )
         else:
             dmg = shearsim.DamageScenario.undamaged()
         exc_cfg = scenario["excitation"]
         excitation = shearsim.Excitation(
-            seed=int(exc_cfg["seed"]) if seed is None else int(seed),
+            seed=_integer("excitation.seed", exc_cfg["seed"]) if seed is None else int(seed),
             intensity=exc_cfg["intensity"],
             sample_rate=exc_cfg["fs"],
             duration_s=exc_cfg["duration_s"],
             noise_snr_db=scenario.get("noise_snr_db", 40.0),
         )
-        chunk_size = int(scenario["chunk_size"])
-        sensors_per_story = int(scenario.get("sensors_per_story", 1))
+        chunk_size = _integer("chunk_size", scenario["chunk_size"])
+        sensors_per_story = _integer("sensors_per_story", scenario.get("sensors_per_story", 1))
     except (KeyError, TypeError, ValueError, OverflowError) as err:
         raise ConfigError(f"bad scenario description: {err}") from err
 

@@ -23,6 +23,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigError, EigenFailure
+from .tables import write_csv
 
 
 def _finite(name: str, value, scalar: bool = False) -> np.ndarray:
@@ -302,10 +303,10 @@ class SimulationResult:
         return [f"sensor_{i}" for i in self.sensor_ids]
 
     def to_csv(self, path) -> None:
-        np.savetxt(
-            path, np.column_stack((self.time, self.signals)), delimiter=",",
-            fmt=["%.6f"] + ["%.12g"] * self.signals.shape[1],
-            header="time," + ",".join(self.column_names), comments="",
+        write_csv(
+            path, "time," + ",".join(self.column_names),
+            ["%.6f"] + ["%.12g"] * self.signals.shape[1],
+            np.column_stack((self.time, self.signals)),
         )
 
     def metadata(self) -> dict:

@@ -44,6 +44,18 @@ def datasets(tmp_path_factory):
     return root
 
 
+def write_tone(src_path, dest, chunks, chunk_size=400):
+    """A copy of a `gen` file whose sensor_3 is a pure tone, an AR(2) signal, in ``chunks``."""
+    rows = Path(src_path).read_text().splitlines()
+    for chunk in chunks:
+        for row in range((chunk - 1) * chunk_size + 1, chunk * chunk_size + 1):
+            fields = rows[row].split(",")
+            fields[3] = repr(math.sin(0.3 * row))
+            rows[row] = ",".join(fields)
+    Path(dest).write_text("\n".join(rows) + "\n")
+    return dest
+
+
 def base_config(datasets, out, **overrides):
     cfg = dict(
         input_csv=str(datasets / "damaged" / "data.csv"),
@@ -232,9 +244,7 @@ class TestInputValidation:
             assert [e["id"] for e in result.localization["sensors"]] == [1, 2, 4]
 
     @pytest.mark.parametrize("cell", ["nan", "inf"])
-    def test_non_finite_training_cell_under_auto_order_fails_only_its_sensor(
-        self, datasets, tmp_path, cell
-    ):
+    def test_non_finite_training_cell_skips_only_its_chunk(self, datasets, tmp_path, cell):
         src = (datasets / "train" / "data.csv").read_text().splitlines()
         fields = src[1000].split(",")  # sample 1000 of sensor_3, in chunk 3
         fields[3] = cell
@@ -244,28 +254,77 @@ class TestInputValidation:
         config = base_config(datasets, tmp_path / "out", training_csv=str(bad), order="auto")
         result = pipeline.run(config)
         sensors = {s["sensor_id"]: s for s in result.summary["sensors"]}
-        assert sensors[3]["error"].startswith("sensor 3 chunk 3: ")
-        assert sensors[3]["error"].count("chunk 3") == 1
-        assert str(bad) in sensors[3]["error"]  # names the file
-        assert all("error" not in sensors[i] and "tau" in sensors[i] for i in (1, 2, 4))
+        assert all("error" not in sensors[i] and "tau" in sensors[i] for i in (1, 2, 3, 4))
+        [skipped] = sensors[3]["skipped_training_chunks"]
+        assert skipped.startswith("sensor 3 chunk 3: 1 of 400 samples are nan or inf")
+        assert skipped.count("chunk 3") == 1
+        assert skipped.endswith(f"(in {bad})")  # names the file
+        assert all("skipped_training_chunks" not in sensors[i] for i in (1, 2, 4))
         assert isinstance(result.summary["order"], int)
 
     def test_pure_tone_training_chunk_under_auto_order_fails_at_most_its_sensor(
         self, datasets, tmp_path
     ):
-        src = (datasets / "train" / "data.csv").read_text().splitlines()
-        for row in range(401, 801):  # all of chunk 2 of sensor_3
-            fields = src[row].split(",")
-            fields[3] = repr(math.sin(0.3 * row))  # an AR(2) signal: AIC's lag matrix is singular
-            src[row] = ",".join(fields)
-        tone = tmp_path / "tone_train.csv"
-        tone.write_text("\n".join(src) + "\n")
+        # all of chunk 2 of sensor_3 an AR(2) signal: AIC's lag matrix is singular
+        tone = write_tone(datasets / "train" / "data.csv", tmp_path / "tone_train.csv", [2])
         config = base_config(datasets, tmp_path / "out", training_csv=str(tone), order="auto")
         result = pipeline.run(config)
         sensors = {s["sensor_id"]: s for s in result.summary["sensors"]}
         assert all("error" not in sensors[i] and "tau" in sensors[i] for i in (1, 2, 4))
         error = sensors[3].get("error")
         assert error is None or (error.startswith("sensor 3 chunk 2: ") and str(tone) in error)
+
+    def test_pure_tone_training_chunk_is_skipped_and_its_sensor_runs(self, datasets, tmp_path):
+        damage = {"story": 2, "r": 0.5, "lambda_chunk": 101}
+        pipeline.gen(scenario_dict(904, 1600.0, damage), str(tmp_path / "long"))  # 200 chunks
+        tone = write_tone(datasets / "train" / "data.csv", tmp_path / "tone_train.csv", [2])
+        config = base_config(
+            datasets,
+            tmp_path / "out",
+            input_csv=str(tmp_path / "long" / "data.csv"),
+            metadata_json=str(tmp_path / "long" / "metadata.json"),
+            training_csv=str(tone),
+            order="auto",
+        )
+        result = pipeline.run(config)
+        sensors = {s["sensor_id"]: s for s in result.summary["sensors"]}
+        assert all("error" not in s and "tau" in s for s in sensors.values())
+        [skipped] = sensors[3]["skipped_training_chunks"]
+        assert skipped.startswith("sensor 3 chunk 2: lag regressor matrix is rank deficient")
+        assert skipped.endswith(f"(in {tone})")
+        assert all("skipped_training_chunks" not in sensors[i] for i in (1, 2, 4))
+        trace = np.loadtxt(result.paths["trace"], delimiter=",", skiprows=1)
+        assert np.count_nonzero(trace[:, 0] == 3) == 200
+
+    def test_known_mode_skips_bad_chunks_of_both_training_files(self, datasets, tmp_path):
+        tone = write_tone(datasets / "train" / "data.csv", tmp_path / "tone_train.csv", [2, 5])
+        post = write_tone(datasets / "post" / "data.csv", tmp_path / "tone_post.csv", [1])
+        config = base_config(
+            datasets, tmp_path / "out", training_csv=str(tone), postdamage_csv=str(post),
+            mode="known", order=4,  # a standardized tone is singular from order 4 on
+        )
+        result = pipeline.run(config)
+        sensors = {s["sensor_id"]: s for s in result.summary["sensors"]}
+        assert all("error" not in s and "tau" in s for s in sensors.values())
+        skipped = sensors[3]["skipped_training_chunks"]
+        assert [text.split(":")[0] for text in skipped] == [
+            "sensor 3 chunk 2", "sensor 3 chunk 5", "sensor 3 chunk 1"
+        ]
+        assert [text[text.rindex("(in ") :] for text in skipped] == [
+            f"(in {tone})", f"(in {tone})", f"(in {post})"
+        ]
+
+    def test_too_few_fit_training_chunks_fail_only_their_sensor(self, datasets, tmp_path):
+        rows = (datasets / "train" / "data.csv").read_text().splitlines()[: 1 + 5 * 400]
+        short = tmp_path / "short_train.csv"
+        short.write_text("\n".join(rows) + "\n")  # 5 chunks; order 4 needs 4 vectors
+        tone = write_tone(short, tmp_path / "tone_train.csv", [1, 3])
+        config = base_config(datasets, tmp_path / "out", training_csv=str(tone), order=4)
+        result = pipeline.run(config)
+        sensors = {s["sensor_id"]: s for s in result.summary["sensors"]}
+        assert sensors[3]["error"] == f"3 of 5 training chunks in {tone} can be fit, need >= 4"
+        assert len(sensors[3]["skipped_training_chunks"]) == 2
+        assert all("error" not in sensors[i] and "tau" in sensors[i] for i in (1, 2, 4))
 
     def test_auto_order_with_no_usable_training_column_is_a_config_error(self, datasets, tmp_path):
         src = (datasets / "train" / "data.csv").read_text().splitlines()
@@ -486,6 +545,33 @@ class TestCli:
         err = capsys.readouterr().err.splitlines()
         assert code == 1
         assert len(err) == 1 and err[0].startswith("error: bad scenario description: " + field), err
+        assert not (tmp_path / "out" / "data.csv").exists()
+
+    @pytest.mark.parametrize(
+        "key, text",
+        [
+            ("stories", "true"),
+            ("stories", "4.0"),
+            ("chunk_size", "400.9"),
+            ("chunk_size", '"400"'),
+            ("sensors_per_story", "1.5"),
+            ("excitation.seed", "1.7"),
+            ("damage.story", "2.0"),
+            ("damage.lambda_chunk", "false"),
+        ],
+    )
+    def test_non_integer_scenario_key_exits_1_naming_it(self, tmp_path, capsys, key, text):
+        scenario = scenario_dict(1, 24.0, {"story": 2, "r": 0.5, "lambda_chunk": 2})
+        *outer, name = key.split(".")
+        where = scenario[outer[0]] if outer else scenario
+        where[name] = "@VALUE@"
+        scen = tmp_path / "scenario.json"
+        scen.write_text(json.dumps(scenario).replace('"@VALUE@"', text))
+        code = cli.main(["gen", "--scenario", str(scen), "--out", str(tmp_path / "out")])
+        err = capsys.readouterr().err.splitlines()
+        assert code == 1
+        assert err == [f"error: bad scenario description: {key} must be an integer, got "
+                       + repr(json.loads(text))]
         assert not (tmp_path / "out" / "data.csv").exists()
 
     def test_null_noise_snr_means_no_noise(self, tmp_path):

@@ -1,0 +1,132 @@
+"""The block CSV writer against np.savetxt, the row-at-a-time writer it replaces."""
+
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+import shmseq
+from shmseq import pipeline, shearsim
+from shmseq.pipeline import PipelineConfig
+from shmseq.tables import BLOCK_ROWS, write_csv
+
+
+def savetxt(path, header, fmts, table):
+    np.savetxt(path, table, fmt=list(fmts), delimiter=",", header=header, comments="")
+
+
+def assert_same_bytes(tmp_path, header, fmts, table):
+    write_csv(tmp_path / "block.csv", header, fmts, table)
+    savetxt(tmp_path / "oracle.csv", header, fmts, table)
+    assert (tmp_path / "block.csv").read_bytes() == (tmp_path / "oracle.csv").read_bytes()
+
+
+@pytest.mark.parametrize("rows", [0, 1, BLOCK_ROWS - 1, BLOCK_ROWS, BLOCK_ROWS + 1])
+def test_block_edges_match_savetxt(tmp_path, rows):
+    rng = np.random.default_rng(rows)
+    table = rng.normal(size=(rows, 3)) * 10.0 ** rng.integers(-300, 300, size=(rows, 3))
+    assert_same_bytes(tmp_path, "time,sensor_1,sensor_2", ["%.6f", "%.12g", "%.12g"], table)
+
+
+def test_special_values_match_savetxt(tmp_path):
+    values = [np.nan, np.inf, -np.inf, -0.0, 0.0, 5e-324, 1e300, -1e300, 1e-300, -1e-300]
+    table = np.array([values, values[::-1]])
+    assert_same_bytes(tmp_path, ",".join(f"c{i}" for i in range(10)), ["%.12g"] * 10, table)
+    assert_same_bytes(tmp_path, ",".join(f"c{i}" for i in range(10)), ["%.6f"] * 10, table)
+
+
+def test_integer_columns_match_savetxt(tmp_path):
+    table = np.array([[1.0, 1.0, 0.25], [3.0, 200.0, -1e-7], [12.0, 7.0, np.nan]])
+    assert_same_bytes(tmp_path, "sensor_id,step,posterior", ["%d", "%d", "%.12g"], table)
+
+
+def test_gen_data_csv_matches_savetxt(tmp_path, monkeypatch):
+    written, to_csv = [], shearsim.SimulationResult.to_csv
+
+    def keep(result, path):
+        written.append(result)
+        to_csv(result, path)
+
+    monkeypatch.setattr(shearsim.SimulationResult, "to_csv", keep)
+    scenario = {
+        "stories": 2,
+        "masses": 1000.0,
+        "stiffnesses": 328000.0,
+        "sensors_per_story": 3,
+        "damage": {"story": 1, "r": 0.5, "lambda_chunk": 3},
+        "excitation": {"seed": 5, "intensity": 100.0, "fs": 50.0, "duration_s": 100.0},
+        "chunk_size": 400,
+    }
+    paths = pipeline.gen(scenario, str(tmp_path / "gen"))
+    [result] = written
+    assert result.signals.shape == (5000, 6) and 5000 % BLOCK_ROWS != 0
+    savetxt(
+        tmp_path / "oracle.csv",
+        "time," + ",".join(result.column_names),
+        ["%.6f"] + ["%.12g"] * 6,
+        np.column_stack((result.time, result.signals)),
+    )
+    assert Path(paths["data"]).read_bytes() == (tmp_path / "oracle.csv").read_bytes()
+
+
+def savetxt_steps(path, names, runs, rows):
+    """The run tables as np.savetxt wrote them: sensor order, ids and steps as integers."""
+    width = len(names) + 1
+    blocks = [np.empty((0, width + 1))]
+    for r in sorted(runs, key=lambda r: r.sensor_id):
+        block = np.asarray(rows(r), dtype=float).reshape(-1, width)
+        blocks.append(np.column_stack((np.full(len(block), r.sensor_id), block)))
+    savetxt(
+        path, ",".join(["sensor_id", "step", *names]),
+        ["%d", "%d"] + ["%.12g"] * len(names), np.vstack(blocks),
+    )
+
+
+def test_run_tables_match_savetxt_with_an_errored_sensor(tmp_path, monkeypatch):
+    scenario = {
+        "stories": 3,
+        "masses": 1000.0,
+        "stiffnesses": 328000.0,
+        "excitation": {"seed": 11, "intensity": 100.0, "fs": 50.0, "duration_s": 240.0},
+        "chunk_size": 400,
+    }
+    pipeline.gen(scenario, str(tmp_path / "train"))
+    pipeline.gen(dict(scenario, excitation=dict(scenario["excitation"], seed=12,
+                                                duration_s=96.0)), str(tmp_path / "input"))
+    rows = (tmp_path / "input" / "data.csv").read_text().splitlines()
+    for row in range(401, 801):  # chunk 2 of sensor_2 is dead: that sensor errors
+        fields = rows[row].split(",")
+        fields[2] = "0.5"
+        rows[row] = ",".join(fields)
+    (tmp_path / "input" / "data.csv").write_text("\n".join(rows) + "\n")
+
+    written, write_steps = [], pipeline._write_steps
+
+    def both(path, names, runs, rows):
+        write_steps(path, names, runs, rows)
+        savetxt_steps(path + ".oracle", names, runs, rows)
+        written.append(path)
+
+    monkeypatch.setattr(pipeline, "_write_steps", both)
+    config = PipelineConfig(
+        input_csv=str(tmp_path / "input" / "data.csv"),
+        training_csv=str(tmp_path / "train" / "data.csv"),
+        output_dir=str(tmp_path / "out"),
+        chunk_size=400,
+        order=2,
+        dump_dsf=True,
+        dump_estimates=True,
+    )
+    result = pipeline.run(config)
+    sensors = {s["sensor_id"]: s for s in result.summary["sensors"]}
+    assert "error" in sensors[2] and "error" not in sensors[1] and "error" not in sensors[3]
+    assert sorted(Path(p).name for p in written) == ["dsf.csv", "estimates.csv", "trace.csv"]
+    for path in written:
+        table = np.loadtxt(path, delimiter=",", skiprows=1)
+        assert set(table[:, 0]) == {1.0, 3.0}  # the errored sensor has no rows
+        assert Path(path).read_bytes() == Path(path + ".oracle").read_bytes()
+
+
+def test_src_has_no_second_csv_writer():
+    src = Path(shmseq.__file__).parent
+    assert [p.name for p in sorted(src.glob("*.py")) if "savetxt" in p.read_text()] == []
