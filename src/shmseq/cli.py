@@ -3,11 +3,11 @@
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 
 from . import pipeline
 from .errors import ConfigError, ShmSeqError
+from .tables import read_json
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -54,11 +54,7 @@ def build_parser() -> argparse.ArgumentParser:
 def _run_config(args: argparse.Namespace) -> pipeline.PipelineConfig:
     data: dict = {}
     if args.config:
-        try:
-            with open(args.config) as fh:
-                data = json.load(fh)
-        except (OSError, json.JSONDecodeError) as err:
-            raise ConfigError(f"{args.config}: {err}") from err
+        data = read_json(args.config)
         if not isinstance(data, dict):
             raise ConfigError(f"{args.config}: expected a JSON object of run settings")
     fields = pipeline.PipelineConfig.__dataclass_fields__

@@ -1,4 +1,4 @@
-"""End-to-end orchestration: CSV ingestion, per-sensor detection, reports.
+"""End-to-end orchestration: per-sensor detection, run tables and reports.
 
 The four-step flow per sensor is extract -> detect -> estimate -> localize.
 The baseline distribution g is always learned from a pre-damage training
@@ -11,12 +11,9 @@ from __future__ import annotations
 
 import contextlib
 import csv
-import itertools
-import json
 import os
 import types
 import typing
-import warnings
 from dataclasses import dataclass, field, replace
 from typing import Literal
 
@@ -30,12 +27,11 @@ from .errors import (
 from .estimator import AdaptiveDetector, fit_predamage
 from .features import DsfConfig, extract_dsf_stream, iter_chunks, select_order
 from .localization import SensorOutcome, build_report
-from .tables import write_csv
+from .tables import _sample_interval, _sensor_id, read_json, read_signal_csv, write_csv, write_json
 
 EXIT_CLEAN = 0
 EXIT_ERROR = 1
 EXIT_DETECTED = 2
-TIME_TOL = 1e-6  # s: `gen` prints times to the microsecond
 
 
 def _is_instance(value, hint) -> bool:
@@ -134,129 +130,6 @@ class PipelineConfig:
         return cls(**data)
 
 
-def read_signal_csv(
-    path, sample_interval: float | None = None
-) -> tuple[np.ndarray, dict[str, np.ndarray]]:
-    """Strict reader for `time,sensor_<id>,...` files; errors cite the row.
-
-    After the header checks the data rows are parsed by one ``np.loadtxt``
-    call. When that raises, warns or finds another column count than the
-    header's, the file is read again row by row with ``float``, which also
-    takes quoted cells, ``1_0`` and blank lines, and cites the first bad row.
-
-    The time column must be finite and strictly increasing, and every time
-    step must lie within ``TIME_TOL`` of the sample interval: the median
-    step, or ``sample_interval`` when given (another file's, which this one
-    must match).
-    """
-    try:
-        fh = open(path, newline="", encoding="utf-8-sig")  # Excel may write a BOM
-    except OSError as err:
-        raise ConfigError(f"{path}: {err}") from err
-    with fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise ConfigError(f"{path}: file is empty") from None
-        header = [h.strip() for h in header]
-        if len(header) < 2 or header[0] != "time":
-            raise ConfigError(f"{path}: row 1: header must be 'time,sensor_<id>,...'")
-        for j, name in enumerate(header[1:], start=1):
-            if not name.startswith("sensor_") or not name[len("sensor_") :].isdigit():
-                raise ConfigError(f"{path}: row 1: bad sensor column name {name!r}")
-            if _sensor_id(name) in map(_sensor_id, header[1:j]):
-                raise ConfigError(f"{path}: row 1: sensor {_sensor_id(name)} has two columns")
-        try:
-            with warnings.catch_warnings():
-                warnings.simplefilter("error")
-                data = np.loadtxt(fh, delimiter=",", comments=None, ndmin=2, dtype=float)
-        except Exception:  # anything loadtxt rejects, the row loop below cites or accepts
-            data = None
-        if data is None or data.shape[1] != len(header):
-            fh.seek(0)
-            reader = csv.reader(fh)
-            next(reader)
-            data = _read_rows(path, reader, len(header))
-        bad = _check_time(data[:, 0], sample_interval)
-        if bad is not None:
-            index, problem = bad
-            raise ConfigError(f"{path}: row {_row_number(fh, index)}: {problem}")
-    columns = np.ascontiguousarray(data.T)
-    return columns[0], dict(zip(header[1:], columns[1:]))
-
-
-def _sample_interval(time: np.ndarray) -> float:
-    """The sample interval of a time column: its median step."""
-    return float(np.median(np.diff(time)))
-
-
-def _check_time(time: np.ndarray, interval: float | None) -> tuple[int, str] | None:
-    """(index of the first bad time, what is wrong), or None for a good column.
-
-    Checked in turn: every time is finite, every step is positive, every step
-    lies within ``TIME_TOL`` of ``interval`` (default: the column's own).
-    """
-    finite = np.isfinite(time)
-    if not finite.all():
-        i = int(np.argmin(finite))
-        return i, f"time {time[i]} is not a finite number"
-    if time.size < 2:
-        return None
-    steps = np.diff(time)
-    if not (steps > 0).all():
-        i = int(np.argmin(steps > 0)) + 1
-        return i, f"time {float(time[i])} s does not come after {float(time[i - 1])} s"
-    whose = "the training file's sample interval"
-    if interval is None:
-        whose, interval = "the sample interval", _sample_interval(time)
-    # widened by a few units in the last place of the times, for their own rounding
-    tol = TIME_TOL + 4 * float(np.spacing(np.abs(time).max()))
-    uneven = np.abs(steps - interval) > tol
-    if not uneven.any():
-        return None
-    i = int(np.argmax(uneven)) + 1
-    return i, (
-        f"time step {steps[i - 1]:.9g} s differs from {whose} {interval:.9g} s"
-        f" by more than {TIME_TOL:g} s"
-    )
-
-
-def _row_number(fh, index: int) -> int:
-    """File row of data row ``index`` (0-based): the header is row 1, blank rows count."""
-    fh.seek(0)
-    reader = csv.reader(fh)
-    next(reader)
-    data_rows = (row_no for row_no, row in enumerate(reader, start=2) if row)
-    return next(itertools.islice(data_rows, index, None))
-
-
-def _read_rows(path, reader, width: int) -> np.ndarray:
-    """The data rows of ``reader`` as an (n, width) array, parsed cell by cell."""
-    rows = []
-    for row_no, row in enumerate(reader, start=2):
-        if not row:
-            continue
-        if len(row) != width:
-            raise ConfigError(f"{path}: row {row_no}: expected {width} fields, got {len(row)}")
-        values = []
-        for cell in row:
-            try:
-                values.append(float(cell))
-            except ValueError:
-                raise ConfigError(
-                    f"{path}: row {row_no}: cannot parse {cell!r} as a number"
-                ) from None
-        rows.append(values)
-    if not rows:
-        raise ConfigError(f"{path}: no data rows")
-    return np.array(rows)
-
-
-def _sensor_id(column: str) -> int:
-    return int(column[len("sensor_") :])
-
-
 @dataclass
 class SensorRun:
     column: str
@@ -285,11 +158,7 @@ def _resolve_metadata(config: PipelineConfig) -> PipelineConfig:
     if not config.metadata_json:
         return config
     path = config.metadata_json
-    try:
-        with open(path) as fh:
-            meta = json.load(fh)
-    except (OSError, json.JSONDecodeError) as err:
-        raise ConfigError(f"{path}: {err}") from err
+    meta = read_json(path)
     sensors = meta.get("sensors", []) if isinstance(meta, dict) else None
     if not isinstance(sensors, list) or not all(
         isinstance(s, dict) and isinstance(s.get("column"), str) for s in sensors
@@ -392,8 +261,6 @@ def _process_sensor(
     prior = GeometricPrior(config.rho)
     g = fit_predamage(_training_features(run, training, config.training_csv, dsf_config))
     dsfs = _features(stream, config.input_csv, dsf_config, run.sensor_id)
-    if config.dump_dsf:
-        run.dsfs = dsfs
 
     if config.mode == "known":
         f = fit_predamage(_training_features(run, postdamage, config.postdamage_csv, dsf_config))
@@ -422,6 +289,8 @@ def _process_sensor(
         post=f,
         detection_time=detector.detection_time,
     )
+    if config.dump_dsf:  # only a sensor that succeeded has rows in dsf.csv
+        run.dsfs = dsfs
 
 
 def run(config: PipelineConfig) -> RunResult:
@@ -521,6 +390,17 @@ def _summarize(runs: list[SensorRun], config: PipelineConfig, order: int) -> dic
 
 
 @contextlib.contextmanager
+def _reading(path: str):
+    """Turn a file of a run that cannot be read, or lacks a field, into a ConfigError naming it."""
+    try:
+        yield
+    except KeyError as err:
+        raise ConfigError(f"{path}: no field {err}") from err
+    except (OSError, csv.Error, TypeError, ValueError) as err:
+        raise ConfigError(f"{path}: {err}") from err
+
+
+@contextlib.contextmanager
 def _writing_to(path: str):
     """Turn an OSError from creating or writing outputs into a ConfigError naming ``path``."""
     try:
@@ -539,12 +419,8 @@ def _write_outputs(config, runs, localization, summary) -> dict:
     _write_steps(paths["trace"], ["posterior", "ccdf"], runs, lambda r: [
         (step, logistic(log_odds), logistic(-log_odds)) for step, log_odds in r.trace
     ])
-    with open(paths["summary"], "w") as fh:
-        json.dump(summary, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    with open(paths["localization"], "w") as fh:
-        json.dump(localization, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(paths["summary"], summary)
+    write_json(paths["localization"], localization)
     if config.dump_dsf:
         paths["dsf"] = os.path.join(config.output_dir, "dsf.csv")
         _write_dsf(paths["dsf"], runs)
@@ -597,11 +473,7 @@ def _integer(name: str, value) -> int:
 def gen(scenario: dict | str, out_dir: str, seed: int | None = None) -> dict:
     """Generate a labeled data set from a scenario description (dict or JSON path)."""
     if isinstance(scenario, str):
-        try:
-            with open(scenario) as fh:
-                scenario = json.load(fh)
-        except (OSError, json.JSONDecodeError) as err:
-            raise ConfigError(f"{scenario}: {err}") from err
+        scenario = read_json(scenario)
     try:
         stories = _integer("stories", scenario["stories"])
         # objects, so that the model sees a bool or a string as it was written
@@ -614,7 +486,7 @@ def gen(scenario: dict | str, out_dir: str, seed: int | None = None) -> dict:
         if damage:
             dmg = shearsim.DamageScenario(
                 story=_integer("damage.story", damage["story"]),
-                retention=float(damage["r"]),
+                retention=damage["r"],
                 lambda_chunk=_integer("damage.lambda_chunk", damage["lambda_chunk"]),
             )
         else:
@@ -639,7 +511,7 @@ def gen(scenario: dict | str, out_dir: str, seed: int | None = None) -> dict:
     meta_path = os.path.join(out_dir, "metadata.json")
     with _writing_to(out_dir):
         result.to_csv(data_path)
-        result.metadata_to_json(meta_path)
+        write_json(meta_path, result.metadata())
     return {"data": data_path, "metadata": meta_path}
 
 
@@ -648,62 +520,50 @@ def report(run_dir: str, out_path: str | None = None) -> str:
     summary_path = os.path.join(run_dir, "summary.json")
     local_path = os.path.join(run_dir, "localization.json")
     trace_path = os.path.join(run_dir, "trace.csv")
-    try:
-        with open(summary_path) as fh:
-            summary = json.load(fh)
-        with open(local_path) as fh:
-            localization = json.load(fh)
-    except (OSError, json.JSONDecodeError) as err:
-        raise ConfigError(f"{run_dir}: {err}") from err
+    summary = read_json(summary_path)
+    localization = read_json(local_path)
 
     series: dict[str, list[list[float]]] = {}
-    try:
-        with open(trace_path, newline="") as fh:
-            reader = csv.DictReader(fh)
-            for row in reader:
-                series.setdefault(row["sensor_id"], []).append(
-                    [int(row["step"]), float(row["ccdf"])]
-                )
-    except OSError as err:
-        raise ConfigError(f"{trace_path}: {err}") from err
+    with _reading(trace_path), open(trace_path, newline="") as fh:
+        for row in csv.DictReader(fh):
+            series.setdefault(row["sensor_id"], []).append([int(row["step"]), float(row["ccdf"])])
 
-    lambda_true = None
-    for s in summary["sensors"]:
-        if "lambda_true" in s:
-            lambda_true = s["lambda_true"]
-            break
-    plot = {
-        "alpha": summary["alpha"],
-        "ccdf_threshold": summary["alpha"],  # declare when the CCDF drops below alpha
-        "posterior_threshold": 1.0 - summary["alpha"],
-        "lambda_true": lambda_true,
-        "series": series,
-    }
+    ranks = {}  # sensor id -> (DI1, rank by DI1, rank by DI2), as printed
+    with _reading(local_path):
+        for e in localization["sensors"]:
+            di1 = format(e["di1"], ".4f") if e["di1"] is not None else "-"
+            ranks[e["id"]] = (di1, e["rank_di1"], e["rank_di2"])
+
+    with _reading(summary_path):
+        plot = {
+            "alpha": summary["alpha"],
+            "ccdf_threshold": summary["alpha"],  # declare when the CCDF drops below alpha
+            "posterior_threshold": 1.0 - summary["alpha"],
+            "lambda_true": next(
+                (s["lambda_true"] for s in summary["sensors"] if "lambda_true" in s), None
+            ),
+            "series": series,
+        }
+        lines = [
+            f"mode={summary['mode']} alpha={summary['alpha']} rho={summary['rho']} "
+            f"order={summary['order']} detected={summary['detected']}",
+            f"{'sensor':>6} {'position':>12} {'tau':>6} {'delay':>6} {'DI1':>12} "
+            f"{'rank1':>5} {'rank2':>5}",
+        ]
+        for s in summary["sensors"]:
+            sid = s["sensor_id"]
+            if "error" in s:
+                lines.append(f"{sid:>6} {s['position']:>12} error: {s['error']}")
+                continue
+            tau = s["tau"] if s["tau"] is not None else "-"
+            delay = s.get("delay")
+            delay = delay if delay is not None else ("FA" if s.get("false_alarm") else "-")
+            di1, r1, r2 = ranks.get(sid, ("-", "-", "-"))
+            lines.append(
+                f"{sid:>6} {s['position']:>12} {tau!s:>6} {delay!s:>6} {di1:>12} {r1!s:>5} {r2!s:>5}"
+            )
+
     out_path = out_path or os.path.join(run_dir, "ccdf_plot.json")
-    with _writing_to(out_path), open(out_path, "w") as fh:
-        json.dump(plot, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-
-    by_id = {e["id"]: e for e in localization["sensors"]}
-    lines = [
-        f"mode={summary['mode']} alpha={summary['alpha']} rho={summary['rho']} "
-        f"order={summary['order']} detected={summary['detected']}",
-        f"{'sensor':>6} {'position':>12} {'tau':>6} {'delay':>6} {'DI1':>12} "
-        f"{'rank1':>5} {'rank2':>5}",
-    ]
-    for s in summary["sensors"]:
-        sid = s["sensor_id"]
-        if "error" in s:
-            lines.append(f"{sid:>6} {s['position']:>12} error: {s['error']}")
-            continue
-        loc = by_id.get(sid)
-        tau = s["tau"] if s["tau"] is not None else "-"
-        delay = s.get("delay")
-        delay = delay if delay is not None else ("FA" if s.get("false_alarm") else "-")
-        di1 = format(loc["di1"], ".4f") if loc and loc["di1"] is not None else "-"
-        r1 = loc["rank_di1"] if loc else "-"
-        r2 = loc["rank_di2"] if loc else "-"
-        lines.append(
-            f"{sid:>6} {s['position']:>12} {tau!s:>6} {delay!s:>6} {di1:>12} {r1!s:>5} {r2!s:>5}"
-        )
+    with _writing_to(out_path):
+        write_json(out_path, plot)
     return "\n".join(lines)

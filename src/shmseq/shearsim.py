@@ -17,13 +17,12 @@ response plus measurement noise at a configurable SNR.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import ConfigError, EigenFailure
-from .tables import write_csv
+from .tables import write_signal_csv
 
 
 def _finite(name: str, value, scalar: bool = False) -> np.ndarray:
@@ -109,6 +108,7 @@ class DamageScenario:
     lambda_chunk: int | None = None
 
     def __post_init__(self) -> None:
+        self.retention = float(_finite("retention", self.retention, scalar=True))
         if self.story is None:
             if self.retention != 1.0:
                 raise ValueError("an undamaged scenario must retain full stiffness")
@@ -303,11 +303,7 @@ class SimulationResult:
         return [f"sensor_{i}" for i in self.sensor_ids]
 
     def to_csv(self, path) -> None:
-        write_csv(
-            path, "time," + ",".join(self.column_names),
-            ["%.6f"] + ["%.12g"] * self.signals.shape[1],
-            np.column_stack((self.time, self.signals)),
-        )
+        write_signal_csv(path, self.time, self.column_names, self.signals)
 
     def metadata(self) -> dict:
         return {
@@ -323,11 +319,6 @@ class SimulationResult:
                 for name, sid, story in zip(self.column_names, self.sensor_ids, self.sensor_stories)
             ],
         }
-
-    def metadata_to_json(self, path) -> None:
-        with open(path, "w") as fh:
-            json.dump(self.metadata(), fh, indent=2, sort_keys=True)
-            fh.write("\n")
 
 
 def simulate(

@@ -314,6 +314,22 @@ class TestInputValidation:
             f"(in {tone})", f"(in {tone})", f"(in {post})"
         ]
 
+    def test_sensor_without_post_damage_baseline_has_no_rows_in_any_table(self, datasets, tmp_path):
+        post = write_tone(datasets / "post" / "data.csv", tmp_path / "tone_post.csv", range(1, 41))
+        config = base_config(
+            datasets, tmp_path / "out", postdamage_csv=str(post), mode="known", order=4,
+            dump_dsf=True,
+        )
+        result = pipeline.run(config)
+        sensors = {s["sensor_id"]: s for s in result.summary["sensors"]}
+        assert sensors[3]["error"].startswith("3 of 40 training chunks in")
+        assert all("error" not in sensors[i] for i in (1, 2, 4))
+        for table in ("trace", "dsf"):
+            ids = np.loadtxt(result.paths[table], delimiter=",", skiprows=1)[:, 0]
+            assert set(ids) == {1.0, 2.0, 4.0}
+            assert np.count_nonzero(ids == 1.0) == 26  # every monitored step of a good sensor
+        assert [e["id"] for e in result.localization["sensors"]] == [1, 2, 4]
+
     def test_too_few_fit_training_chunks_fail_only_their_sensor(self, datasets, tmp_path):
         rows = (datasets / "train" / "data.csv").read_text().splitlines()[: 1 + 5 * 400]
         short = tmp_path / "short_train.csv"
@@ -533,12 +549,18 @@ class TestCli:
             ("masses", "NaN", "masses"),
             ("stiffnesses", "[1e5, true, 1e5, 1e5]", "stiffnesses"),
             ("zeta", "NaN", "zeta"),
+            ("damage.r", '"0.5"', "retention"),
+            ("damage.r", "true", "retention"),
+            ("damage.r", "NaN", "retention"),
         ],
     )
     def test_bad_scenario_value_exits_1_naming_it(self, tmp_path, capsys, key, text, field):
-        scenario = scenario_dict(1, 24.0)
-        where = scenario["excitation"] if key in scenario["excitation"] else scenario
-        where[key] = "@VALUE@"
+        scenario = scenario_dict(1, 24.0, {"story": 2, "r": 0.5, "lambda_chunk": 2})
+        *outer, name = key.split(".")
+        where = scenario[outer[0]] if outer else scenario
+        if name in scenario["excitation"]:
+            where = scenario["excitation"]
+        where[name] = "@VALUE@"
         scen = tmp_path / "scenario.json"
         scen.write_text(json.dumps(scenario).replace('"@VALUE@"', text))
         code = cli.main(["gen", "--scenario", str(scen), "--out", str(tmp_path / "out")])
@@ -632,6 +654,29 @@ class TestCli:
         err = capsys.readouterr().err.splitlines()
         assert code == 1
         assert len(err) == 1 and err[0].startswith("error: ") and str(plot) in err[0], err
+
+    @pytest.mark.parametrize(
+        "name, damage",
+        [
+            ("trace.csv", lambda text: "\n".join(
+                ",".join(row.split(",")[:3]) for row in text.splitlines()
+            )),
+            ("trace.csv", lambda text: text.replace("\n1,1,", "\n1,x,", 1)),
+            ("summary.json", lambda text: "{}"),
+        ],
+        ids=["no-ccdf-column", "bad-step", "empty-summary"],
+    )
+    def test_report_on_a_malformed_run_exits_1_naming_the_file(
+        self, datasets, tmp_path, capsys, name, damage
+    ):
+        out = tmp_path / "out"
+        pipeline.run(base_config(datasets, out))
+        path = out / name
+        path.write_text(damage(path.read_text()))
+        code = cli.main(["report", "--run-dir", str(out)])
+        err = capsys.readouterr().err.splitlines()
+        assert code == 1
+        assert len(err) == 1 and err[0].startswith(f"error: {path}: "), err
 
     def test_cli_import_leaves_scipy_signal_unloaded(self):
         src = str(Path(pipeline.__file__).parents[1])

@@ -1,4 +1,6 @@
-"""The block CSV writer against np.savetxt, the row-at-a-time writer it replaces."""
+"""The file-format module: the block CSV writer against np.savetxt, the
+row-at-a-time writer it replaces, and a guard that no other module encodes
+a file."""
 
 from pathlib import Path
 
@@ -6,7 +8,7 @@ import numpy as np
 import pytest
 
 import shmseq
-from shmseq import pipeline, shearsim
+from shmseq import pipeline, shearsim, tables
 from shmseq.pipeline import PipelineConfig
 from shmseq.tables import BLOCK_ROWS, write_csv
 
@@ -130,3 +132,13 @@ def test_run_tables_match_savetxt_with_an_errored_sensor(tmp_path, monkeypatch):
 def test_src_has_no_second_csv_writer():
     src = Path(shmseq.__file__).parent
     assert [p.name for p in sorted(src.glob("*.py")) if "savetxt" in p.read_text()] == []
+
+
+def test_only_tables_reads_or_writes_json_and_signal_files():
+    src = Path(shmseq.__file__).parent
+    marks = ("json.dump", "json.load", "np.loadtxt", '"%.6f"')
+    assert [
+        p.name for p in sorted(src.glob("*.py"))
+        if p.name != "tables.py" and any(mark in p.read_text() for mark in marks)
+    ] == []
+    assert pipeline.read_signal_csv is tables.read_signal_csv  # the name the benchmark traces
