@@ -9,7 +9,6 @@ fixed or chosen by AIC on healthy-regime data.
 
 from __future__ import annotations
 
-from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Callable, Iterator, Sequence
 
@@ -128,15 +127,11 @@ def normalize_chunk(chunk: SignalChunk) -> np.ndarray:
     return z[0]
 
 
-@contextmanager
-def _located(chunk: SignalChunk) -> Iterator[None]:
-    """Add ``sensor S chunk K: `` and ``sensor_id``/``chunk_index`` to a chunk failure."""
-    try:
-        yield
-    except (NonFiniteSignal, ZeroVariance, SingularDesign) as err:
-        err.args = (f"sensor {chunk.sensor_id} chunk {chunk.chunk_index}: {err}",)
-        err.sensor_id, err.chunk_index = chunk.sensor_id, chunk.chunk_index
-        raise
+def _located(err: ShmSeqError, chunk: SignalChunk) -> ShmSeqError:
+    """``err`` with ``sensor S chunk K: `` and ``sensor_id``/``chunk_index`` added."""
+    err.args = (f"sensor {chunk.sensor_id} chunk {chunk.chunk_index}: {err}",)
+    err.sensor_id, err.chunk_index = chunk.sensor_id, chunk.chunk_index
+    return err
 
 
 def _lags(z: np.ndarray, p_max: int) -> np.ndarray:
@@ -187,14 +182,14 @@ def _fit_stack(
     return coef[:, :, 0], rank, np.einsum("km,km->k", resid, resid)
 
 
-def _raise_first_failure(
+def _failures(
     chunk_at: Callable[[int], SignalChunk],
     x: np.ndarray,
     bad: np.ndarray,
     ranks: np.ndarray,
     orders: Sequence[int],
-) -> None:
-    """Raise the failure of the first chunk, in chunk order, that cannot be fit.
+) -> Iterator[tuple[int, ShmSeqError]]:
+    """Each chunk that cannot be fit, as (row, error), in chunk order.
 
     Row i of x is a raw chunk, ``bad`` marks the rows ``_standardize``
     rejected and ``ranks[i, j]`` is row i's rank at AR order ``orders[j]``.
@@ -206,12 +201,13 @@ def _raise_first_failure(
     failing = bad | deficient.any(axis=1)
     if not failing.any():
         return
-    i = int(np.argmax(failing))
-    with _located(chunk_at(i)):
+    for i in np.flatnonzero(failing):
         if bad[i]:
-            raise _standardize_error(x[i])
-        j = int(np.argmax(deficient[i]))
-        raise _singular(int(ranks[i, j]), int(orders[j]))
+            err = _standardize_error(x[i])
+        else:
+            j = int(np.argmax(deficient[i]))
+            err = _singular(int(ranks[i, j]), int(orders[j]))
+        yield int(i), _located(err, chunk_at(i))
 
 
 def fit_ar(normalized: np.ndarray, p: int) -> ArModel:
@@ -236,7 +232,9 @@ def fit_ar(normalized: np.ndarray, p: int) -> ArModel:
     return ArModel(order=p, coefficients=coef[0], residual_variance=float(rss[0]) / (x.size - p))
 
 
-def aic_values(chunks: Sequence[SignalChunk], p_max: int) -> np.ndarray:
+def aic_values(
+    chunks: Sequence[SignalChunk], p_max: int, skipped: list[ShmSeqError] | None = None
+) -> np.ndarray:
     """Per-order AIC curve, averaged across chunks, for orders 1..p_max.
 
     Each chunk contributes M * ln(RSS(p) / (M - p)) + 2p, i.e. the log of
@@ -246,6 +244,9 @@ def aic_values(chunks: Sequence[SignalChunk], p_max: int) -> np.ndarray:
     a coin flip. The chunks must all have the same length M; each order is
     one stacked fit of all of them. The first chunk that cannot be fit
     raises, naming its sensor and chunk, with its lowest failing order.
+    With a ``skipped`` list, every such chunk's error is appended to it
+    instead and the chunk is left out of the average; the first still
+    raises when no chunk is left.
     """
     if p_max < 1:
         raise ValueError("p_max must be >= 1")
@@ -261,18 +262,26 @@ def aic_values(chunks: Sequence[SignalChunk], p_max: int) -> np.ndarray:
         _, ranks[:, p - 1], rss = _fit_stack(z, lags, p, with_rss=True)
         with np.errstate(divide="ignore"):
             curves[:, p - 1] = m_len * np.log(rss / (m_len - p)) + 2 * p
-    _raise_first_failure(chunks.__getitem__, x, bad, ranks, range(1, p_max + 1))
-    return curves.mean(axis=0)
+    failures = dict(_failures(chunks.__getitem__, x, bad, ranks, range(1, p_max + 1)))
+    if failures and (skipped is None or len(failures) == len(chunks)):
+        raise next(iter(failures.values()))
+    if skipped is not None:
+        skipped.extend(failures.values())
+    keep = np.ones(len(chunks), dtype=bool)
+    keep[list(failures)] = False
+    return curves[keep].mean(axis=0)
 
 
-def select_order(chunks: Sequence[SignalChunk], p_max: int) -> int:
+def select_order(
+    chunks: Sequence[SignalChunk], p_max: int, skipped: list[ShmSeqError] | None = None
+) -> int:
     """Order with the smallest average AIC; ties break toward the smaller order.
 
     The chunks must come from the healthy regime only: order selection on
     post-damage data is not meaningful because the damage case is unknown
-    in advance.
+    in advance. ``skipped`` is as for ``aic_values``.
     """
-    return int(np.argmin(aic_values(chunks, p_max))) + 1
+    return int(np.argmin(aic_values(chunks, p_max, skipped))) + 1
 
 
 def iter_chunks(samples: np.ndarray, chunk_size: int, sensor_id: int = 0) -> Iterator[SignalChunk]:
@@ -307,8 +316,9 @@ def extract_dsf_stream(
     numbers = range(1, n + 1) if chunk_numbers is None else chunk_numbers
     z, bad = _standardize(x)
     coef, rank, _ = _fit_stack(z, _lags(z, config.order), config.order)
-    _raise_first_failure(
+    for _, err in _failures(
         lambda i: SignalChunk(sensor_id, int(numbers[i]), x[i]), x, bad, rank[:, None],
         [config.order],
-    )
+    ):
+        raise err
     return coef if config.coef_indices is None else coef[:, np.asarray(config.coef_indices) - 1]

@@ -189,26 +189,24 @@ def _require_columns(signals: dict[str, np.ndarray], columns, what: str) -> None
 def _select_order(signals: dict[str, np.ndarray], chunk_size: int, p_max: int, path) -> int:
     """AIC order selection on the chunks of every training column.
 
-    A column with a chunk that AIC cannot use is left out and the selection
-    run again, so only its own sensor can fail, when its features are
-    extracted at the chosen order.
+    A chunk that AIC cannot use is left out of the curve, so only its own
+    sensor can skip it or fail, when its features are extracted at the
+    chosen order.
     """
-    columns = {
-        _sensor_id(col): list(iter_chunks(samples, chunk_size, sensor_id=_sensor_id(col)))
+    chunks = [
+        chunk
         for col, samples in signals.items()
-    }
-    rejected = []
-    while any(columns.values()):
-        try:
-            return select_order([c for chunks in columns.values() for c in chunks], p_max)
-        except (NonFiniteSignal, ZeroVariance, SingularDesign) as err:
-            rejected.append(str(err))
-            del columns[err.sensor_id]
-    if rejected:
+        for chunk in iter_chunks(samples, chunk_size, sensor_id=_sensor_id(col))
+    ]
+    if not chunks:
+        raise ConfigError(f"training data in {path} is shorter than one chunk")
+    try:
+        return select_order(chunks, p_max, skipped=[])
+    except (NonFiniteSignal, ZeroVariance, SingularDesign) as err:
         raise ConfigError(
-            f"no training column in {path} is fit for order selection: " + "; ".join(rejected)
-        )
-    raise ConfigError(f"training data in {path} is shorter than one chunk")
+            f"none of the {len(chunks)} training chunks in {path} is fit for order "
+            f"selection; the first: {err}"
+        ) from err
 
 
 def _features(samples: np.ndarray, path, dsf_config: DsfConfig, sensor_id: int) -> np.ndarray:

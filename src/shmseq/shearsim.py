@@ -153,16 +153,19 @@ class Excitation:
 
 
 def _modal(model: ShearFrameModel, k_mat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    # like scipy.signal below, imported here so that `run` and `report` never load it
-    import scipy.linalg
+    """Angular frequencies and M-orthonormal mode shapes of K phi = w^2 M phi.
 
+    M is diagonal, so this is the symmetric problem M^-1/2 K M^-1/2 v = w^2 v
+    with phi = M^-1/2 v.
+    """
+    scale = 1.0 / np.sqrt(model.masses)
     try:
-        w2, phi = scipy.linalg.eigh(k_mat, model.mass_matrix())
-    except (scipy.linalg.LinAlgError, np.linalg.LinAlgError) as err:
+        w2, vecs = np.linalg.eigh(k_mat * scale[:, None] * scale[None, :])
+    except np.linalg.LinAlgError as err:
         raise EigenFailure(str(err)) from err
     if np.any(w2 <= 0) or not np.all(np.isfinite(w2)):
         raise EigenFailure("non-positive or non-finite eigenvalue; stiffness matrix not PD")
-    return np.sqrt(w2), phi
+    return np.sqrt(w2), scale[:, None] * vecs
 
 
 def modal_frequencies(model: ShearFrameModel, stiffnesses: np.ndarray | None = None) -> np.ndarray:
@@ -179,10 +182,14 @@ def damping_matrix(model: ShearFrameModel, k_mat: np.ndarray) -> np.ndarray:
 
 
 def _zoh_system(model: ShearFrameModel, k_mat: np.ndarray, dt: float):
-    # scipy.signal is slow to import and only simulation needs it: imported
-    # here and in _lti_response, so `run` and `report` never load it
-    from scipy.signal import cont2discrete
+    """The exact zero-order-hold discretization (Ad, Bd, Cd, Dd) of the story dynamics.
 
+    The damping is classical, so A = [0 I; -M^-1 K -M^-1 C] is diagonalizable,
+    A = V diag(lambda) V^-1, and both matrix exponentials are scalar ones:
+    Ad = V diag(e^(lambda dt)) V^-1 and Bd = V diag((e^(lambda dt) - 1) / lambda) V^-1 B.
+    No lambda is zero, because every w is positive. An eigenbasis with
+    cond(V) > 1e10 (damping ratios next to 1) raises EigenFailure.
+    """
     s = model.stories
     m_inv = np.diag(1.0 / model.masses)
     c_mat = damping_matrix(model, k_mat)
@@ -193,11 +200,15 @@ def _zoh_system(model: ShearFrameModel, k_mat: np.ndarray, dt: float):
         ]
     )
     b = np.vstack([np.zeros((s, s)), m_inv])
-    # absolute accelerations: qdd = -M^-1 K q - M^-1 C qd + M^-1 u
-    c_out = np.hstack([-m_inv @ k_mat, -m_inv @ c_mat])
-    d_out = m_inv
-    ad, bd, cd, dd, _ = cont2discrete((a, b, c_out, d_out), dt, method="zoh")
-    return ad, bd, cd, dd
+    lam, vecs = np.linalg.eig(a)
+    if np.linalg.cond(vecs) > 1e10:
+        raise EigenFailure("state matrix is not diagonalizable to working precision")
+    to_modal = np.linalg.inv(vecs)
+    step = np.exp(lam * dt)
+    ad = ((vecs * step) @ to_modal).real
+    bd = ((vecs * ((step - 1.0) / lam)) @ (to_modal @ b)).real
+    # absolute accelerations, qdd = -M^-1 K q - M^-1 C qd + M^-1 u: the lower rows of A x + B u
+    return ad, bd, a[s:], m_inv
 
 
 def _lti_response_loop(ad, bd, cd, dd, forces, x0):
@@ -210,21 +221,66 @@ def _lti_response_loop(ad, bd, cd, dd, forces, x0):
     return out, x
 
 
+SCAN = 32  # sub-block length of the first-order scan
+BLOCK = 8 * SCAN**2  # force rows projected, scanned and written at a time
+
+
+def _scan_tables(lam: np.ndarray, n: int) -> list[tuple[np.ndarray, np.ndarray]]:
+    """The tables of ``_scan`` over n steps: one (Toeplitz, powers) pair per level.
+
+    Level 0 has the poles lam and level l + 1 the poles lam^(SCAN^(l+1)).
+    ``powers[i, t]`` is lam_i^t and ``toe[i, j, t]`` is lam_i^(t-1-j) for
+    j < t, 0 otherwise (j < SCAN, t <= SCAN). No exponent is negative, so
+    poles with |lam| <= 1 give no entry above 1.
+    """
+    t = np.arange(SCAN + 1)
+    lag = t - 1 - np.arange(SCAN)[:, None]  # [j, t] = t - 1 - j
+    tables = []
+    while True:
+        powers = lam[:, None] ** t
+        tables.append((np.where(lag >= 0, powers[:, np.maximum(lag, 0)], 0.0), powers))
+        if n <= SCAN:
+            return tables
+        n, lam = n // SCAN, powers[:, SCAN]
+
+
+def _scan(u: np.ndarray, z0: np.ndarray, tables) -> np.ndarray:
+    """The states z[0..n] of z[t+1] = lam z[t] + u[t] from z[0] = z0, one row per pole.
+
+    ``tables`` is ``_scan_tables(lam, n)``. n is at most SCAN or a multiple
+    of it, and so is n / SCAN one level down (BLOCK is such an n). The steps
+    run in sub-blocks of SCAN: one batched product with the Toeplitz table
+    gives every sub-block's states from a zero start and its end state, and
+    the sub-blocks' start states are the same recursion with the pole
+    lam^SCAN, driven by those end states, one level down.
+    """
+    toe, powers = tables[0]
+    modes, n = u.shape
+    if n <= SCAN:
+        return z0[:, None] * powers[:, : n + 1] + (u[:, None, :] @ toe[:, :n, : n + 1])[:, 0]
+    blocks = n // SCAN
+    local = u.reshape(modes, blocks, SCAN) @ toe  # (modes, blocks, SCAN + 1)
+    starts = _scan(local[:, :, SCAN], z0, tables[1:])  # (modes, blocks + 1)
+    states = local[:, :, :SCAN] + starts[:, :blocks, None] * powers[:, None, :SCAN]
+    return np.concatenate([states.reshape(modes, n), starts[:, blocks:]], axis=1)
+
+
 def _lti_response(ad, bd, cd, dd, forces, x0):
     """Run x[n+1] = Ad x[n] + Bd u[n], y[n] = Cd x[n] + Dd u[n] over all samples.
 
     The recursion is diagonalized, Ad = V diag(lambda) V^-1, so each mode
-    z = V^-1 x is a scalar recursion run as a C-speed IIR filter. V is
-    inverted once, and one small matrix product projects all the forces.
-    Ad is real, so LAPACK returns its complex eigenpairs as exact
-    conjugates, and only the modes with imag(lambda) >= 0 are filtered:
-    x = Re(V_keep (weight z)), with weight 2 for a complex mode (it stands
-    for its twin too) and 1 for a real one. Cd is folded into that basis.
+    z = V^-1 x is a scalar recursion, run by ``_scan``. Ad is real, so
+    LAPACK returns its complex eigenpairs as exact conjugates, and only the
+    modes with imag(lambda) >= 0 are run: x = Re(V_keep (weight z)), with
+    weight 2 for a complex mode (it stands for its twin too) and 1 for a
+    real one. Cd is folded into that basis. The forces are projected,
+    scanned and turned into outputs BLOCK rows at a time, the last block
+    padded with zeros, so memory beyond the output is O(BLOCK) and every
+    array has the same shape whatever the length: the outputs of a force
+    history are bit for bit a prefix of those of any longer one.
     The plain loop runs instead when ``eig`` fails or cond(V) > 1e10.
     Returns (outputs, final state).
     """
-    from scipy.signal import lfilter
-
     try:
         evals, vecs = np.linalg.eig(ad)
     except np.linalg.LinAlgError:
@@ -234,14 +290,20 @@ def _lti_response(ad, bd, cd, dd, forces, x0):
     keep = evals.imag >= 0
     to_modal = np.linalg.inv(vecs)[keep]
     basis = vecs[:, keep] * np.where(evals[keep].imag > 0, 2.0, 1.0)
-    z = (to_modal @ bd) @ forces.T  # (modes kept, n) complex, filtered in place
-    z0 = to_modal @ x0
-    z_final = np.empty_like(z0)
-    for i, lam in enumerate(evals[keep]):
-        z[i], zf = lfilter([0.0, 1.0], [1.0, -lam], z[i], zi=z0[i : i + 1])
-        z_final[i] = zf[0]
-    out = (z.T @ (cd @ basis).T).real + forces @ dd.T
-    return out, (basis @ z_final).real
+    project, observe = to_modal @ bd, cd @ basis
+    tables = _scan_tables(evals[keep], BLOCK)
+    z = to_modal @ x0
+    n = forces.shape[0]
+    out = np.empty((n, cd.shape[0]))
+    block = np.zeros((BLOCK, forces.shape[1]))
+    for lo in range(0, n, BLOCK):
+        rows = min(BLOCK, n - lo)
+        block[:rows] = forces[lo : lo + rows]
+        block[rows:] = 0.0
+        states = _scan(project @ block.T, z, tables)
+        z = states[:, rows]
+        out[lo : lo + rows] = ((observe @ states[:, :BLOCK]).real.T + block @ dd.T)[:rows]
+    return out, (basis @ z).real
 
 
 def response_to_forces(
@@ -344,6 +406,7 @@ def simulate(
     rng = np.random.default_rng(excitation.seed)
     forces = rng.normal(0.0, excitation.intensity, size=(n, model.stories)) if excitation.intensity > 0 else np.zeros((n, model.stories))
     accel = response_to_forces(model, scenario, forces, excitation.sample_rate, chunk_size)
+    del forces  # as large as the response: freed before the signals are made
 
     signals = np.repeat(accel, sensors_per_story, axis=1)
     stories = np.repeat(np.arange(1, model.stories + 1), sensors_per_story).tolist()

@@ -10,11 +10,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from shmseq import cli, pipeline
+from shmseq import cli, features, pipeline
 from shmseq.detector import DetectorState, GeometricPrior, update
 from shmseq.errors import ConfigError
 from shmseq.estimator import AdaptiveDetector, fit_predamage
-from shmseq.features import DsfConfig, extract_dsf_stream
+from shmseq.features import DsfConfig, aic_values, extract_dsf_stream
 from shmseq.pipeline import PipelineConfig, read_signal_csv
 
 
@@ -244,7 +244,9 @@ class TestInputValidation:
             assert [e["id"] for e in result.localization["sensors"]] == [1, 2, 4]
 
     @pytest.mark.parametrize("cell", ["nan", "inf"])
-    def test_non_finite_training_cell_skips_only_its_chunk(self, datasets, tmp_path, cell):
+    def test_non_finite_training_cell_skips_only_its_chunk(
+        self, datasets, tmp_path, monkeypatch, cell
+    ):
         src = (datasets / "train" / "data.csv").read_text().splitlines()
         fields = src[1000].split(",")  # sample 1000 of sensor_3, in chunk 3
         fields[3] = cell
@@ -252,6 +254,14 @@ class TestInputValidation:
         bad = tmp_path / "bad_train.csv"
         bad.write_text("\n".join(src) + "\n")
         config = base_config(datasets, tmp_path / "out", training_csv=str(bad), order="auto")
+        curves = []
+
+        def keep_curve(chunks, p_max, skipped=None):
+            curve = aic_values(chunks, p_max, skipped)
+            curves.append((chunks, p_max, skipped, curve))
+            return curve
+
+        monkeypatch.setattr(features, "aic_values", keep_curve)
         result = pipeline.run(config)
         sensors = {s["sensor_id"]: s for s in result.summary["sensors"]}
         assert all("error" not in sensors[i] and "tau" in sensors[i] for i in (1, 2, 3, 4))
@@ -261,6 +271,13 @@ class TestInputValidation:
         assert skipped.endswith(f"(in {bad})")  # names the file
         assert all("skipped_training_chunks" not in sensors[i] for i in (1, 2, 4))
         assert isinstance(result.summary["order"], int)
+        # AIC left out chunk 3 of sensor 3 alone: its curve is that of the other 399 chunks
+        [(chunks, p_max, aic_skipped, curve)] = curves
+        assert [(e.sensor_id, e.chunk_index) for e in aic_skipped] == [(3, 3)]
+        used = [c for c in chunks if (c.sensor_id, c.chunk_index) != (3, 3)]
+        assert len(used) == 399 and sum(c.sensor_id == 3 for c in used) == 99
+        assert np.array_equal(curve, aic_values(used, p_max))
+        assert result.summary["order"] == int(np.argmin(curve)) + 1
 
     def test_pure_tone_training_chunk_under_auto_order_fails_at_most_its_sensor(
         self, datasets, tmp_path
@@ -347,10 +364,25 @@ class TestInputValidation:
         fields = src[1].split(",")
         src[1] = ",".join(fields[:1] + ["nan"] * (len(fields) - 1))
         bad = tmp_path / "bad_train.csv"
+        bad.write_text("\n".join(src[: 1 + 400]) + "\n")  # one chunk, a nan in every column
+        config = base_config(datasets, tmp_path / "out", training_csv=str(bad), order="auto")
+        with pytest.raises(ConfigError, match="order selection; the first: sensor 1 chunk 1: "):
+            pipeline.run(config)
+
+    def test_a_non_finite_row_across_the_training_columns_skips_one_chunk_each(
+        self, datasets, tmp_path
+    ):
+        src = (datasets / "train" / "data.csv").read_text().splitlines()
+        fields = src[1].split(",")
+        src[1] = ",".join(fields[:1] + ["nan"] * (len(fields) - 1))
+        bad = tmp_path / "bad_train.csv"
         bad.write_text("\n".join(src) + "\n")
         config = base_config(datasets, tmp_path / "out", training_csv=str(bad), order="auto")
-        with pytest.raises(ConfigError, match="order selection"):
-            pipeline.run(config)
+        result = pipeline.run(config)
+        for sensor in result.summary["sensors"]:
+            assert "error" not in sensor and "tau" in sensor
+            [skipped] = sensor["skipped_training_chunks"]
+            assert skipped.startswith(f"sensor {sensor['sensor_id']} chunk 1: 1 of 400 samples")
 
     def test_byte_order_mark_is_ignored(self, tmp_path):
         plain, marked = tmp_path / "plain.csv", tmp_path / "marked.csv"
@@ -705,7 +737,9 @@ class TestCli:
             ("import sys, shmseq;", "[]"),
             ("import sys, shmseq.cli;", "[]"),
             ("import sys;" + run, "[]"),
-            ("import sys;" + run + gen, "['scipy']"),  # the simulator still has it
+            ("import sys;" + run + gen, "[]"),
+            # a control: the probe does see scipy once something imports it
+            ("import sys, scipy.signal; from shmseq import pipeline;" + gen, "['scipy']"),
         ]:
             out = subprocess.run(
                 [sys.executable, "-c", probe + loaded],

@@ -1,5 +1,8 @@
 """Tests for the shear-frame simulator physics and data contracts."""
 
+import tracemalloc
+import warnings
+
 import numpy as np
 import pytest
 
@@ -7,6 +10,7 @@ from shmseq import shearsim
 from shmseq.errors import ConfigError
 from shmseq.features import DsfConfig, extract_dsf_stream
 from shmseq.shearsim import (
+    BLOCK,
     DamageScenario,
     Excitation,
     ShearFrameModel,
@@ -112,6 +116,48 @@ class TestIntegration:
         monkeypatch.setattr(shearsim, "_lti_response", _lti_response_loop)
         slow = response_to_forces(model, damaged, forces, 50.0, 400)
         assert np.abs(fast - slow).max() < 1e-9 * np.abs(slow).max()
+
+    def test_block_edges_match_loop_and_each_length_is_a_prefix_of_the_next(self):
+        model = default_model()
+        system = _zoh_system(model, model.stiffness_matrix(), 1.0 / 50.0)
+        rng = np.random.default_rng(21)
+        forces = rng.normal(0.0, 50.0, size=(2 * BLOCK + 7, 4))
+        x0 = rng.normal(0.0, 0.01, size=8)
+        longest, _ = _lti_response(*system, forces, x0)
+        for n in (BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK + 7):
+            fast, x_fast = _lti_response(*system, forces[:n], x0)
+            slow, x_slow = _lti_response_loop(*system, forces[:n], x0)
+            assert np.abs(fast - slow).max() < 1e-9 * np.abs(slow).max()
+            assert np.abs(x_fast - x_slow).max() < 1e-9 * max(1.0, np.abs(x_slow).max())
+            assert np.array_equal(fast, longest[:n])
+
+    @pytest.mark.parametrize("zeta", [0.0, 0.999], ids=["undamped", "near-critical"])
+    def test_extreme_damping_matches_loop_without_warnings(self, zeta):
+        model = default_model(zeta=zeta)
+        rng = np.random.default_rng(22)
+        forces = rng.normal(0.0, 50.0, size=(BLOCK + 100, 4))
+        x0 = rng.normal(0.0, 0.01, size=8)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            system = _zoh_system(model, model.stiffness_matrix(), 1.0 / 50.0)
+            fast, x_fast = _lti_response(*system, forces, x0)
+        poles = np.abs(np.linalg.eigvals(system[0]))
+        assert np.allclose(poles, 1.0, rtol=0, atol=1e-12) if zeta == 0 else poles.max() < 1.0
+        slow, x_slow = _lti_response_loop(*system, forces, x0)
+        assert np.abs(fast - slow).max() < 1e-9 * np.abs(slow).max()
+        assert np.abs(x_fast - x_slow).max() < 1e-9 * max(1.0, np.abs(x_slow).max())
+
+    def test_memory_beyond_the_output_is_bounded(self):
+        model = default_model()
+        system = _zoh_system(model, model.stiffness_matrix(), 1.0 / 50.0)
+        forces = np.random.default_rng(23).normal(0.0, 50.0, size=(200_000, 4))
+        tracemalloc.start()
+        try:
+            out, _ = _lti_response(*system, forces, np.zeros(8))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2 * out.nbytes
 
     @pytest.mark.parametrize(
         "scenario, chunks",
