@@ -13,6 +13,7 @@ from dataclasses import dataclass
 from typing import Callable, Iterator, Sequence
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import NonFiniteSignal, ShmSeqError, SingularDesign, ZeroVariance
 
@@ -20,6 +21,11 @@ STD_FLOOR = 1e-12  # a chunk with a smaller standard deviation is a dead sensor
 # A lag matrix whose Gram matrix has lambda_min <= SINGULAR_RATIO * lambda_max (condition
 # number 1e5 or more) is rank deficient: SingularDesign.
 SINGULAR_RATIO = 1e-10
+# RSS = y'y - c'beta from cross-products is off by up to about 3e-13 * y'y * (1 + |beta|_1)^2
+# / M (measured at M = 400), so the AIC term M * ln(RSS) by 3e-13 over that ratio. A fit
+# whose RSS is below RSS_CANCEL * y'y * (1 + |beta|_1)^2, a near-exact one, is refit with
+# explicit residuals; every other AIC value stays within about 3e-11 of them.
+RSS_CANCEL = 1e-2
 
 
 @dataclass
@@ -134,38 +140,32 @@ def _located(err: ShmSeqError, chunk: SignalChunk) -> ShmSeqError:
     return err
 
 
-def _lags(z: np.ndarray, p_max: int) -> np.ndarray:
-    """Lag regressors of every row of z (K, M) up to order ``p_max``, as (K, p_max, M - 1).
-
-    Entry ``[:, j, t]`` is ``z[:, t - j]``, lag j + 1 of the sample
-    ``z[:, t + 1]``; entries with t < j are left unset and never read. The
-    AR(p) lag matrices are the views ``[:, :p, p - 1:]``, so every order up
-    to ``p_max`` shares one copy.
-    """
-    m_len = z.shape[1]
-    if m_len <= p_max + 1:
-        raise ValueError(f"need more than {p_max + 1} samples to fit AR({p_max}), got {m_len}")
-    lags = np.empty((z.shape[0], p_max, m_len - 1))
-    for j in range(p_max):
-        lags[:, j, j:] = z[:, : m_len - 1 - j]
-    return lags
+def _require_samples(m_len: int, p: int) -> None:
+    if m_len <= p + 1:
+        raise ValueError(f"need more than {p + 1} samples to fit AR({p}), got {m_len}")
 
 
 def _fit_stack(
-    z: np.ndarray, lags: np.ndarray, p: int, with_rss: bool = False
+    z: np.ndarray, p: int, with_rss: bool = False
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
     """Fit AR(p) to every row of z (K, M) by least squares in one stacked solve.
 
-    ``lags`` is ``_lags(z, p_max)`` for some p_max >= p. Row k is fitted as
-    ``fit_ar`` describes, through its normal equations: the (K, p, p) Gram
-    matrices of the lag regressors are formed with one batched product and
-    solved with one ``np.linalg.solve``. Returns the (K, p) coefficients,
-    each row's numerical rank (the number of Gram eigenvalues above
-    ``SINGULAR_RATIO`` times the largest) and, with ``with_rss``, each row's
-    residual sum of squares, from explicit residuals. A row of rank < p is
-    singular; its coefficients are meaningless.
+    Row k is fitted as ``fit_ar`` describes, through its normal equations:
+    the (K, p, p) Gram matrices of the lag regressors are formed with one
+    batched product and solved with one ``np.linalg.solve``. Returns the
+    (K, p) coefficients, each row's numerical rank (the number of Gram
+    eigenvalues above ``SINGULAR_RATIO`` times the largest) and, with
+    ``with_rss``, each row's residual sum of squares, from explicit
+    residuals. A row of rank < p is singular; its coefficients are
+    meaningless.
     """
-    design = lags[:, :p, p - 1 :]
+    m_len = z.shape[1]
+    _require_samples(m_len, p)
+    # design[:, j, t - p] is z[:, t - 1 - j], lag j + 1 of the target z[:, t]
+    lags = np.empty((len(z), p, m_len - 1))
+    for j in range(p):
+        lags[:, j, p - 1 :] = z[:, p - 1 - j : m_len - 1 - j]
+    design = lags[:, :, p - 1 :]
     target = z[:, p:, None]
     gram = design @ design.transpose(0, 2, 1)
     eig = np.linalg.eigvalsh(gram)
@@ -182,32 +182,94 @@ def _fit_stack(
     return coef[:, :, 0], rank, np.einsum("km,km->k", resid, resid)
 
 
-def _failures(
+def _aic_curves(z: np.ndarray, p_max: int) -> tuple[np.ndarray, np.ndarray]:
+    """Each row's AIC curve and numerical rank at orders 1..p_max, as two (K, p_max) arrays.
+
+    Row k at order p is what ``_fit_stack(z, p, with_rss=True)`` gives, up
+    to round-off, from the normal equations of its own rows t = p..M-1: one
+    batched product forms the cross-products of the target and lags
+    1..p_max over the rows t >= p_max that every order shares. Walking p
+    down, each row t = p..p_max-1 is added as a rank-one update, and
+    RSS(p) = y'y - c'beta comes from one batched solve of size p. A row
+    passes every order at once when, on the shared rows, lambda_min >
+    ``SINGULAR_RATIO`` * (lambda_max + the squared norms of the added
+    rows): adding rows only raises lambda_min and raises lambda_max by at
+    most that sum (interlacing). Only rows that fail this screen get one
+    ``eigvalsh`` per order, and their ranks use ``_fit_stack``'s rule. A
+    full-rank fit whose RSS cancels (see ``RSS_CANCEL``) takes its RSS from
+    ``_fit_stack`` instead.
+    """
+    m_len = z.shape[1]
+    _require_samples(m_len, p_max)
+    # window[:, s, i] is z[:, t - i] for t = M - 1 - s >= p_max: the target, then its lags
+    window = sliding_window_view(z[:, ::-1], p_max + 1, axis=1)
+    cross = window.transpose(0, 2, 1) @ window
+    eig = np.linalg.eigvalsh(cross[:, 1:, 1:])
+    added = np.cumsum(z[:, : p_max - 1] ** 2, axis=1).sum(axis=1)
+    unscreened = np.flatnonzero(~(eig[:, 0] > SINGULAR_RATIO * (eig[:, -1] + added)))
+    orders = np.arange(1, p_max + 1)
+    curves = np.empty((len(z), p_max))
+    ranks = np.tile(orders, (len(z), 1))
+    for p in orders[::-1]:
+        if p < p_max:
+            row = z[:, p::-1]  # z[t], z[t - 1], ..., z[t - p] at t = p
+            cross[:, : p + 1, : p + 1] += row[:, :, None] * row[:, None, :]
+        gram, c = cross[:, 1 : p + 1, 1 : p + 1], cross[:, 1 : p + 1, 0]
+        if unscreened.size:
+            low = np.linalg.eigvalsh(gram[unscreened])
+            ranks[unscreened, p - 1] = np.count_nonzero(low > SINGULAR_RATIO * low[:, -1:], axis=1)
+            singular = unscreened[ranks[unscreened, p - 1] < p]
+            if singular.size:
+                gram = gram.copy()
+                gram[singular] = np.eye(p)  # so that the stacked solve cannot fail on them
+        beta = np.linalg.solve(gram, c[:, :, None])[:, :, 0]
+        yy = cross[:, 0, 0]
+        rss = yy - np.einsum("kp,kp->k", c, beta)
+        scale = yy * (1 + np.abs(beta).sum(axis=1)) ** 2
+        cancelled = (ranks[:, p - 1] == p) & ~(rss > RSS_CANCEL * scale)
+        if cancelled.any():
+            rss[cancelled] = _fit_stack(z[cancelled], p, with_rss=True)[2]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            curves[:, p - 1] = m_len * np.log(rss / (m_len - p)) + 2 * p
+    return curves, ranks
+
+
+def _fit_rows(
     chunk_at: Callable[[int], SignalChunk],
     x: np.ndarray,
     bad: np.ndarray,
     ranks: np.ndarray,
     orders: Sequence[int],
-) -> Iterator[tuple[int, ShmSeqError]]:
-    """Each chunk that cannot be fit, as (row, error), in chunk order.
+    skipped: list[ShmSeqError] | None,
+) -> np.ndarray:
+    """The mask of the chunks that can be fit, after handling those that cannot.
 
     Row i of x is a raw chunk, ``bad`` marks the rows ``_standardize``
     rejected and ``ranks[i, j]`` is row i's rank at AR order ``orders[j]``.
     Within a chunk a non-finite sample comes first, then zero variance, then
-    the lowest order whose lag matrix is singular. ``chunk_at(i)`` gives the
-    chunk of row i, which the error names.
+    the lowest order whose lag matrix is singular; the error names the
+    chunk ``chunk_at(i)``. With a ``skipped`` list every failing chunk's
+    error is appended to it, in chunk order, and the first raises only when
+    no chunk is left; without one the first raises.
     """
     deficient = ranks < orders
     failing = bad | deficient.any(axis=1)
     if not failing.any():
-        return
+        return ~failing
+    errors = []
     for i in np.flatnonzero(failing):
         if bad[i]:
             err = _standardize_error(x[i])
         else:
             j = int(np.argmax(deficient[i]))
             err = _singular(int(ranks[i, j]), int(orders[j]))
-        yield int(i), _located(err, chunk_at(i))
+        errors.append(_located(err, chunk_at(int(i))))
+        if skipped is None:
+            raise errors[0]
+    skipped.extend(errors)
+    if failing.all():
+        raise errors[0]
+    return ~failing
 
 
 def fit_ar(normalized: np.ndarray, p: int) -> ArModel:
@@ -226,7 +288,7 @@ def fit_ar(normalized: np.ndarray, p: int) -> ArModel:
     x = np.asarray(normalized, dtype=float).ravel()
     if p < 1:
         raise ValueError("AR order must be >= 1")
-    coef, rank, rss = _fit_stack(x[None, :], _lags(x[None, :], p), p, with_rss=True)
+    coef, rank, rss = _fit_stack(x[None, :], p, with_rss=True)
     if rank[0] < p:
         raise _singular(int(rank[0]), p)
     return ArModel(order=p, coefficients=coef[0], residual_variance=float(rss[0]) / (x.size - p))
@@ -241,12 +303,15 @@ def aic_values(
     the per-residual variance. Normalizing RSS by the residual count M - p
     (not M) matters: RSS loses one term per added order, and dividing by M
     would cancel the 2p penalty almost exactly, leaving order selection to
-    a coin flip. The chunks must all have the same length M; each order is
-    one stacked fit of all of them. The first chunk that cannot be fit
-    raises, naming its sensor and chunk, with its lowest failing order.
-    With a ``skipped`` list, every such chunk's error is appended to it
-    instead and the chunk is left out of the average; the first still
-    raises when no chunk is left.
+    a coin flip. The chunks must all have the same length M. Each order is
+    fitted on its own residual rows t = p..M-1, as ``fit_ar`` fits it, but
+    all orders of all chunks come from one batched cross-product of the
+    target and lags 1..p_max, updated by the rows that each lower order
+    adds, plus one small batched solve per order. The first chunk that
+    cannot be fit raises, naming its sensor and chunk, with its lowest
+    failing order. With a ``skipped`` list, every such chunk's error is
+    appended to it and the chunk is left out of the average; the first
+    still raises when no chunk is left.
     """
     if p_max < 1:
         raise ValueError("p_max must be >= 1")
@@ -254,21 +319,8 @@ def aic_values(
         raise ValueError("need at least one chunk")
     x = np.stack([c.samples for c in chunks])  # a ValueError for chunks of unequal length
     z, bad = _standardize(x)
-    m_len = x.shape[1]
-    curves = np.empty((len(chunks), p_max))
-    ranks = np.empty((len(chunks), p_max), dtype=int)
-    lags = _lags(z, p_max)
-    for p in range(1, p_max + 1):
-        _, ranks[:, p - 1], rss = _fit_stack(z, lags, p, with_rss=True)
-        with np.errstate(divide="ignore"):
-            curves[:, p - 1] = m_len * np.log(rss / (m_len - p)) + 2 * p
-    failures = dict(_failures(chunks.__getitem__, x, bad, ranks, range(1, p_max + 1)))
-    if failures and (skipped is None or len(failures) == len(chunks)):
-        raise next(iter(failures.values()))
-    if skipped is not None:
-        skipped.extend(failures.values())
-    keep = np.ones(len(chunks), dtype=bool)
-    keep[list(failures)] = False
+    curves, ranks = _aic_curves(z, p_max)
+    keep = _fit_rows(chunks.__getitem__, x, bad, ranks, range(1, p_max + 1), skipped)
     return curves[keep].mean(axis=0)
 
 
@@ -300,25 +352,25 @@ def extract_dsf_stream(
     config: DsfConfig,
     *,
     sensor_id: int = 0,
-    chunk_numbers: Sequence[int] | None = None,
+    skipped: list[ShmSeqError] | None = None,
 ) -> np.ndarray:
     """Turn a raw stream into an (N, ``config.dim``) feature matrix, one row per complete chunk.
 
     Row k holds the features of chunk k + 1; all chunks are fitted in one
     stacked solve. Extraction is deterministic: identical input bytes
     produce identical features. The first chunk that cannot be fit raises,
-    naming its sensor and chunk: chunk k + 1, or ``chunk_numbers[k]`` when
-    the stream's chunks were picked from a longer one.
+    naming its sensor and chunk. With a ``skipped`` list, as for
+    ``aic_values``, every such chunk's error is appended to it and its row
+    is left out; the first still raises when no row is left.
     """
     x = np.asarray(samples, dtype=float).ravel()
     n = x.size // config.chunk_size
     x = x[: n * config.chunk_size].reshape(n, config.chunk_size)
-    numbers = range(1, n + 1) if chunk_numbers is None else chunk_numbers
     z, bad = _standardize(x)
-    coef, rank, _ = _fit_stack(z, _lags(z, config.order), config.order)
-    for _, err in _failures(
-        lambda i: SignalChunk(sensor_id, int(numbers[i]), x[i]), x, bad, rank[:, None],
-        [config.order],
-    ):
-        raise err
+    coef, rank, _ = _fit_stack(z, config.order)
+    keep = _fit_rows(
+        lambda i: SignalChunk(sensor_id, i + 1, x[i]), x, bad, rank[:, None], [config.order],
+        skipped,
+    )
+    coef = coef[keep]
     return coef if config.coef_indices is None else coef[:, np.asarray(config.coef_indices) - 1]

@@ -224,28 +224,23 @@ def _training_features(
     """The features of a training stream, without the chunks that cannot be fit.
 
     Each rejected chunk's error, with ``path``, is listed on
-    ``run.skipped_training_chunks`` and the other chunks are fitted again.
-    Raises ``InsufficientTraining`` once fewer than the ``max(2, m)``
-    vectors that ``fit_predamage`` needs are left.
+    ``run.skipped_training_chunks``. Raises ``InsufficientTraining`` when
+    fewer than the ``max(2, m)`` vectors that ``fit_predamage`` needs are
+    left.
     """
-    size = dsf_config.chunk_size
-    chunks = samples[: samples.size // size * size].reshape(-1, size)
-    keep = np.ones(len(chunks), dtype=bool)
+    skipped: list[ShmSeqError] = []
+    try:
+        dsfs = extract_dsf_stream(samples, dsf_config, sensor_id=run.sensor_id, skipped=skipped)
+    except (NonFiniteSignal, ZeroVariance, SingularDesign):
+        dsfs = np.empty((0, dsf_config.dim))  # every chunk is listed in skipped
+    run.skipped_training_chunks += [f"{err} (in {path})" for err in skipped]
     need = max(2, dsf_config.dim)
-    while True:
-        try:
-            return extract_dsf_stream(
-                chunks[keep].ravel(), dsf_config, sensor_id=run.sensor_id,
-                chunk_numbers=np.flatnonzero(keep) + 1,
-            )
-        except (NonFiniteSignal, ZeroVariance, SingularDesign) as err:
-            run.skipped_training_chunks.append(f"{err} (in {path})")
-            keep[err.chunk_index - 1] = False
-        kept = np.count_nonzero(keep)
-        if kept < need:
-            raise InsufficientTraining(
-                f"{kept} of {len(keep)} training chunks in {path} can be fit, need >= {need}"
-            )
+    if len(dsfs) < need:
+        total = samples.size // dsf_config.chunk_size
+        raise InsufficientTraining(
+            f"{len(dsfs)} of {total} training chunks in {path} can be fit, need >= {need}"
+        )
+    return dsfs
 
 
 def _process_sensor(

@@ -1,12 +1,14 @@
 """Tests for chunk normalization, AR fitting and order selection."""
 
+import contextlib
 import warnings
 
 import numpy as np
 import pytest
 
-from shmseq.errors import NonFiniteSignal, SingularDesign, ZeroVariance
+from shmseq.errors import NonFiniteSignal, ShmSeqError, SingularDesign, ZeroVariance
 from shmseq.features import (
+    SINGULAR_RATIO,
     ArModel,
     DsfConfig,
     SignalChunk,
@@ -16,6 +18,7 @@ from shmseq.features import (
     normalize_chunk,
     select_order,
 )
+from shmseq.features import _aic_curves, _fit_rows, _fit_stack, _standardize
 
 from helpers import gen_ar
 
@@ -142,6 +145,87 @@ class TestSelectOrder:
     def test_default_order_for_structural_data(self):
         # the structural-data default carried by the extraction config
         assert DsfConfig(chunk_size=100).order == 7
+
+
+def tone_with_noise(m_len, p, factor):
+    """A tone plus white noise whose AR(p) lag Gram has lambda_min / lambda_max near
+    ``factor * SINGULAR_RATIO``; returns the samples and that ratio."""
+    t = np.arange(m_len)
+    noise = np.random.default_rng(3).normal(size=m_len)
+
+    def ratio(scale):
+        z = normalize_chunk(chunk(np.sin(0.3 * t) + scale * noise))
+        design = np.column_stack([z[p - j : m_len - j] for j in range(1, p + 1)])
+        eig = np.linalg.eigvalsh(design.T @ design)
+        return eig[0] / eig[-1]
+
+    scale = 1e-5 * np.sqrt(factor * SINGULAR_RATIO / ratio(1e-5))  # the ratio grows as scale**2
+    return np.sin(0.3 * t) + scale * noise, ratio(scale)
+
+
+class TestAicKernel:
+    """The cross-product AIC kernel against one explicit-residual fit per order."""
+
+    @staticmethod
+    def explicit(z, p_max):
+        m_len = z.shape[1]
+        curves = np.empty((len(z), p_max))
+        ranks = np.empty((len(z), p_max), dtype=int)
+        for p in range(1, p_max + 1):
+            _, ranks[:, p - 1], rss = _fit_stack(z, p, with_rss=True)
+            with np.errstate(divide="ignore"):
+                curves[:, p - 1] = m_len * np.log(rss / (m_len - p)) + 2 * p
+        return curves, ranks
+
+    @pytest.mark.parametrize("p_max", [1, 2, 6, 12])
+    @pytest.mark.parametrize("short", [True, False], ids=["p_max+2", "400"])
+    def test_matches_explicit_fits(self, p_max, short):
+        m_len = p_max + 2 if short else 400
+        rng = np.random.default_rng(p_max)
+        t = np.arange(m_len)
+        rows = [gen_ar(c, m_len, rng) for c in ([0.5], [0.6, -0.3], [0.5, -0.4, 0.3], [0.3] * 3)]
+        rows += [np.sin(0.3 * t), np.sin(0.3 * t) + 0.7 * np.sin(1.1 * t + 0.4)]
+        rows += [np.full(m_len, 2.0), rng.normal(size=m_len), rng.normal(size=m_len)]
+        rows[-2][1], rows[-1][-1] = np.nan, -np.inf
+        if not short and p_max >= 6:
+            middle = p_max // 2 + 1
+            for factor in (0.5, 1.2, 3.0):
+                samples, ratio = tone_with_noise(m_len, middle, factor)
+                assert SINGULAR_RATIO / 10 < ratio < 10 * SINGULAR_RATIO
+                rows.append(samples)
+        x = np.array(rows)
+        z, bad = _standardize(x)
+        curves, ranks = _aic_curves(z, p_max)
+        want_curves, want_ranks = self.explicit(z, p_max)
+
+        # every order below a chunk's lowest singular one gives it a curve value
+        fit = ~bad[:, None] & np.cumprod(want_ranks == np.arange(1, p_max + 1), axis=1).astype(bool)
+        np.testing.assert_allclose(curves[fit], want_curves[fit], rtol=0, atol=1e-10)
+
+        chunks = [chunk(row, sensor_id=2, index=k + 1) for k, row in enumerate(rows)]
+
+        def errors(chunk_ranks):
+            found = []
+            with contextlib.suppress(ShmSeqError):
+                _fit_rows(chunks.__getitem__, x, bad, chunk_ranks, range(1, p_max + 1), found)
+            return [(e.chunk_index, type(e), str(e)) for e in found]
+
+        expected = errors(want_ranks)
+        assert errors(ranks) == expected
+        skipped = []
+        if len(expected) == len(chunks):
+            with pytest.raises(ShmSeqError):
+                aic_values(chunks, p_max, skipped)
+        else:
+            keep = fit.all(axis=1)
+            np.testing.assert_allclose(aic_values(chunks, p_max, skipped),
+                                       want_curves[keep].mean(axis=0), rtol=0, atol=1e-10)
+        assert [(e.chunk_index, type(e), str(e)) for e in skipped] == expected
+        if not short and p_max >= 6:
+            # the pure tone is singular from order 4 on; a noisy one first fails at a higher
+            # order, which only the per-order fallback behind the screen can find
+            assert fit[4].sum() == 3
+            assert any(3 < fit[i].sum() < p_max for i in (9, 10, 11))
 
 
 class TestExtract:

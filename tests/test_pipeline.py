@@ -339,7 +339,7 @@ class TestInputValidation:
         )
         result = pipeline.run(config)
         sensors = {s["sensor_id"]: s for s in result.summary["sensors"]}
-        assert sensors[3]["error"].startswith("3 of 40 training chunks in")
+        assert sensors[3]["error"].startswith("0 of 40 training chunks in")
         assert all("error" not in sensors[i] for i in (1, 2, 4))
         for table in ("trace", "dsf"):
             ids = np.loadtxt(result.paths[table], delimiter=",", skiprows=1)[:, 0]
@@ -357,6 +357,39 @@ class TestInputValidation:
         sensors = {s["sensor_id"]: s for s in result.summary["sensors"]}
         assert sensors[3]["error"] == f"3 of 5 training chunks in {tone} can be fit, need >= 4"
         assert len(sensors[3]["skipped_training_chunks"]) == 2
+        assert all("error" not in sensors[i] and "tau" in sensors[i] for i in (1, 2, 4))
+
+    @pytest.mark.parametrize("order", [3, "auto"])
+    def test_dead_training_column_lists_every_chunk_from_one_extraction(
+        self, datasets, tmp_path, monkeypatch, order
+    ):
+        rows = (datasets / "train" / "data.csv").read_text().splitlines()
+        for row in range(1, len(rows)):
+            fields = rows[row].split(",")
+            fields[3] = "0.5"  # sensor_3 is dead in all 100 chunks
+            rows[row] = ",".join(fields)
+        dead = tmp_path / "dead_train.csv"
+        dead.write_text("\n".join(rows) + "\n")
+        calls = []
+
+        def count_calls(samples, config, **kwargs):
+            calls.append(kwargs["sensor_id"])
+            return extract_dsf_stream(samples, config, **kwargs)
+
+        monkeypatch.setattr(pipeline, "extract_dsf_stream", count_calls)
+        config = base_config(datasets, tmp_path / "out", training_csv=str(dead), order=order)
+        result = pipeline.run(config)
+        sensors = {s["sensor_id"]: s for s in result.summary["sensors"]}
+        need = max(2, result.summary["order"])
+        assert sensors[3]["error"] == (
+            f"0 of 100 training chunks in {dead} can be fit, need >= {need}"
+        )
+        skipped = sensors[3]["skipped_training_chunks"]
+        assert [text.split(":")[0] for text in skipped] == [
+            f"sensor 3 chunk {k}" for k in range(1, 101)
+        ]
+        assert all(text.endswith(f"(in {dead})") for text in skipped)
+        assert calls.count(3) == 1  # one extraction of the training file, and no other
         assert all("error" not in sensors[i] and "tau" in sensors[i] for i in (1, 2, 4))
 
     def test_auto_order_with_no_usable_training_column_is_a_config_error(self, datasets, tmp_path):
