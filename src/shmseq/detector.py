@@ -29,7 +29,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DegenerateDelay, DimensionMismatch, NotPositiveDefinite
+from .errors import DegenerateDelay, DimensionMismatch, NonFiniteSignal, NotPositiveDefinite
 
 LOG_2PI = float(np.log(2.0 * np.pi))
 PD_FLOOR = 1e-10  # a covariance is positive definite when its smallest eigenvalue exceeds this
@@ -102,6 +102,21 @@ class GaussianParams:
 
 def _vector(x) -> np.ndarray:
     return np.atleast_1d(np.asarray(x, dtype=float))
+
+
+def _feature_vector(x, dim: int, where: str) -> np.ndarray:
+    """One detector sample as a vector of ``dim`` finite floats.
+
+    Raises ``DimensionMismatch`` for another length and ``NonFiniteSignal``,
+    prefixed with ``where``, for a nan or inf entry, before any arithmetic.
+    """
+    v = _vector(x)
+    if v.size != dim:
+        raise DimensionMismatch(f"point has dimension {v.size}, expected {dim}")
+    if not np.isfinite(v).all():
+        bad = v.size - int(np.count_nonzero(np.isfinite(v)))
+        raise NonFiniteSignal(f"{where}: {bad} of {v.size} features are nan or inf")
+    return v
 
 
 def log_density(params: GaussianParams, x) -> float:
@@ -224,11 +239,12 @@ def update(
     prior: GeometricPrior,
 ) -> DetectorState:
     """Advance the detector by one feature sample and return the new state."""
+    v = _feature_vector(x, g.dim, f"step {state.step + 1}")
     log_odds = (
         float(np.logaddexp(state.log_odds, math.log(prior.rho)))
         - math.log1p(-prior.rho)
-        + log_density(f, x)
-        - log_density(g, x)
+        + log_density(f, v)
+        - log_density(g, v)
     )
     return DetectorState(
         step=state.step + 1, log_odds=log_odds, detection_time=state.detection_time

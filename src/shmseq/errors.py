@@ -10,7 +10,7 @@ class ZeroVariance(ShmSeqError):
 
 
 class NonFiniteSignal(ShmSeqError):
-    """A signal chunk holds nan or inf samples."""
+    """A signal chunk or a detector's feature sample holds nan or inf values."""
 
 
 class SingularDesign(ShmSeqError):

@@ -18,14 +18,15 @@ estimate before thresholding,
     w_nc = ln P(change > N) + sum_{n<=N} ln g(x[n]),
 
 with log posterior odds logsumexp(w_k) - w_nc. Because the estimate moves,
-the known-parameter recursion does not apply. The detector stores no sample:
-a sum of Gaussian log densities is linear in the count, sum x and sum x x' of
-the samples it covers, so it carries those moments for every prefix
-x[1..k-1] and turns the enumeration into one matrix-vector product and one
-logsumexp over N entries per step, O(N m^2) time and memory. The functions
-below score per-sample densities directly (``hypothesis_log_weights``); they
-are the offline reference the detector is tested against, to
-1e-9 max(1, |r|).
+the known-parameter recursion does not apply. The detector stores no sample.
+With y = x - g.mean it forms one moment row [1, y, y y'] per step and keeps
+two sums of it: the cumulative sums over every prefix x[1..k], and the sum
+weighted by Pi(n), from which the estimate is read about g.mean. A sum of
+Gaussian log densities is linear in a prefix's moments, so the enumeration
+becomes one matrix-vector product and one logsumexp over N entries per step,
+O(N m^2) time and memory. The functions below score per-sample densities
+directly (``hypothesis_log_weights``); they are the offline reference the
+detector is tested against, to 1e-9 max(1, |r|).
 """
 
 from __future__ import annotations
@@ -36,12 +37,12 @@ from .detector import (
     LOG_2PI,
     DetectorState,
     GaussianParams,
-    _vector,
+    _feature_vector,
     detect,
     log_density_many,
     log_odds_threshold,
 )
-from .errors import DimensionMismatch, EmptyStream, EstimatesUnready, InsufficientTraining
+from .errors import EmptyStream, EstimatesUnready, InsufficientTraining
 
 RIDGE_SCALE = 1e-6
 RIDGE_FLOOR = 1e-9
@@ -178,26 +179,27 @@ class AdaptiveDetector(DetectorState):
 
     A ``DetectorState`` (same ``step``, ``log_odds``, ``posterior`` and
     ``detection_time``, latched by the same ``detect``) whose f is the
-    running estimate, refreshed through running prior-CDF sums at every
-    step. Until ``warmup`` samples (default m + 1) have arrived the
-    covariance estimate is rank deficient even with the ridge, so detection
-    is suppressed and the log odds held at -inf (posterior 0).
+    running estimate, refreshed at every step. Until ``warmup`` samples
+    (default m + 1) have arrived the covariance estimate is rank deficient
+    even with the ridge, so detection is suppressed and the log odds held at
+    -inf (posterior 0).
 
-    No sample is stored. With y = x - g.mean, row k-1 of ``_prefix`` holds
-    the moments of x[1..k-1]: the count, sum y and sum y y' (row-major).
-    ``_total`` holds those of x[1..N]. The prior is tabled at steps 1..size
-    of the buffers: ``_log_pi[k-1]`` = ln pi(k), ``_cdf[n-1]`` = P(change <=
-    n) and ``_log_tail[n-1]`` = ln P(change > n). A sum of Gaussian log
-    densities is linear in the moments, sum ln p(x[n]) = moments . beta(p),
-    so with delta = beta(f) - beta(g)
+    No sample is stored. Step n forms the moment row r(x[n]) = [1, y, y y']
+    (row-major) with y = x[n] - g.mean. Row k of ``_cum`` holds the sum of
+    r over x[1..k], with row 0 zero, and ``_weighted`` holds the sum of
+    Pi(n) r(x[n]), from which ``raw_estimate`` reads the closed-form
+    estimate about g.mean; a near-constant feature then loses no digits to
+    cancellation. The prior is tabled at steps 1..size of the buffers:
+    ``_log_pi[k-1]`` = ln pi(k), ``_cdf[n-1]`` = P(change <= n) and
+    ``_log_tail[n-1]`` = ln P(change > n). A sum of Gaussian log densities is
+    linear in the moments, sum ln p(x[n]) = moments . beta(p), so with
+    delta = beta(f) - beta(g) and s = cum[0..N] . delta
 
-        r_N = logsumexp(ln pi(k) - prefix[k-1] . delta) + total . delta
-              - ln P(change > N),
+        r_N = logsumexp(ln pi(k) - s[k-1]) + s[N] - ln P(change > N),
 
     one matvec and one logsumexp over N entries per step; g's own density
     cancels. Against enumerating every hypothesis from per-sample densities
     (``hypothesis_log_weights``) the log odds agree to 1e-9 max(1, |r|).
-    ``_total - _prefix[k-1]`` are the suffix sums of x[k..N].
     """
 
     def __init__(
@@ -219,13 +221,10 @@ class AdaptiveDetector(DetectorState):
         if self.warmup < 1:
             raise ValueError(f"warmup must be >= 1, got {self.warmup}")
         m = g.dim
-        self._total = np.zeros(1 + m + m * m)
-        self._prefix = np.empty((0, self._total.size))
+        self._weighted = np.zeros(1 + m + m * m)
+        self._cum = np.zeros((1, self._weighted.size))
         self._grow(64)
         self._beta_g = self._coefficients(g)
-        self._sum_w = 0.0
-        self._sum_wx = np.zeros(m)
-        self._sum_wxx = np.zeros((m, m))
         self._estimate: GaussianParams | None = None
 
     @property
@@ -234,7 +233,7 @@ class AdaptiveDetector(DetectorState):
 
     @property
     def sum_w(self) -> float:
-        return self._sum_w
+        return float(self._weighted[0])
 
     @property
     def params_estimate(self) -> GaussianParams:
@@ -243,12 +242,14 @@ class AdaptiveDetector(DetectorState):
         return self._estimate
 
     def raw_estimate(self) -> tuple[np.ndarray, np.ndarray]:
-        """Current (mu_hat, pre-ridge Sigma_hat) from the running sums."""
-        if self._sum_w <= 0.0:
+        """Current (mu_hat, pre-ridge Sigma_hat) from the prior-weighted moments."""
+        sum_w = self.sum_w
+        if sum_w <= 0.0:
             raise EmptyStream("no samples ingested yet")
-        mu = self._sum_wx / self._sum_w
-        cov = self._sum_wxx / self._sum_w - np.outer(mu, mu)
-        return mu, 0.5 * (cov + cov.T)
+        m = self.g.dim
+        dy = self._weighted[1 : m + 1] / sum_w  # mu_hat - g.mean
+        cov = self._weighted[m + 1 :].reshape(m, m) / sum_w - np.outer(dy, dy)
+        return self.g.mean + dy, 0.5 * (cov + cov.T)
 
     def _coefficients(self, params: GaussianParams) -> np.ndarray:
         """beta(params): sum_n ln p(x[n]) = moments . beta over any run of samples."""
@@ -263,10 +264,10 @@ class AdaptiveDetector(DetectorState):
         )
 
     def _grow(self, size: int) -> None:
-        """Make room for ``size`` steps: prefix rows and the prior tables."""
-        prefix = np.empty((size, self._total.size))
-        prefix[: self.step] = self._prefix[: self.step]
-        self._prefix = prefix
+        """Make room for ``size`` steps: cumulative rows 0..size and the prior tables."""
+        cum = np.empty((size + 1, self._weighted.size))
+        cum[: self.step + 1] = self._cum[: self.step + 1]
+        self._cum = cum
         k = np.arange(1, size + 1)
         self._log_pi = self.prior.log_mass(k)
         self._cdf = self.prior.cdf(k)
@@ -274,31 +275,23 @@ class AdaptiveDetector(DetectorState):
 
     def update(self, x) -> float:
         """Ingest one feature sample; return the current posterior."""
-        v = _vector(x)
-        if v.size != self.g.dim:
-            raise DimensionMismatch(f"point has dimension {v.size}, expected {self.g.dim}")
         n = self.step
-        if n == self._prefix.shape[0]:
+        v = _feature_vector(x, self.g.dim, f"sensor {self.sensor_id} step {n + 1}")
+        if n + 1 == self._cum.shape[0]:
             self._grow(2 * n)
-        self._prefix[n] = self._total
         y = v - self.g.mean
-        self._total[0] += 1.0
-        self._total[1 : y.size + 1] += y
-        self._total[y.size + 1 :] += np.outer(y, y).ravel()
-        pi_n = float(self._cdf[n])
+        row = np.concatenate(([1.0], y, np.outer(y, y).ravel()))
+        np.add(self._cum[n], row, out=self._cum[n + 1])
+        self._weighted += float(self._cdf[n]) * row
         self.step = n = n + 1
-        self._sum_w += pi_n
-        self._sum_wx += pi_n * v
-        self._sum_wxx += pi_n * np.outer(v, v)
 
         if self.is_ready:
             mu, cov = self.raw_estimate()
             self._estimate = GaussianParams._trusted(mu, ridge_regularize(cov))
             delta = self._coefficients(self._estimate) - self._beta_g
+            s = self._cum[: n + 1] @ delta
             self.log_odds = (
-                logsumexp(self._log_pi[:n] - self._prefix[:n] @ delta)
-                + float(self._total @ delta)
-                - float(self._log_tail[n - 1])
+                logsumexp(self._log_pi[:n] - s[:n]) + float(s[n]) - float(self._log_tail[n - 1])
             )
         detect(self, self.alpha)
         return self.posterior

@@ -145,6 +145,26 @@ def _require_samples(m_len: int, p: int) -> None:
         raise ValueError(f"need more than {p + 1} samples to fit AR({p}), got {m_len}")
 
 
+def _ranked(gram: np.ndarray, rows: np.ndarray | slice = slice(None)):
+    """The numerical rank of each (p, p) Gram matrix in gram[rows], and gram ready to solve.
+
+    The rank counts the eigenvalues above ``SINGULAR_RATIO`` times the
+    largest, so it is below p exactly when lambda_min <= ``SINGULAR_RATIO``
+    * lambda_max. When one is, a copy of gram is returned in which each such
+    matrix is the identity, so that a stacked solve cannot fail on it.
+    """
+    p = gram.shape[-1]
+    eig = np.linalg.eigvalsh(gram[rows])
+    singular = eig[:, 0] <= SINGULAR_RATIO * eig[:, -1]
+    rank = np.full(len(eig), p)
+    if singular.any():
+        low = eig[singular]
+        rank[singular] = np.count_nonzero(low > SINGULAR_RATIO * low[:, -1:], axis=1)
+        gram = gram.copy()
+        gram[np.arange(len(gram))[rows][singular]] = np.eye(p)
+    return rank, gram
+
+
 def _fit_stack(
     z: np.ndarray, p: int, with_rss: bool = False
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
@@ -153,8 +173,7 @@ def _fit_stack(
     Row k is fitted as ``fit_ar`` describes, through its normal equations:
     the (K, p, p) Gram matrices of the lag regressors are formed with one
     batched product and solved with one ``np.linalg.solve``. Returns the
-    (K, p) coefficients, each row's numerical rank (the number of Gram
-    eigenvalues above ``SINGULAR_RATIO`` times the largest) and, with
+    (K, p) coefficients, each row's numerical rank (``_ranked``) and, with
     ``with_rss``, each row's residual sum of squares, from explicit
     residuals. A row of rank < p is singular; its coefficients are
     meaningless.
@@ -167,14 +186,7 @@ def _fit_stack(
         lags[:, j, p - 1 :] = z[:, p - 1 - j : m_len - 1 - j]
     design = lags[:, :, p - 1 :]
     target = z[:, p:, None]
-    gram = design @ design.transpose(0, 2, 1)
-    eig = np.linalg.eigvalsh(gram)
-    singular = eig[:, 0] <= SINGULAR_RATIO * eig[:, -1]
-    rank = np.full(len(z), p)
-    if singular.any():
-        low = eig[singular]
-        rank[singular] = np.count_nonzero(low > SINGULAR_RATIO * low[:, -1:], axis=1)
-        gram[singular] = np.eye(p)  # so that the stacked solve cannot fail on them
+    rank, gram = _ranked(design @ design.transpose(0, 2, 1))
     coef = np.linalg.solve(gram, design @ target)
     if not with_rss:
         return coef[:, :, 0], rank, None
@@ -195,7 +207,7 @@ def _aic_curves(z: np.ndarray, p_max: int) -> tuple[np.ndarray, np.ndarray]:
     ``SINGULAR_RATIO`` * (lambda_max + the squared norms of the added
     rows): adding rows only raises lambda_min and raises lambda_max by at
     most that sum (interlacing). Only rows that fail this screen get one
-    ``eigvalsh`` per order, and their ranks use ``_fit_stack``'s rule. A
+    ``eigvalsh`` per order, and their ranks use ``_ranked``'s rule. A
     full-rank fit whose RSS cancels (see ``RSS_CANCEL``) takes its RSS from
     ``_fit_stack`` instead.
     """
@@ -216,12 +228,7 @@ def _aic_curves(z: np.ndarray, p_max: int) -> tuple[np.ndarray, np.ndarray]:
             cross[:, : p + 1, : p + 1] += row[:, :, None] * row[:, None, :]
         gram, c = cross[:, 1 : p + 1, 1 : p + 1], cross[:, 1 : p + 1, 0]
         if unscreened.size:
-            low = np.linalg.eigvalsh(gram[unscreened])
-            ranks[unscreened, p - 1] = np.count_nonzero(low > SINGULAR_RATIO * low[:, -1:], axis=1)
-            singular = unscreened[ranks[unscreened, p - 1] < p]
-            if singular.size:
-                gram = gram.copy()
-                gram[singular] = np.eye(p)  # so that the stacked solve cannot fail on them
+            ranks[unscreened, p - 1], gram = _ranked(gram, unscreened)
         beta = np.linalg.solve(gram, c[:, :, None])[:, :, 0]
         yy = cross[:, 0, 0]
         rss = yy - np.einsum("kp,kp->k", c, beta)

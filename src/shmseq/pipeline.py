@@ -294,7 +294,12 @@ def run(config: PipelineConfig) -> RunResult:
         os.makedirs(config.output_dir, exist_ok=True)
     train_time, train_signals = read_signal_csv(config.training_csv)
     interval = _sample_interval(train_time) if train_time.size > 1 else None
-    _, input_signals = read_signal_csv(config.input_csv, interval)
+    input_time, input_signals = read_signal_csv(config.input_csv, interval)
+    if input_time.size < config.chunk_size:
+        raise ConfigError(
+            f"{config.input_csv} has {input_time.size} samples, fewer than one chunk of"
+            f" {config.chunk_size}"
+        )
     _require_columns(train_signals, input_signals, "training data")
     post_signals = None
     if config.mode == "known":

@@ -1,6 +1,7 @@
 """Tests for the sequential Bayesian change detector."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -15,7 +16,7 @@ from shmseq.detector import (
     log_density,
     update,
 )
-from shmseq.errors import DegenerateDelay, DimensionMismatch, NotPositiveDefinite
+from shmseq.errors import DegenerateDelay, DimensionMismatch, NonFiniteSignal, NotPositiveDefinite
 
 from helpers import brute_posterior, naive_logpdf, random_spd
 
@@ -163,6 +164,18 @@ class TestUpdate:
         s1 = run_stream(xs, g, f, prior)
         s2 = run_stream(xs @ a.T + b, g2, f2, prior)
         assert abs(s1.posterior - s2.posterior) < 1e-8
+
+    @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+    def test_non_finite_sample_rejected_naming_its_step(self, bad):
+        g = GaussianParams(np.zeros(2), np.eye(2))
+        f = GaussianParams(np.ones(2), np.eye(2))
+        state = run_stream(np.zeros((3, 2)), g, f, GeometricPrior(0.1))
+        before = (state.step, state.log_odds, state.detection_time)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # no RuntimeWarning on the way
+            with pytest.raises(NonFiniteSignal, match=r"^step 4: 1 of 2 features are nan or inf$"):
+                update(state, [0.5, bad], g, f, GeometricPrior(0.1))
+        assert (state.step, state.log_odds, state.detection_time) == before
 
 
 class TestDetect:

@@ -1,5 +1,7 @@
 """Tests for post-change parameter estimation and the adaptive detector."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -12,7 +14,13 @@ from shmseq.detector import (
     log_density_many,
     update,
 )
-from shmseq.errors import DimensionMismatch, EmptyStream, EstimatesUnready, InsufficientTraining
+from shmseq.errors import (
+    DimensionMismatch,
+    EmptyStream,
+    EstimatesUnready,
+    InsufficientTraining,
+    NonFiniteSignal,
+)
 from shmseq.estimator import (
     AdaptiveDetector,
     estimate_params,
@@ -68,6 +76,22 @@ class TestEstimateParams:
         assert abs(det.sum_w - den_o) < 1e-10
         assert np.abs(mu - mu_o).max() < 1e-10
         assert np.abs(cov - cov_o).max() < 1e-10
+
+    def test_running_sums_keep_digits_of_a_feature_far_from_zero(self):
+        """Mean/spread ~1e4, as AR coefficients are: no cancellation in Sigma_hat."""
+        rng = np.random.default_rng(11)
+        prior = GeometricPrior(0.05)
+        mean = np.array([0.9, -0.6])
+        xs = mean + 1e-4 * rng.normal(size=(60, 2))
+        det = AdaptiveDetector(GaussianParams(mean, 1e-8 * np.eye(2)), prior, 0.5)
+        for row in xs:
+            det.update(row)
+        w = prior.cdf(np.arange(1, 61))
+        mu_o = (w @ xs) / w.sum()  # two-pass oracle: the mean, then the spread about it
+        cov_o = ((xs - mu_o).T * w) @ (xs - mu_o) / w.sum()
+        mu, cov = det.raw_estimate()
+        assert np.abs(mu - mu_o).max() <= 1e-14
+        assert np.abs(cov - cov_o).max() <= 1e-12 * np.abs(cov_o).max()
 
     def test_point_mass_at_one_is_plain_mle(self):
         rng = np.random.default_rng(5)
@@ -232,6 +256,29 @@ class TestAdaptiveDetector:
             with pytest.raises(DimensionMismatch):
                 det.update(x)
         assert det.step == 0 and det.sum_w == 0.0
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_sample_rejected_before_any_state_changes(self, bad):
+        rng = np.random.default_rng(4)
+        g = GaussianParams(np.zeros(2), np.eye(2))
+        xs = rng.normal(size=(6, 2))
+        det = AdaptiveDetector(g, GeometricPrior(0.01), 1e-3, sensor_id=7)
+        clean = AdaptiveDetector(g, GeometricPrior(0.01), 1e-3, sensor_id=7)
+        for row in xs[:3]:
+            det.update(row)
+            clean.update(row)
+        before = (det.step, det.log_odds, det.sum_w, *det.raw_estimate())
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # no RuntimeWarning on the way
+            with pytest.raises(
+                NonFiniteSignal, match=r"^sensor 7 step 4: 1 of 2 features are nan or inf$"
+            ):
+                det.update([bad, 0.0])
+        after = (det.step, det.log_odds, det.sum_w, *det.raw_estimate())
+        assert all(np.array_equal(a, b) for a, b in zip(after, before))
+        for row in xs[3:]:  # the stream goes on as if the bad sample never came
+            assert det.update(row) == clean.update(row)
+            assert np.isfinite(det.log_odds) and det.log_odds == clean.log_odds
 
     def test_detects_strong_change_after_true_step(self):
         g = GaussianParams([0.0], [[1.0]])

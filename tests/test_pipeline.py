@@ -417,6 +417,25 @@ class TestInputValidation:
             [skipped] = sensor["skipped_training_chunks"]
             assert skipped.startswith(f"sensor {sensor['sensor_id']} chunk 1: 1 of 400 samples")
 
+    def test_input_shorter_than_one_chunk_exits_1_before_any_sensor_work(
+        self, datasets, tmp_path, capsys, monkeypatch
+    ):
+        rows = (datasets / "damaged" / "data.csv").read_text().splitlines()
+        short = tmp_path / "short.csv"
+        short.write_text("\n".join(rows[: 1 + 200]) + "\n")
+        monkeypatch.setattr(pipeline, "_process_sensor", None)  # the work would fail loudly
+        code = cli.main([
+            "run",
+            "--input", str(short),
+            "--training", str(datasets / "train" / "data.csv"),
+            "--chunk-size", "400",
+            "--out", str(tmp_path / "out"),
+        ])
+        err = capsys.readouterr().err.splitlines()
+        assert code == 1
+        assert err == [f"error: {short} has 200 samples, fewer than one chunk of 400"], err
+        assert not (tmp_path / "out" / "trace.csv").exists()
+
     def test_byte_order_mark_is_ignored(self, tmp_path):
         plain, marked = tmp_path / "plain.csv", tmp_path / "marked.csv"
         text = "time,sensor_1,sensor_2\n0.0,1.0,-2.5\n0.02,3.0,4.0\n"
