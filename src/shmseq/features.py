@@ -290,11 +290,13 @@ def fit_ar(normalized: np.ndarray, p: int) -> ArModel:
     matrix is at most ``SINGULAR_RATIO`` times the largest, i.e. when its
     condition number is 1e5 or more. That is stricter than an SVD rank at
     machine precision, which the Gram matrix cannot give without an SVD of
-    its own.
+    its own. A nan or inf sample raises NonFiniteSignal.
     """
     x = np.asarray(normalized, dtype=float).ravel()
     if p < 1:
         raise ValueError("AR order must be >= 1")
+    if not np.isfinite(x).all():
+        raise _standardize_error(x)
     coef, rank, rss = _fit_stack(x[None, :], p, with_rss=True)
     if rank[0] < p:
         raise _singular(int(rank[0]), p)

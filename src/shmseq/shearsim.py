@@ -211,14 +211,13 @@ def _zoh_system(model: ShearFrameModel, k_mat: np.ndarray, dt: float):
     return ad, bd, a[s:], m_inv
 
 
-def _lti_response_loop(ad, bd, cd, dd, forces, x0):
-    n = forces.shape[0]
+def _lti_response_loop(ad, bd, cd, dd, source, out, x0):
     x = x0.copy()
-    out = np.empty((n, cd.shape[0]))
-    for i in range(n):
-        out[i] = cd @ x + dd @ forces[i]
-        x = ad @ x + bd @ forces[i]
-    return out, x
+    for lo in range(0, len(out), BLOCK):
+        for i, u in enumerate(source(min(BLOCK, len(out) - lo)), start=lo):
+            out[i] = cd @ x + dd @ u
+            x = ad @ x + bd @ u
+    return x
 
 
 SCAN = 32  # sub-block length of the first-order scan
@@ -265,64 +264,69 @@ def _scan(u: np.ndarray, z0: np.ndarray, tables) -> np.ndarray:
     return np.concatenate([states.reshape(modes, n), starts[:, blocks:]], axis=1)
 
 
-def _lti_response(ad, bd, cd, dd, forces, x0):
-    """Run x[n+1] = Ad x[n] + Bd u[n], y[n] = Cd x[n] + Dd u[n] over all samples.
+def _lti_response(ad, bd, cd, dd, source, out, x0):
+    """Run x[n+1] = Ad x[n] + Bd u[n], y[n] = Cd x[n] + Dd u[n] over the rows of ``out``.
 
-    The recursion is diagonalized, Ad = V diag(lambda) V^-1, so each mode
-    z = V^-1 x is a scalar recursion, run by ``_scan``. Ad is real, so
-    LAPACK returns its complex eigenpairs as exact conjugates, and only the
-    modes with imag(lambda) >= 0 are run: x = Re(V_keep (weight z)), with
-    weight 2 for a complex mode (it stands for its twin too) and 1 for a
-    real one. Cd is folded into that basis. The forces are projected,
-    scanned and turned into outputs BLOCK rows at a time, the last block
-    padded with zeros, so memory beyond the output is O(BLOCK) and every
-    array has the same shape whatever the length: the outputs of a force
-    history are bit for bit a prefix of those of any longer one.
-    The plain loop runs instead when ``eig`` fails or cond(V) > 1e10.
-    Returns (outputs, final state).
+    The forces u come from ``source``, a callable that returns the next
+    ``rows`` force rows, in order, each time it is called (see
+    ``_array_source``); the outputs y are written into ``out``, which may
+    be a strided view, and the final state is returned. The recursion is
+    diagonalized, Ad = V diag(lambda) V^-1, so each mode z = V^-1 x is a
+    scalar recursion, run by ``_scan``. Ad is real, so LAPACK returns its
+    complex eigenpairs as exact conjugates, and only the modes with
+    imag(lambda) >= 0 are run: x = Re(V_keep (weight z)), with weight 2 for
+    a complex mode (it stands for its twin too) and 1 for a real one. Cd is
+    folded into that basis. The forces are pulled, projected, scanned and
+    turned into outputs BLOCK rows at a time, the last block padded with
+    zeros, so memory beyond ``out`` is O(BLOCK) and every array has the
+    same shape whatever the length: the outputs of a force history are bit
+    for bit a prefix of those of any longer one. The plain loop runs
+    instead when ``eig`` fails or cond(V) > 1e10.
     """
     try:
         evals, vecs = np.linalg.eig(ad)
     except np.linalg.LinAlgError:
-        return _lti_response_loop(ad, bd, cd, dd, forces, x0)
+        return _lti_response_loop(ad, bd, cd, dd, source, out, x0)
     if np.linalg.cond(vecs) > 1e10:
-        return _lti_response_loop(ad, bd, cd, dd, forces, x0)
+        return _lti_response_loop(ad, bd, cd, dd, source, out, x0)
     keep = evals.imag >= 0
     to_modal = np.linalg.inv(vecs)[keep]
     basis = vecs[:, keep] * np.where(evals[keep].imag > 0, 2.0, 1.0)
     project, observe = to_modal @ bd, cd @ basis
     tables = _scan_tables(evals[keep], BLOCK)
     z = to_modal @ x0
-    n = forces.shape[0]
-    out = np.empty((n, cd.shape[0]))
-    block = np.zeros((BLOCK, forces.shape[1]))
+    n = len(out)
+    block = np.zeros((BLOCK, bd.shape[1]))
     for lo in range(0, n, BLOCK):
         rows = min(BLOCK, n - lo)
-        block[:rows] = forces[lo : lo + rows]
+        block[:rows] = source(rows)
         block[rows:] = 0.0
         states = _scan(project @ block.T, z, tables)
         z = states[:, rows]
         out[lo : lo + rows] = ((observe @ states[:, :BLOCK]).real.T + block @ dd.T)[:rows]
-    return out, (basis @ z).real
+    return (basis @ z).real
 
 
-def response_to_forces(
-    model: ShearFrameModel,
-    scenario: DamageScenario,
-    forces: np.ndarray,
-    sample_rate: float,
-    chunk_size: int,
-) -> np.ndarray:
-    """Absolute story accelerations under a given force history.
+def _array_source(forces: np.ndarray):
+    """A force source over the rows of ``forces``: each call returns the next ``rows`` rows."""
+    rows_read = 0
+
+    def source(rows: int) -> np.ndarray:
+        nonlocal rows_read
+        rows_read += rows
+        return forces[rows_read - rows : rows_read]
+
+    return source
+
+
+def _respond(model, scenario, source, out, sample_rate: float, chunk_size: int) -> None:
+    """Write into ``out`` (n, stories) the absolute story accelerations driven by ``source``.
 
     The stiffness matrix switches to the damaged one at the first sample of
-    chunk ``lambda_chunk``; the state carries over continuously. The force
-    array has one column per story.
+    chunk ``lambda_chunk``; the state carries over continuously, and the
+    force rows are pulled in order across the switch.
     """
-    forces = np.atleast_2d(np.asarray(forces, dtype=float))
-    n = forces.shape[0]
-    if forces.shape[1] != model.stories:
-        raise ConfigError("force history needs one column per story")
+    n = len(out)
     switch, k_damaged = n, model.stiffnesses
     if scenario.is_damaged:
         if n < scenario.lambda_chunk * chunk_size:
@@ -336,12 +340,32 @@ def response_to_forces(
         k_damaged = model.stiffnesses.copy()
         k_damaged[scenario.story - 1] *= scenario.retention
 
-    out = np.empty((n, model.stories))
     x = np.zeros(2 * model.stories)
     for k, lo, hi in ((model.stiffnesses, 0, switch), (k_damaged, switch, n)):
         if lo < hi:  # an empty segment builds no system
             system = _zoh_system(model, model.stiffness_matrix(k), 1.0 / sample_rate)
-            out[lo:hi], x = _lti_response(*system, forces[lo:hi], x)
+            x = _lti_response(*system, source, out[lo:hi], x)
+
+
+def response_to_forces(
+    model: ShearFrameModel,
+    scenario: DamageScenario,
+    forces: np.ndarray,
+    sample_rate: float,
+    chunk_size: int,
+) -> np.ndarray:
+    """Absolute story accelerations under a given force history.
+
+    The stiffness matrix switches to the damaged one at the first sample of
+    chunk ``lambda_chunk``; the state carries over continuously. The force
+    array has one column per story; the returned (n, stories) array is the
+    only n-sized array made, the forces being read 8192 rows at a time.
+    """
+    forces = np.atleast_2d(np.asarray(forces, dtype=float))
+    if forces.shape[1] != model.stories:
+        raise ConfigError("force history needs one column per story")
+    out = np.empty((forces.shape[0], model.stories))
+    _respond(model, scenario, _array_source(forces), out, sample_rate, chunk_size)
     return out
 
 
@@ -394,7 +418,15 @@ def simulate(
 
     Independent white-noise forces per story, deterministic given the seed;
     each sensor reports its story's absolute acceleration plus measurement
-    noise scaled to ``noise_snr_db`` below the per-channel RMS.
+    noise scaled to ``noise_snr_db`` below the per-channel RMS. The
+    (n, stories * sensors_per_story) signal array is allocated once: the
+    forces are drawn and the response written into each story's first
+    sensor column ``BLOCK`` rows at a time, and the other sensors' copies
+    and every column's noise are added in blocks too. Beyond the returned
+    signals and times, the peak holds one n-float column (the square taken
+    for a story's RMS) and O(BLOCK) work arrays. Drawn in blocks in the same
+    order, the numbers are those of one whole-record draw: the forces
+    (n, stories) first, then the noise one sensor column after the other.
     """
     if chunk_size < 2:
         raise ConfigError("chunk_size must be >= 2")
@@ -404,21 +436,31 @@ def simulate(
     if n < chunk_size:
         raise ConfigError("duration shorter than a single chunk")
     rng = np.random.default_rng(excitation.seed)
-    forces = rng.normal(0.0, excitation.intensity, size=(n, model.stories)) if excitation.intensity > 0 else np.zeros((n, model.stories))
-    accel = response_to_forces(model, scenario, forces, excitation.sample_rate, chunk_size)
-    del forces  # as large as the response: freed before the signals are made
+    spp, width = sensors_per_story, model.stories * sensors_per_story
 
-    signals = np.repeat(accel, sensors_per_story, axis=1)
-    stories = np.repeat(np.arange(1, model.stories + 1), sensors_per_story).tolist()
+    def forces(rows: int) -> np.ndarray:
+        if excitation.intensity > 0:
+            return rng.normal(0.0, excitation.intensity, size=(rows, model.stories))
+        return np.zeros((rows, model.stories))
+
+    signals = np.empty((n, width))
+    _respond(model, scenario, forces, signals[:, ::spp], excitation.sample_rate, chunk_size)
+    for lo in range(0, n, BLOCK):  # each story's other sensors copy its first one
+        block = signals[lo : lo + BLOCK].reshape(-1, model.stories, spp)
+        block[:, :, 1:] = block[:, :, :1]
     if excitation.noise_snr_db is not None:
-        rms = [float(np.sqrt(np.mean(accel[:, j] ** 2))) for j in range(model.stories)]
-        for col, story in enumerate(stories):  # one draw per sensor, in column order
-            if rms[story - 1] > 0.0:
-                std = rms[story - 1] * 10.0 ** (-excitation.noise_snr_db / 20.0)
-                signals[:, col] += rng.normal(0.0, std, size=n)
-
+        rms = [float(np.sqrt(np.mean(signals[:, col] ** 2))) for col in range(0, width, spp)]
+        for col in range(width):  # one draw per sensor, in column order
+            if rms[col // spp] > 0.0:
+                std = rms[col // spp] * 10.0 ** (-excitation.noise_snr_db / 20.0)
+                for lo in range(0, n, BLOCK):
+                    rows = min(BLOCK, n - lo)
+                    signals[lo : lo + rows, col] += rng.normal(0.0, std, size=rows)
+    time = np.arange(n, dtype=float)
+    time /= excitation.sample_rate
+    stories = np.repeat(np.arange(1, model.stories + 1), spp).tolist()
     return SimulationResult(
-        time=np.arange(n) / excitation.sample_rate,
+        time=time,
         signals=signals,
         sensor_ids=list(range(1, len(stories) + 1)),
         sensor_stories=stories,

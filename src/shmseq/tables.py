@@ -48,9 +48,11 @@ def read_signal_csv(
     """Strict reader for `time,sensor_<id>,...` files; errors cite the row.
 
     After the header checks the data rows are parsed by one ``np.loadtxt``
-    call. When that raises, warns or finds another column count than the
-    header's, the file is read again row by row with ``float``, which also
-    takes quoted cells, ``1_0`` and blank lines, and cites the first bad row.
+    call on the path, whose C reader takes the file in blocks, skipping its
+    first line. When that raises, warns or finds another column count than
+    the header's (as for a header with a quoted line break), the file is
+    read again row by row with ``float``, which also takes quoted cells,
+    ``1_0`` and blank lines, and cites the first bad row.
 
     The time column must be finite and strictly increasing, and every time
     step must lie within ``TIME_TOL`` of the sample interval: the median
@@ -78,7 +80,10 @@ def read_signal_csv(
         try:
             with warnings.catch_warnings():
                 warnings.simplefilter("error")
-                data = np.loadtxt(fh, delimiter=",", comments=None, ndmin=2, dtype=float)
+                data = np.loadtxt(
+                    path, delimiter=",", comments=None, ndmin=2, dtype=float,
+                    skiprows=1, encoding="utf-8-sig",
+                )
         except Exception:  # anything loadtxt rejects, the row loop below cites or accepts
             data = None
         if data is None or data.shape[1] != len(header):

@@ -2,10 +2,14 @@
 
 The oracles deliberately avoid the library's computation paths: densities
 use the explicit inverse/determinant formula, posteriors are enumerated in
-the linear domain, and the estimator identity is the literal double sum.
+the linear domain, the estimator identity is the literal double sum, and
+the simulator's reference draws every random number for the whole record
+at once.
 """
 
 import numpy as np
+
+from shmseq.shearsim import response_to_forces
 
 
 def gen_ar(coefs, n, rng, burn=500, scale=1.0):
@@ -73,3 +77,29 @@ def uniform_building_frequencies(stories, mass, stiffness):
     j = np.arange(1, stories + 1)
     omega = 2.0 * np.sqrt(stiffness / mass) * np.sin((2 * j - 1) * np.pi / (2 * (2 * stories + 1)))
     return omega / (2.0 * np.pi)
+
+
+def whole_record_simulation(model, scenario, excitation, chunk_size, sensors_per_story):
+    """(time, signals) of ``simulate``, with each random draw made for the whole record.
+
+    The forces (n, stories) are drawn at once and passed to
+    ``response_to_forces``; each story's response is repeated for its
+    sensors, then each sensor column gets an n-sample noise draw, in column
+    order, scaled to the story's RMS.
+    """
+    n = excitation.n_samples
+    rng = np.random.default_rng(excitation.seed)
+    if excitation.intensity > 0:
+        forces = rng.normal(0.0, excitation.intensity, size=(n, model.stories))
+    else:
+        forces = np.zeros((n, model.stories))
+    accel = response_to_forces(model, scenario, forces, excitation.sample_rate, chunk_size)
+    signals = np.repeat(accel, sensors_per_story, axis=1)
+    if excitation.noise_snr_db is not None:
+        rms = [float(np.sqrt(np.mean(accel[:, j] ** 2))) for j in range(model.stories)]
+        for col in range(signals.shape[1]):
+            story_rms = rms[col // sensors_per_story]
+            if story_rms > 0.0:
+                std = story_rms * 10.0 ** (-excitation.noise_snr_db / 20.0)
+                signals[:, col] += rng.normal(0.0, std, size=n)
+    return np.arange(n) / excitation.sample_rate, signals

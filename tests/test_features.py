@@ -85,6 +85,15 @@ class TestFitAr:
         with pytest.raises(SingularDesign):
             fit_ar(x, 2)
 
+    @pytest.mark.parametrize("cell", [np.nan, np.inf])
+    def test_non_finite_sample_raises_without_a_warning(self, cell):
+        x = normalize_chunk(chunk(gen_ar([0.5, -0.3], 400, np.random.default_rng(7))))
+        x[123] = cell
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NonFiniteSignal, match=r"^1 of 400 samples are nan or inf$"):
+                fit_ar(x, 2)
+
     def test_singularity_floor(self):
         rng = np.random.default_rng(6)
         tone = np.sin(0.3 * np.arange(400))

@@ -1,5 +1,6 @@
 """End-to-end pipeline and CLI tests on small synthetic scenarios."""
 
+import csv
 import json
 import math
 import os
@@ -10,7 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from shmseq import cli, features, pipeline
+from shmseq import cli, features, pipeline, tables
 from shmseq.detector import DetectorState, GeometricPrior, update
 from shmseq.errors import ConfigError
 from shmseq.estimator import AdaptiveDetector, fit_predamage
@@ -462,6 +463,52 @@ class TestInputValidation:
         assert np.array_equal(time, strict_time)
         assert list(signals) == list(strict_signals)
         assert all(np.array_equal(signals[c], strict_signals[c]) for c in signals)
+
+    @staticmethod
+    def _loadtxt_outcomes(monkeypatch):
+        """Record what each ``np.loadtxt`` call returned (an array) or raised (its type)."""
+        outcomes, loadtxt = [], np.loadtxt
+
+        def recording(*args, **kwargs):
+            try:
+                outcomes.append(loadtxt(*args, **kwargs))
+            except Exception as err:
+                outcomes.append(type(err))
+                raise
+            return outcomes[-1]
+
+        monkeypatch.setattr(np, "loadtxt", recording)
+        return outcomes
+
+    @staticmethod
+    def _row_loop(path):
+        with open(path, newline="", encoding="utf-8-sig") as fh:
+            reader = csv.reader(fh)
+            return tables._read_rows(path, reader, len(next(reader)))
+
+    def test_crlf_file_parses_in_one_call(self, datasets, tmp_path, monkeypatch):
+        text = (datasets / "damaged" / "data.csv").read_text()
+        path = tmp_path / "crlf.csv"
+        path.write_bytes(text.replace("\n", "\r\n").encode())
+        outcomes = self._loadtxt_outcomes(monkeypatch)
+        time, signals = read_signal_csv(path)
+        rows = self._row_loop(path)
+        assert len(outcomes) == 1 and outcomes[0].shape == rows.shape
+        assert np.array_equal(time, rows[:, 0])
+        assert list(signals) == ["sensor_1", "sensor_2", "sensor_3", "sensor_4"]
+        assert all(np.array_equal(signals[c], rows[:, j]) for j, c in enumerate(signals, start=1))
+
+    def test_header_with_a_quoted_line_break_falls_back_to_the_row_loop(self, tmp_path, monkeypatch):
+        path = tmp_path / "quoted.csv"
+        path.write_text('time,"sensor_1\n",sensor_2\n0.0,1.0,-2.5\n0.02,3.0,4.0\n0.04,5.0,6.5\n')
+        outcomes = self._loadtxt_outcomes(monkeypatch)
+        time, signals = read_signal_csv(path)
+        rows = self._row_loop(path)
+        assert len(outcomes) == 1 and outcomes[0] is ValueError  # its second line is no data row
+        assert rows.tolist() == [[0.0, 1.0, -2.5], [0.02, 3.0, 4.0], [0.04, 5.0, 6.5]]
+        assert np.array_equal(time, rows[:, 0])
+        assert list(signals) == ["sensor_1", "sensor_2"]
+        assert all(np.array_equal(signals[c], rows[:, j]) for j, c in enumerate(signals, start=1))
 
     def test_cells_only_the_row_loop_takes_still_parse(self, tmp_path):
         text = 'time,sensor_1\n0.0,"1.5"\n\n0.02,1_0\n'

@@ -15,6 +15,7 @@ from shmseq.shearsim import (
     Excitation,
     ShearFrameModel,
     SimulationResult,
+    _array_source,
     _lti_response,
     _lti_response_loop,
     _zoh_system,
@@ -23,11 +24,18 @@ from shmseq.shearsim import (
     simulate,
 )
 
-from helpers import uniform_building_frequencies
+from helpers import uniform_building_frequencies, whole_record_simulation
 
 
 def default_model(zeta=0.02):
     return ShearFrameModel.uniform(4, 1000.0, 3.28e5, zeta=zeta)
+
+
+def respond(kernel, ad, bd, cd, dd, forces, x0):
+    """(outputs, final state) of ``kernel`` driven by the rows of ``forces``."""
+    out = np.empty((len(forces), cd.shape[0]))
+    x = kernel(ad, bd, cd, dd, _array_source(forces), out, x0)
+    return out, x
 
 
 class TestModal:
@@ -74,8 +82,8 @@ class TestIntegration:
         rng = np.random.default_rng(3)
         forces = rng.normal(0.0, 50.0, size=(400, 4))
         x0 = np.zeros(8)
-        fast, x_fast = _lti_response(*system, forces, x0)
-        slow, x_slow = _lti_response_loop(*system, forces, x0)
+        fast, x_fast = respond(_lti_response, *system, forces, x0)
+        slow, x_slow = respond(_lti_response_loop, *system, forces, x0)
         scale = np.abs(slow).max()
         assert np.abs(fast - slow).max() < 1e-9 * scale
         assert np.abs(x_fast - x_slow).max() < 1e-9 * max(1.0, np.abs(x_slow).max())
@@ -86,8 +94,8 @@ class TestIntegration:
         rng = np.random.default_rng(4)
         forces = rng.normal(0.0, 50.0, size=(6000, 4))
         x0 = rng.normal(0.0, 0.01, size=8)
-        fast, x_fast = _lti_response(*system, forces, x0)
-        slow, x_slow = _lti_response_loop(*system, forces, x0)
+        fast, x_fast = respond(_lti_response, *system, forces, x0)
+        slow, x_slow = respond(_lti_response_loop, *system, forces, x0)
         assert np.abs(fast - slow).max() < 1e-9 * np.abs(slow).max()
         assert np.abs(x_fast - x_slow).max() < 1e-9 * max(1.0, np.abs(x_slow).max())
 
@@ -103,8 +111,8 @@ class TestIntegration:
         bd, cd, dd = rng.normal(size=(3, 2)), rng.normal(size=(2, 3)), rng.normal(size=(2, 2))
         forces = rng.normal(size=(5000, 2))
         x0 = np.array([0.5, -1.0, 2.0])
-        fast, x_fast = _lti_response(ad, bd, cd, dd, forces, x0)
-        slow, x_slow = _lti_response_loop(ad, bd, cd, dd, forces, x0)
+        fast, x_fast = respond(_lti_response, ad, bd, cd, dd, forces, x0)
+        slow, x_slow = respond(_lti_response_loop, ad, bd, cd, dd, forces, x0)
         assert np.abs(fast - slow).max() < 1e-9 * np.abs(slow).max()
         assert np.abs(x_fast - x_slow).max() < 1e-9 * max(1.0, np.abs(x_slow).max())
 
@@ -123,10 +131,10 @@ class TestIntegration:
         rng = np.random.default_rng(21)
         forces = rng.normal(0.0, 50.0, size=(2 * BLOCK + 7, 4))
         x0 = rng.normal(0.0, 0.01, size=8)
-        longest, _ = _lti_response(*system, forces, x0)
+        longest, _ = respond(_lti_response, *system, forces, x0)
         for n in (BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK + 7):
-            fast, x_fast = _lti_response(*system, forces[:n], x0)
-            slow, x_slow = _lti_response_loop(*system, forces[:n], x0)
+            fast, x_fast = respond(_lti_response, *system, forces[:n], x0)
+            slow, x_slow = respond(_lti_response_loop, *system, forces[:n], x0)
             assert np.abs(fast - slow).max() < 1e-9 * np.abs(slow).max()
             assert np.abs(x_fast - x_slow).max() < 1e-9 * max(1.0, np.abs(x_slow).max())
             assert np.array_equal(fast, longest[:n])
@@ -140,10 +148,10 @@ class TestIntegration:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             system = _zoh_system(model, model.stiffness_matrix(), 1.0 / 50.0)
-            fast, x_fast = _lti_response(*system, forces, x0)
+            fast, x_fast = respond(_lti_response, *system, forces, x0)
         poles = np.abs(np.linalg.eigvals(system[0]))
         assert np.allclose(poles, 1.0, rtol=0, atol=1e-12) if zeta == 0 else poles.max() < 1.0
-        slow, x_slow = _lti_response_loop(*system, forces, x0)
+        slow, x_slow = respond(_lti_response_loop, *system, forces, x0)
         assert np.abs(fast - slow).max() < 1e-9 * np.abs(slow).max()
         assert np.abs(x_fast - x_slow).max() < 1e-9 * max(1.0, np.abs(x_slow).max())
 
@@ -153,7 +161,7 @@ class TestIntegration:
         forces = np.random.default_rng(23).normal(0.0, 50.0, size=(200_000, 4))
         tracemalloc.start()
         try:
-            out, _ = _lti_response(*system, forces, np.zeros(8))
+            out, _ = respond(_lti_response, *system, forces, np.zeros(8))
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -206,6 +214,40 @@ class TestIntegration:
 
 
 class TestSimulate:
+    @pytest.mark.parametrize(
+        "sensors_per_story, intensity, noise_snr_db, lambda_chunk",
+        [(1, 100.0, 40.0, 26), (3, 100.0, 40.0, 26), (1, 100.0, None, 1), (3, 80.0, None, 1),
+         (3, 0.0, 40.0, None), (2, 50.0, 20.0, None)],
+        ids=["noise-mid", "3-per-story-noise-mid", "quiet-first", "3-per-story-quiet-first",
+             "zero-intensity", "undamaged"],
+    )
+    def test_block_draws_equal_whole_record_draws(
+        self, sensors_per_story, intensity, noise_snr_db, lambda_chunk
+    ):
+        # 50 chunks of 400, the switch after 25: each segment spans two force blocks
+        scenario = (DamageScenario(story=3, retention=0.6, lambda_chunk=lambda_chunk)
+                    if lambda_chunk else DamageScenario.undamaged())
+        exc = Excitation(seed=41, intensity=intensity, sample_rate=50.0, duration_s=400.0,
+                         noise_snr_db=noise_snr_db)
+        result = simulate(default_model(), scenario, exc, 400, sensors_per_story)
+        time, signals = whole_record_simulation(default_model(), scenario, exc, 400, sensors_per_story)
+        assert result.signals.shape == (50 * 400, 4 * sensors_per_story)
+        assert np.array_equal(result.signals, signals)
+        assert np.array_equal(result.time, time)
+
+    @pytest.mark.parametrize("sensors_per_story", [1, 3])
+    def test_memory_beyond_the_signals_is_one_column(self, sensors_per_story):
+        scenario = DamageScenario(story=2, retention=0.5, lambda_chunk=250)
+        exc = Excitation(seed=24, intensity=100.0, sample_rate=50.0, duration_s=4000.0)
+        tracemalloc.start()
+        try:
+            result = simulate(default_model(), scenario, exc, 400, sensors_per_story)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        column = result.time.nbytes  # n floats: the square taken for a story's RMS
+        assert peak <= result.signals.nbytes + result.time.nbytes + column + 2**20
+
     def test_zero_intensity_gives_zero_response(self):
         exc = Excitation(seed=5, intensity=0.0, sample_rate=50.0, duration_s=20.0)
         result = simulate(default_model(), DamageScenario.undamaged(), exc, chunk_size=100)
