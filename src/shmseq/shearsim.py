@@ -3,12 +3,13 @@
 A multi-story building is idealized as lumped story masses connected by
 inter-story stiffnesses (diagonal mass matrix, tridiagonal stiffness
 matrix) with modal damping. Independent white-noise forces drive every
-story; the damped system is integrated with the exact zero-order-hold
-discretization of the continuous state-space model, so the step update is
-unconditionally stable and checkable against modal closed forms. Damage is
-a stiffness retention factor applied to one story's stiffness, switched in
-at the first sample of a known chunk index, which makes every downstream
-statistical claim verifiable against ground truth.
+story. The damping is classical, so each mode is a damped oscillator of its
+own (modal superposition), stepped in closed form with the exact
+zero-order-hold discretization of its one complex pole: the step update is
+unconditionally stable and needs one symmetric eigenproblem per stiffness.
+Damage is a stiffness retention factor applied to one story's stiffness,
+switched in at the first sample of a known chunk index, which makes every
+downstream statistical claim verifiable against ground truth.
 
 Conventions: story s connects floor s to floor s-1 (the ground for s = 1);
 sensors measure absolute floor accelerations; the reported signal is the
@@ -79,19 +80,17 @@ class ShearFrameModel:
     def stories(self) -> int:
         return self.masses.size
 
-    def mass_matrix(self) -> np.ndarray:
-        return np.diag(self.masses)
-
     def stiffness_matrix(self, stiffnesses: np.ndarray | None = None) -> np.ndarray:
-        """Tridiagonal assembly: K[i,i] = k_i + k_{i+1}, K[i,i+1] = -k_{i+1}."""
-        k = self.stiffnesses if stiffnesses is None else np.asarray(stiffnesses, dtype=float)
-        s = self.stories
-        mat = np.zeros((s, s))
-        for i in range(s):
-            mat[i, i] = k[i] + (k[i + 1] if i + 1 < s else 0.0)
-            if i + 1 < s:
-                mat[i, i + 1] = mat[i + 1, i] = -k[i + 1]
-        return mat
+        """Tridiagonal assembly: K[i,i] = k_i + k_{i+1}, K[i,i+1] = -k_{i+1}.
+
+        ``stiffnesses`` (default: the model's) must be finite numbers, one
+        per story; otherwise ValueError.
+        """
+        k = self.stiffnesses if stiffnesses is None else _finite("stiffnesses", stiffnesses)
+        if k.shape != (self.stories,):
+            raise ValueError(f"need {self.stories} stiffnesses, one per story, got {k.tolist()!r}")
+        above = k[1:]  # above[i] = k_{i+1} joins floor i to floor i + 1
+        return np.diag(k + np.append(above, 0.0)) - np.diag(above, 1) - np.diag(above, -1)
 
 
 @dataclass
@@ -109,6 +108,12 @@ class DamageScenario:
 
     def __post_init__(self) -> None:
         self.retention = float(_finite("retention", self.retention, scalar=True))
+        for name in ("story", "lambda_chunk"):
+            value = getattr(self, name)
+            if value is not None and (
+                not isinstance(value, (int, np.integer)) or isinstance(value, bool)
+            ):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
         if self.story is None:
             if self.retention != 1.0:
                 raise ValueError("an undamaged scenario must retain full stiffness")
@@ -174,52 +179,6 @@ def modal_frequencies(model: ShearFrameModel, stiffnesses: np.ndarray | None = N
     return omega / (2.0 * np.pi)
 
 
-def damping_matrix(model: ShearFrameModel, k_mat: np.ndarray) -> np.ndarray:
-    """Damping matrix realizing the modal damping ratios for the given stiffness."""
-    omega, phi = _modal(model, k_mat)
-    m_mat = model.mass_matrix()
-    return m_mat @ phi @ np.diag(2.0 * model.zeta * omega) @ phi.T @ m_mat
-
-
-def _zoh_system(model: ShearFrameModel, k_mat: np.ndarray, dt: float):
-    """The exact zero-order-hold discretization (Ad, Bd, Cd, Dd) of the story dynamics.
-
-    The damping is classical, so A = [0 I; -M^-1 K -M^-1 C] is diagonalizable,
-    A = V diag(lambda) V^-1, and both matrix exponentials are scalar ones:
-    Ad = V diag(e^(lambda dt)) V^-1 and Bd = V diag((e^(lambda dt) - 1) / lambda) V^-1 B.
-    No lambda is zero, because every w is positive. An eigenbasis with
-    cond(V) > 1e10 (damping ratios next to 1) raises EigenFailure.
-    """
-    s = model.stories
-    m_inv = np.diag(1.0 / model.masses)
-    c_mat = damping_matrix(model, k_mat)
-    a = np.block(
-        [
-            [np.zeros((s, s)), np.eye(s)],
-            [-m_inv @ k_mat, -m_inv @ c_mat],
-        ]
-    )
-    b = np.vstack([np.zeros((s, s)), m_inv])
-    lam, vecs = np.linalg.eig(a)
-    if np.linalg.cond(vecs) > 1e10:
-        raise EigenFailure("state matrix is not diagonalizable to working precision")
-    to_modal = np.linalg.inv(vecs)
-    step = np.exp(lam * dt)
-    ad = ((vecs * step) @ to_modal).real
-    bd = ((vecs * ((step - 1.0) / lam)) @ (to_modal @ b)).real
-    # absolute accelerations, qdd = -M^-1 K q - M^-1 C qd + M^-1 u: the lower rows of A x + B u
-    return ad, bd, a[s:], m_inv
-
-
-def _lti_response_loop(ad, bd, cd, dd, source, out, x0):
-    x = x0.copy()
-    for lo in range(0, len(out), BLOCK):
-        for i, u in enumerate(source(min(BLOCK, len(out) - lo)), start=lo):
-            out[i] = cd @ x + dd @ u
-            x = ad @ x + bd @ u
-    return x
-
-
 SCAN = 32  # sub-block length of the first-order scan
 BLOCK = 8 * SCAN**2  # force rows projected, scanned and written at a time
 
@@ -264,47 +223,46 @@ def _scan(u: np.ndarray, z0: np.ndarray, tables) -> np.ndarray:
     return np.concatenate([states.reshape(modes, n), starts[:, blocks:]], axis=1)
 
 
-def _lti_response(ad, bd, cd, dd, source, out, x0):
-    """Run x[n+1] = Ad x[n] + Bd u[n], y[n] = Cd x[n] + Dd u[n] over the rows of ``out``.
+def _modal_response(model: ShearFrameModel, k_mat: np.ndarray, dt: float, source, out, x0):
+    """Write into the rows of ``out`` the absolute story accelerations from the state x0.
 
-    The forces u come from ``source``, a callable that returns the next
-    ``rows`` force rows, in order, each time it is called (see
-    ``_array_source``); the outputs y are written into ``out``, which may
-    be a strided view, and the final state is returned. The recursion is
-    diagonalized, Ad = V diag(lambda) V^-1, so each mode z = V^-1 x is a
-    scalar recursion, run by ``_scan``. Ad is real, so LAPACK returns its
-    complex eigenpairs as exact conjugates, and only the modes with
-    imag(lambda) >= 0 are run: x = Re(V_keep (weight z)), with weight 2 for
-    a complex mode (it stands for its twin too) and 1 for a real one. Cd is
-    folded into that basis. The forces are pulled, projected, scanned and
-    turned into outputs BLOCK rows at a time, the last block padded with
-    zeros, so memory beyond ``out`` is O(BLOCK) and every array has the
-    same shape whatever the length: the outputs of a force history are bit
-    for bit a prefix of those of any longer one. The plain loop runs
-    instead when ``eig`` fails or cond(V) > 1e10.
+    The state x = (q, qd) stacks the story displacements and velocities, and
+    the final one is returned. The forces u come from ``source``, a callable
+    that returns the next ``rows`` force rows, in order, each time it is
+    called (see ``_array_source``); ``out`` may be a strided view. The
+    damping is classical, so with the M-orthonormal modes (w, Phi) of
+    ``_modal`` each mode is a damped oscillator with one complex pole
+    lam = -zeta w + i wd, wd = w sqrt(1 - zeta^2) (zeta < 1, so wd > 0),
+    and its state is z = (etad - conj(lam) eta) / (2i wd), with
+    eta = Phi^T M q and etad = Phi^T M qd. The exact zero-order-hold step is
+    z <- e^(lam dt) z + (e^(lam dt) - 1) / (lam 2i wd) Phi^T u, run by
+    ``_scan``; the outputs are qdd = Phi 2Re(lam^2 z) + M^-1 u, and
+    q = Phi 2Re(z), qd = Phi 2Re(lam z). The forces are pulled, projected,
+    scanned and turned into outputs BLOCK rows at a time, the last block
+    padded with zeros, so memory beyond ``out`` is O(BLOCK) and every array
+    has the same shape whatever the length: the outputs of a force history
+    are bit for bit a prefix of those of any longer one.
     """
-    try:
-        evals, vecs = np.linalg.eig(ad)
-    except np.linalg.LinAlgError:
-        return _lti_response_loop(ad, bd, cd, dd, source, out, x0)
-    if np.linalg.cond(vecs) > 1e10:
-        return _lti_response_loop(ad, bd, cd, dd, source, out, x0)
-    keep = evals.imag >= 0
-    to_modal = np.linalg.inv(vecs)[keep]
-    basis = vecs[:, keep] * np.where(evals[keep].imag > 0, 2.0, 1.0)
-    project, observe = to_modal @ bd, cd @ basis
-    tables = _scan_tables(evals[keep], BLOCK)
-    z = to_modal @ x0
+    omega, phi = _modal(model, k_mat)
+    wd = omega * np.sqrt(1.0 - model.zeta**2)
+    lam = -model.zeta * omega + 1j * wd
+    pole = np.exp(lam * dt)
+    to_modal = phi.T * model.masses
+    eta, etad = to_modal @ x0[: model.stories], to_modal @ x0[model.stories :]
+    z = (etad - lam.conj() * eta) / (2j * wd)
+    project = ((pole - 1.0) / (lam * 2j * wd))[:, None] * phi.T
+    observe = phi * (2.0 * lam**2)
+    tables = _scan_tables(pole, BLOCK)
     n = len(out)
-    block = np.zeros((BLOCK, bd.shape[1]))
+    block = np.zeros((BLOCK, model.stories))
     for lo in range(0, n, BLOCK):
         rows = min(BLOCK, n - lo)
         block[:rows] = source(rows)
         block[rows:] = 0.0
         states = _scan(project @ block.T, z, tables)
         z = states[:, rows]
-        out[lo : lo + rows] = ((observe @ states[:, :BLOCK]).real.T + block @ dd.T)[:rows]
-    return (basis @ z).real
+        out[lo : lo + rows] = ((observe @ states[:, :BLOCK]).real.T + block / model.masses)[:rows]
+    return np.concatenate([phi @ (2.0 * z).real, phi @ (2.0 * lam * z).real])
 
 
 def _array_source(forces: np.ndarray):
@@ -342,9 +300,9 @@ def _respond(model, scenario, source, out, sample_rate: float, chunk_size: int) 
 
     x = np.zeros(2 * model.stories)
     for k, lo, hi in ((model.stiffnesses, 0, switch), (k_damaged, switch, n)):
-        if lo < hi:  # an empty segment builds no system
-            system = _zoh_system(model, model.stiffness_matrix(k), 1.0 / sample_rate)
-            x = _lti_response(*system, source, out[lo:hi], x)
+        if lo < hi:  # an empty segment solves no eigenproblem
+            k_mat = model.stiffness_matrix(k)
+            x = _modal_response(model, k_mat, 1.0 / sample_rate, source, out[lo:hi], x)
 
 
 def response_to_forces(
@@ -357,9 +315,11 @@ def response_to_forces(
     """Absolute story accelerations under a given force history.
 
     The stiffness matrix switches to the damaged one at the first sample of
-    chunk ``lambda_chunk``; the state carries over continuously. The force
-    array has one column per story; the returned (n, stories) array is the
-    only n-sized array made, the forces being read 8192 rows at a time.
+    chunk ``lambda_chunk``; the state carries over continuously. Each
+    stiffness segment is one symmetric eigenproblem, whose modes
+    ``_modal_response`` steps in closed form. The force array has one
+    column per story; the returned (n, stories) array is the only n-sized
+    array made, the forces being read 8192 rows at a time.
     """
     forces = np.atleast_2d(np.asarray(forces, dtype=float))
     if forces.shape[1] != model.stories:
@@ -419,6 +379,8 @@ def simulate(
     Independent white-noise forces per story, deterministic given the seed;
     each sensor reports its story's absolute acceleration plus measurement
     noise scaled to ``noise_snr_db`` below the per-channel RMS. The
+    response is that of ``response_to_forces``: each stiffness segment's
+    modes are stepped in closed form by ``_modal_response``. The
     (n, stories * sensors_per_story) signal array is allocated once: the
     forces are drawn and the response written into each story's first
     sensor column ``BLOCK`` rows at a time, and the other sensors' copies

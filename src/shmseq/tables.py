@@ -24,21 +24,25 @@ BLOCK_ROWS = 4096  # rows per `%` operation: about 0.4 MB of text for a 5-column
 TIME_TOL = 1e-6  # s: `write_signal_csv` prints times to the microsecond
 
 
-def write_csv(path, header: str, fmts: Sequence[str], table: np.ndarray) -> None:
-    """Write ``header``, then each row of the 2-D ``table`` as ``fmts`` joined by commas."""
+def write_csv(path, header: str, fmts: Sequence[str], *parts: np.ndarray) -> None:
+    """Write ``header``, then each row of the table ``parts`` as ``fmts`` joined by commas.
+
+    The table's columns are those of the ``parts`` side by side: 1-D arrays
+    and 2-D blocks of columns with one length. Each block of rows is stacked
+    from them as it is written, so no copy of the whole table is made.
+    """
     row_fmt = ",".join(fmts) + "\n"
     with open(path, "w") as fh:
         fh.write(header + "\n")
-        for lo in range(0, len(table), BLOCK_ROWS):
-            block = table[lo : lo + BLOCK_ROWS]
+        for lo in range(0, len(parts[0]), BLOCK_ROWS):
+            block = np.column_stack([part[lo : lo + BLOCK_ROWS] for part in parts])
             fh.write((row_fmt * len(block)) % tuple(block.ravel().tolist()))
 
 
 def write_signal_csv(path, time: np.ndarray, columns: Sequence[str], signals: np.ndarray) -> None:
     """Write a signal CSV: ``time`` and the (n, len(columns)) ``signals``."""
     write_csv(
-        path, ",".join(["time", *columns]), ["%.6f"] + ["%.12g"] * len(columns),
-        np.column_stack((time, signals)),
+        path, ",".join(["time", *columns]), ["%.6f"] + ["%.12g"] * len(columns), time, signals
     )
 
 

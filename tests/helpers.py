@@ -2,14 +2,15 @@
 
 The oracles deliberately avoid the library's computation paths: densities
 use the explicit inverse/determinant formula, posteriors are enumerated in
-the linear domain, the estimator identity is the literal double sum, and
-the simulator's reference draws every random number for the whole record
-at once.
+the linear domain, the estimator identity is the literal double sum, the
+simulator's reference draws every random number for the whole record at
+once, and its dynamics reference steps the state-space model one sample at
+a time with matrices from ``scipy.linalg.expm``.
 """
 
 import numpy as np
 
-from shmseq.shearsim import response_to_forces
+from shmseq.shearsim import BLOCK, response_to_forces
 
 
 def gen_ar(coefs, n, rng, burn=500, scale=1.0):
@@ -103,3 +104,46 @@ def whole_record_simulation(model, scenario, excitation, chunk_size, sensors_per
                 std = story_rms * 10.0 ** (-excitation.noise_snr_db / 20.0)
                 signals[:, col] += rng.normal(0.0, std, size=n)
     return np.arange(n) / excitation.sample_rate, signals
+
+
+def lti_response_loop(ad, bd, cd, dd, source, out, x0):
+    """Run x[n+1] = Ad x[n] + Bd u[n], y[n] = Cd x[n] + Dd u[n] one sample at a time.
+
+    The forces come from ``source`` in blocks of ``BLOCK`` rows, as the
+    simulator pulls them; the outputs go into ``out`` and the final state
+    is returned.
+    """
+    x = x0.copy()
+    for lo in range(0, len(out), BLOCK):
+        for i, u in enumerate(source(min(BLOCK, len(out) - lo)), start=lo):
+            out[i] = cd @ x + dd @ u
+            x = ad @ x + bd @ u
+    return x
+
+
+def expm_system(model, k_mat, dt):
+    """(Ad, Bd, Cd, Dd): the zero-order hold of M qdd + C qd + K q = u, from ``expm``.
+
+    C = M Phi diag(2 zeta w) Phi^T M with the modes of scipy's generalized
+    ``eigh(K, M)``. The state is x = (q, qd), and Ad and Bd are the top
+    blocks of expm([[A, B], [0, 0]] dt) for A = [0 I; -M^-1 K -M^-1 C] and
+    B = [0; M^-1]; the outputs are the absolute accelerations
+    qdd = Cd x + Dd u, the lower rows of A x + B u.
+    """
+    from scipy.linalg import eigh, expm  # the test extra's; the library runs without scipy
+
+    s = model.stories
+    m_mat, m_inv = np.diag(model.masses), np.diag(1.0 / model.masses)
+    w2, phi = eigh(k_mat, m_mat)
+    c_mat = m_mat @ phi @ np.diag(2.0 * model.zeta * np.sqrt(w2)) @ phi.T @ m_mat
+    a = np.block([[np.zeros((s, s)), np.eye(s)], [-m_inv @ k_mat, -m_inv @ c_mat]])
+    augmented = np.zeros((3 * s, 3 * s))
+    augmented[: 2 * s, : 2 * s] = a * dt
+    augmented[s : 2 * s, 2 * s :] = m_inv * dt
+    zoh = expm(augmented)
+    return zoh[: 2 * s, : 2 * s], zoh[: 2 * s, 2 * s :], a[s:], m_inv
+
+
+def expm_kernel(model, k_mat, dt, source, out, x0):
+    """``shearsim._modal_response`` the reference way: ``lti_response_loop`` over ``expm_system``."""
+    return lti_response_loop(*expm_system(model, k_mat, dt), source, out, x0)

@@ -11,30 +11,36 @@ from shmseq.errors import ConfigError
 from shmseq.features import DsfConfig, extract_dsf_stream
 from shmseq.shearsim import (
     BLOCK,
+    SCAN,
     DamageScenario,
     Excitation,
     ShearFrameModel,
     SimulationResult,
     _array_source,
-    _lti_response,
-    _lti_response_loop,
-    _zoh_system,
+    _modal_response,
+    _scan,
+    _scan_tables,
     modal_frequencies,
     response_to_forces,
     simulate,
 )
 
-from helpers import uniform_building_frequencies, whole_record_simulation
+from helpers import (
+    expm_kernel,
+    expm_system,
+    uniform_building_frequencies,
+    whole_record_simulation,
+)
 
 
 def default_model(zeta=0.02):
     return ShearFrameModel.uniform(4, 1000.0, 3.28e5, zeta=zeta)
 
 
-def respond(kernel, ad, bd, cd, dd, forces, x0):
-    """(outputs, final state) of ``kernel`` driven by the rows of ``forces``."""
-    out = np.empty((len(forces), cd.shape[0]))
-    x = kernel(ad, bd, cd, dd, _array_source(forces), out, x0)
+def respond(kernel, model, forces, x0):
+    """(outputs, final state) of ``kernel`` for ``model`` at 50 Hz, driven by ``forces``."""
+    out = np.empty((len(forces), model.stories))
+    x = kernel(model, model.stiffness_matrix(), 1.0 / 50.0, _array_source(forces), out, x0)
     return out, x
 
 
@@ -74,67 +80,88 @@ class TestModal:
         with pytest.raises(ValueError):
             ShearFrameModel(masses=[1.0], stiffnesses=[1.0], zeta=1.0)
 
+    @pytest.mark.parametrize(
+        "stiffnesses",
+        [[3e5] * 5, [3e5] * 3, 3e5, [3e5, 3e5, np.nan, 3e5], [3e5, 3e5, True, 3e5],
+         [3e5, "3e5", 3e5, 3e5], [[3e5, 3e5], [3e5, 3e5]]],
+        ids=["five", "three", "scalar", "nan", "bool", "string", "2-d"],
+    )
+    def test_stiffnesses_must_be_one_finite_number_per_story(self, stiffnesses):
+        model = default_model()
+        with pytest.raises(ValueError, match="stiffnesses"):
+            model.stiffness_matrix(stiffnesses)
+        with pytest.raises(ValueError, match="stiffnesses"):
+            modal_frequencies(model, stiffnesses)
+
 
 class TestIntegration:
     def test_diagonalized_recursion_matches_direct_loop(self):
         model = default_model()
-        system = _zoh_system(model, model.stiffness_matrix(), 1.0 / 50.0)
         rng = np.random.default_rng(3)
         forces = rng.normal(0.0, 50.0, size=(400, 4))
         x0 = np.zeros(8)
-        fast, x_fast = respond(_lti_response, *system, forces, x0)
-        slow, x_slow = respond(_lti_response_loop, *system, forces, x0)
+        fast, x_fast = respond(_modal_response, model, forces, x0)
+        slow, x_slow = respond(expm_kernel, model, forces, x0)
         scale = np.abs(slow).max()
         assert np.abs(fast - slow).max() < 1e-9 * scale
         assert np.abs(x_fast - x_slow).max() < 1e-9 * max(1.0, np.abs(x_slow).max())
 
     def test_modal_kernel_matches_loop_from_a_nonzero_state(self):
         model = default_model()
-        system = _zoh_system(model, model.stiffness_matrix(), 1.0 / 50.0)
         rng = np.random.default_rng(4)
         forces = rng.normal(0.0, 50.0, size=(6000, 4))
         x0 = rng.normal(0.0, 0.01, size=8)
-        fast, x_fast = respond(_lti_response, *system, forces, x0)
-        slow, x_slow = respond(_lti_response_loop, *system, forces, x0)
+        fast, x_fast = respond(_modal_response, model, forces, x0)
+        slow, x_slow = respond(expm_kernel, model, forces, x0)
         assert np.abs(fast - slow).max() < 1e-9 * np.abs(slow).max()
         assert np.abs(x_fast - x_slow).max() < 1e-9 * max(1.0, np.abs(x_slow).max())
 
     def test_modal_kernel_with_a_real_mode_and_a_complex_pair(self):
-        # rotation by 0.3 rad scaled by 0.95 on the first two states, 0.5 on the third
-        c, s = 0.95 * np.cos(0.3), 0.95 * np.sin(0.3)
-        rot = np.array([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 0.5]])
-        basis = np.array([[1.0, 0.2, 0.1], [0.3, 1.0, -0.2], [0.1, 0.4, 1.0]])
-        ad = basis @ rot @ np.linalg.inv(basis)
-        evals = np.linalg.eigvals(ad)
-        assert np.sum(evals.imag == 0) == 1 and np.sum(evals.imag > 0) == 1
+        # the scan is generic in its poles: a real one, a damped complex one, one on the unit circle
+        lam = np.array([0.5, 0.95 * np.exp(0.3j), np.exp(-2.0j)])
         rng = np.random.default_rng(5)
-        bd, cd, dd = rng.normal(size=(3, 2)), rng.normal(size=(2, 3)), rng.normal(size=(2, 2))
-        forces = rng.normal(size=(5000, 2))
-        x0 = np.array([0.5, -1.0, 2.0])
-        fast, x_fast = respond(_lti_response, ad, bd, cd, dd, forces, x0)
-        slow, x_slow = respond(_lti_response_loop, ad, bd, cd, dd, forces, x0)
-        assert np.abs(fast - slow).max() < 1e-9 * np.abs(slow).max()
-        assert np.abs(x_fast - x_slow).max() < 1e-9 * max(1.0, np.abs(x_slow).max())
+        for n in (SCAN - 5, SCAN, BLOCK):
+            u = rng.normal(size=(3, n)) + 1j * rng.normal(size=(3, n))
+            z0 = np.array([0.5, -1.0 + 0.3j, 2.0j])
+            direct = np.empty((3, n + 1), dtype=complex)
+            direct[:, 0] = z0
+            for t in range(n):
+                direct[:, t + 1] = lam * direct[:, t] + u[:, t]
+            states = _scan(u, z0, _scan_tables(lam, n))
+            assert np.abs(states - direct).max() < 1e-9 * np.abs(direct).max()
 
     def test_response_across_a_damage_switch_matches_loop(self, monkeypatch):
         model = default_model()
         damaged = DamageScenario(story=2, retention=0.5, lambda_chunk=11)
         forces = np.random.default_rng(6).normal(0.0, 100.0, size=(6000, 4))
         fast = response_to_forces(model, damaged, forces, 50.0, 400)
-        monkeypatch.setattr(shearsim, "_lti_response", _lti_response_loop)
+        monkeypatch.setattr(shearsim, "_modal_response", expm_kernel)
         slow = response_to_forces(model, damaged, forces, 50.0, 400)
+        assert np.abs(fast - slow).max() < 1e-9 * np.abs(slow).max()
+
+    @pytest.mark.parametrize(
+        "zeta", [0.0, 0.02, 0.999, 1.0 - 1e-9, 1.0 - 1e-15],
+        ids=["undamped", "light", "0.999", "1-1e-9", "1-1e-15"],
+    )
+    def test_signals_match_the_expm_oracle_at_any_damping(self, monkeypatch, zeta):
+        # 20 chunks of 1000, the switch after 10: each segment spans two force blocks
+        model = default_model(zeta=zeta)
+        damaged = DamageScenario(story=2, retention=0.5, lambda_chunk=11)
+        forces = np.random.default_rng(25).normal(0.0, 100.0, size=(20_000, 4))
+        fast = response_to_forces(model, damaged, forces, 50.0, 1000)
+        monkeypatch.setattr(shearsim, "_modal_response", expm_kernel)
+        slow = response_to_forces(model, damaged, forces, 50.0, 1000)
         assert np.abs(fast - slow).max() < 1e-9 * np.abs(slow).max()
 
     def test_block_edges_match_loop_and_each_length_is_a_prefix_of_the_next(self):
         model = default_model()
-        system = _zoh_system(model, model.stiffness_matrix(), 1.0 / 50.0)
         rng = np.random.default_rng(21)
         forces = rng.normal(0.0, 50.0, size=(2 * BLOCK + 7, 4))
         x0 = rng.normal(0.0, 0.01, size=8)
-        longest, _ = respond(_lti_response, *system, forces, x0)
+        longest, _ = respond(_modal_response, model, forces, x0)
         for n in (BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK + 7):
-            fast, x_fast = respond(_lti_response, *system, forces[:n], x0)
-            slow, x_slow = respond(_lti_response_loop, *system, forces[:n], x0)
+            fast, x_fast = respond(_modal_response, model, forces[:n], x0)
+            slow, x_slow = respond(expm_kernel, model, forces[:n], x0)
             assert np.abs(fast - slow).max() < 1e-9 * np.abs(slow).max()
             assert np.abs(x_fast - x_slow).max() < 1e-9 * max(1.0, np.abs(x_slow).max())
             assert np.array_equal(fast, longest[:n])
@@ -147,40 +174,24 @@ class TestIntegration:
         x0 = rng.normal(0.0, 0.01, size=8)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            system = _zoh_system(model, model.stiffness_matrix(), 1.0 / 50.0)
-            fast, x_fast = respond(_lti_response, *system, forces, x0)
-        poles = np.abs(np.linalg.eigvals(system[0]))
+            fast, x_fast = respond(_modal_response, model, forces, x0)
+        ad = expm_system(model, model.stiffness_matrix(), 1.0 / 50.0)[0]
+        poles = np.abs(np.linalg.eigvals(ad))
         assert np.allclose(poles, 1.0, rtol=0, atol=1e-12) if zeta == 0 else poles.max() < 1.0
-        slow, x_slow = respond(_lti_response_loop, *system, forces, x0)
+        slow, x_slow = respond(expm_kernel, model, forces, x0)
         assert np.abs(fast - slow).max() < 1e-9 * np.abs(slow).max()
         assert np.abs(x_fast - x_slow).max() < 1e-9 * max(1.0, np.abs(x_slow).max())
 
     def test_memory_beyond_the_output_is_bounded(self):
         model = default_model()
-        system = _zoh_system(model, model.stiffness_matrix(), 1.0 / 50.0)
         forces = np.random.default_rng(23).normal(0.0, 50.0, size=(200_000, 4))
         tracemalloc.start()
         try:
-            out, _ = respond(_lti_response, *system, forces, np.zeros(8))
+            out, _ = respond(_modal_response, model, forces, np.zeros(8))
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
         assert peak <= 2 * out.nbytes
-
-    @pytest.mark.parametrize(
-        "scenario, chunks",
-        [(DamageScenario(story=2, retention=0.5, lambda_chunk=101), 200),  # the benchmark's
-         (DamageScenario(story=2, retention=0.5, lambda_chunk=41), 61)],  # C7's
-        ids=["benchmark", "acceptance"],
-    )
-    def test_shear_frames_never_fall_back_to_the_loop(self, monkeypatch, scenario, chunks):
-        def refuse(*args):
-            raise AssertionError("the per-sample loop ran")
-
-        monkeypatch.setattr(shearsim, "_lti_response_loop", refuse)
-        exc = Excitation(seed=7, intensity=100.0, sample_rate=50.0, duration_s=chunks * 8.0)
-        result = simulate(default_model(), scenario, exc, chunk_size=400)
-        assert result.signals.shape == (chunks * 400, 4)
 
     def test_response_decays_when_forcing_stops(self):
         # stiff, well damped model so the free decay fits in a short window
@@ -263,6 +274,17 @@ class TestSimulate:
             paths.append(path)
         assert paths[0].read_bytes() == paths[1].read_bytes()
 
+    def test_to_csv_makes_no_copy_of_the_record(self, tmp_path):
+        exc = Excitation(seed=26, intensity=100.0, sample_rate=50.0, duration_s=200 * 8.0)
+        result = simulate(default_model(), DamageScenario.undamaged(), exc, chunk_size=400)
+        tracemalloc.start()
+        try:
+            result.to_csv(tmp_path / "data.csv")
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < result.signals.nbytes  # blocks of rows, never the whole table
+
     def test_csv_cell_format(self, tmp_path):
         """Time with 6 decimals, samples with 12 significant digits."""
         result = SimulationResult(
@@ -314,6 +336,21 @@ class TestSimulate:
             DamageScenario(story=1, retention=1.0, lambda_chunk=2)
         with pytest.raises(ValueError):
             DamageScenario(story=1, retention=0.5, lambda_chunk=None)
+
+    @pytest.mark.parametrize(
+        "story, lambda_chunk",
+        [(1.5, 2), (2.0, 2), (True, 2), ("2", 2), (2, 2.5), (2, False), (None, 2.0)],
+        ids=["story-1.5", "story-2.0", "story-true", "story-string", "chunk-2.5", "chunk-false",
+             "undamaged-chunk-2.0"],
+    )
+    def test_story_and_lambda_chunk_must_be_integers(self, story, lambda_chunk):
+        retention = 1.0 if story is None else 0.5
+        with pytest.raises(ValueError, match="must be an integer"):
+            DamageScenario(story=story, retention=retention, lambda_chunk=lambda_chunk)
+
+    def test_numpy_integers_are_integers(self):
+        scenario = DamageScenario(story=np.int64(2), retention=0.5, lambda_chunk=np.int32(3))
+        assert scenario.is_damaged
 
     def test_spectral_peak_shifts_down_after_damage(self):
         model = default_model()
