@@ -19,7 +19,8 @@ reaches 1 - alpha.
 
 Densities are evaluated with numpy alone: each ``GaussianParams`` caches the
 inverse of its Cholesky factor, so a density or KL term is one matrix
-product and no triangular solver is needed.
+product and no triangular solver is needed. Every instance comes from its
+one constructor, which checks it.
 """
 
 from __future__ import annotations
@@ -75,29 +76,21 @@ class GaussianParams:
             raise NotPositiveDefinite(
                 f"smallest covariance eigenvalue {min_eig:.3e} not above floor {PD_FLOOR:.0e}"
             )
-        self._factor()
+        self.chol, self.chol_inv, self.log_det = _factor(self.cov)
 
     @property
     def dim(self) -> int:
         return self.mean.size
 
-    @classmethod
-    def _trusted(cls, mean: np.ndarray, cov: np.ndarray):
-        # fast path for covariances already symmetric by construction
-        # (per-step re-estimation); still fails closed on a non-PD matrix
-        obj = object.__new__(cls)
-        obj.mean = mean
-        obj.cov = cov
-        obj._factor()
-        return obj
 
-    def _factor(self) -> None:
-        try:
-            self.chol = np.linalg.cholesky(self.cov)
-            self.chol_inv = np.linalg.inv(self.chol)
-        except np.linalg.LinAlgError as err:
-            raise NotPositiveDefinite(str(err)) from err
-        self.log_det = 2.0 * float(np.log(np.diag(self.chol)).sum())
+def _factor(cov: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
+    """(L, L^-1, ln det cov) of a covariance; ``NotPositiveDefinite`` if Cholesky fails."""
+    try:
+        chol = np.linalg.cholesky(cov)
+        chol_inv = np.linalg.inv(chol)
+    except np.linalg.LinAlgError as err:
+        raise NotPositiveDefinite(str(err)) from err
+    return chol, chol_inv, 2.0 * float(np.log(np.diag(chol)).sum())
 
 
 def _vector(x) -> np.ndarray:
@@ -194,8 +187,9 @@ class GeometricPrior(_ChangePrior):
 class PointMassPrior(_ChangePrior):
     """Degenerate prior putting all mass on a single change step.
 
-    Used by the parameter estimator as the everything-after-k limit of the
-    geometric prior; it has no constant hazard rate, so it is not meant
+    A prior for the offline estimator functions (``weighted_moments``,
+    ``exact_log_posterior`` and the like) as the everything-after-k limit of
+    the geometric prior; it has no constant hazard rate, so it is not meant
     for the recursive detector.
     """
 

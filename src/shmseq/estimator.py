@@ -37,6 +37,7 @@ from .detector import (
     LOG_2PI,
     DetectorState,
     GaussianParams,
+    _factor,
     _feature_vector,
     detect,
     log_density_many,
@@ -174,6 +175,19 @@ def jensen_lower_bound(dsfs, prior, g: GaussianParams, theta: GaussianParams) ->
     return log_c + float(prior.mass(np.arange(1, per_k.size + 1)) @ per_k)
 
 
+def _coefficients(offset: np.ndarray, chol_inv: np.ndarray, log_det: float) -> np.ndarray:
+    """beta(p): sum_n ln p(x[n]) = moments . beta over any run of samples, for p of
+    mean g.mean + ``offset`` and covariance factored by ``detector._factor``."""
+    a = chol_inv @ offset  # the whitened mean offset
+    return np.concatenate(
+        (
+            [-0.5 * (offset.size * LOG_2PI + log_det + float(a @ a))],
+            chol_inv.T @ a,
+            -0.5 * (chol_inv.T @ chol_inv).ravel(),
+        )
+    )
+
+
 class AdaptiveDetector(DetectorState):
     """Sequential detector for an unknown post-change distribution.
 
@@ -198,8 +212,12 @@ class AdaptiveDetector(DetectorState):
         r_N = logsumexp(ln pi(k) - s[k-1]) + s[N] - ln P(change > N),
 
     one matvec and one logsumexp over N entries per step; g's own density
-    cancels. Against enumerating every hypothesis from per-sample densities
-    (``hypothesis_log_weights``) the log odds agree to 1e-9 max(1, |r|).
+    cancels. beta(f) comes from ``detector._factor`` of the ridged estimate,
+    the factorization ``GaussianParams`` itself uses, so the detector holds
+    f-hat only as its moments; ``params_estimate`` builds it on demand as a
+    validated ``GaussianParams``. Against enumerating every hypothesis from
+    per-sample densities (``hypothesis_log_weights``) the log odds agree to
+    1e-9 max(1, |r|).
     """
 
     def __init__(
@@ -224,8 +242,7 @@ class AdaptiveDetector(DetectorState):
         self._weighted = np.zeros(1 + m + m * m)
         self._cum = np.zeros((1, self._weighted.size))
         self._grow(64)
-        self._beta_g = self._coefficients(g)
-        self._estimate: GaussianParams | None = None
+        self._beta_g = _coefficients(np.zeros(m), g.chol_inv, g.log_det)
 
     @property
     def is_ready(self) -> bool:
@@ -237,9 +254,11 @@ class AdaptiveDetector(DetectorState):
 
     @property
     def params_estimate(self) -> GaussianParams:
-        if not self.is_ready or self._estimate is None:
+        """The current ridge-regularized estimate f-hat, built afresh from the moments."""
+        if not self.is_ready:
             raise EstimatesUnready(f"estimates need {self.warmup} samples, have {self.step}")
-        return self._estimate
+        mu, cov = self.raw_estimate()
+        return GaussianParams(mu, ridge_regularize(cov))
 
     def raw_estimate(self) -> tuple[np.ndarray, np.ndarray]:
         """Current (mu_hat, pre-ridge Sigma_hat) from the prior-weighted moments."""
@@ -250,18 +269,6 @@ class AdaptiveDetector(DetectorState):
         dy = self._weighted[1 : m + 1] / sum_w  # mu_hat - g.mean
         cov = self._weighted[m + 1 :].reshape(m, m) / sum_w - np.outer(dy, dy)
         return self.g.mean + dy, 0.5 * (cov + cov.T)
-
-    def _coefficients(self, params: GaussianParams) -> np.ndarray:
-        """beta(params): sum_n ln p(x[n]) = moments . beta over any run of samples."""
-        w = params.chol_inv
-        a = w @ (params.mean - self.g.mean)  # the whitened mean offset
-        return np.concatenate(
-            (
-                [-0.5 * (params.dim * LOG_2PI + params.log_det + float(a @ a))],
-                w.T @ a,
-                -0.5 * (w.T @ w).ravel(),
-            )
-        )
 
     def _grow(self, size: int) -> None:
         """Make room for ``size`` steps: cumulative rows 0..size and the prior tables."""
@@ -287,8 +294,8 @@ class AdaptiveDetector(DetectorState):
 
         if self.is_ready:
             mu, cov = self.raw_estimate()
-            self._estimate = GaussianParams._trusted(mu, ridge_regularize(cov))
-            delta = self._coefficients(self._estimate) - self._beta_g
+            _, chol_inv, log_det = _factor(ridge_regularize(cov))
+            delta = _coefficients(mu - self.g.mean, chol_inv, log_det) - self._beta_g
             s = self._cum[: n + 1] @ delta
             self.log_odds = (
                 logsumexp(self._log_pi[:n] - s[:n]) + float(s[n]) - float(self._log_tail[n - 1])

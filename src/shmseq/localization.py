@@ -86,19 +86,6 @@ class LocalizationReport:
         }
 
 
-def _assign_ranks(entries: list[SensorEntry], key, descending: bool) -> list[int]:
-    # missing values rank last; ties break by ascending sensor id
-    def sort_key(e: SensorEntry):
-        v = key(e)
-        if v is None:
-            return (1, 0.0, e.sensor_id)
-        return (0, -v if descending else v, e.sensor_id)
-
-    ordered = sorted(entries, key=sort_key)
-    pos = {id(e): i + 1 for i, e in enumerate(ordered)}
-    return [pos[id(e)] for e in entries]
-
-
 def build_report(
     outcomes: list[SensorOutcome],
     alpha: float | None = None,
@@ -124,10 +111,13 @@ def build_report(
                 di2=oc.detection_time,
             )
         )
-    for e, r in zip(entries, _assign_ranks(entries, lambda e: e.di1, descending=True)):
-        e.rank_di1 = r
-    for e, r in zip(entries, _assign_ranks(entries, lambda e: float(e.di2) if e.di2 is not None else None, descending=False)):
-        e.rank_di2 = r
+    # a missing index ranks last; a tie goes to the lower sensor id
+    by_di1 = sorted(entries, key=lambda e: (e.di1 is None, -(e.di1 or 0.0), e.sensor_id))
+    for rank, e in enumerate(by_di1, start=1):
+        e.rank_di1 = rank
+    by_di2 = sorted(entries, key=lambda e: (e.di2 is None, e.di2 or 0, e.sensor_id))
+    for rank, e in enumerate(by_di2, start=1):
+        e.rank_di2 = rank
     return LocalizationReport(
         sensors=entries,
         detected=any(e.di2 is not None for e in entries),

@@ -271,7 +271,7 @@ def _process_sensor(
             run.trace.append((detector.step, detector.log_odds))
             if config.dump_estimates and detector.is_ready:
                 est = detector.params_estimate
-                run.estimates.append((detector.step, est.mean.copy(), est.cov.copy()))
+                run.estimates.append((detector.step, est.mean, est.cov))
         f = detector.params_estimate if detector.is_ready else None
     run.detection_time = detector.detection_time
     run.final_posterior = detector.posterior

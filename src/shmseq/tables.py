@@ -61,7 +61,8 @@ def read_signal_csv(
     The time column must be finite and strictly increasing, and every time
     step must lie within ``TIME_TOL`` of the sample interval: the median
     step, or ``sample_interval`` when given (another file's, which this one
-    must match).
+    must match). The returned time and sensor columns are strided views of
+    the one parsed array, not copies.
     """
     try:
         fh = open(path, newline="", encoding="utf-8-sig")  # Excel may write a BOM
@@ -99,7 +100,7 @@ def read_signal_csv(
         if bad is not None:
             index, problem = bad
             raise ConfigError(f"{path}: row {_row_number(fh, index)}: {problem}")
-    columns = np.ascontiguousarray(data.T)
+    columns = data.T
     return columns[0], dict(zip(header[1:], columns[1:]))
 
 

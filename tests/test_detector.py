@@ -2,10 +2,12 @@
 
 import math
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import shmseq
 from shmseq.detector import (
     DetectorState,
     GaussianParams,
@@ -41,6 +43,10 @@ class TestGaussianParams:
         with pytest.raises(NotPositiveDefinite):
             GaussianParams([0.0], [[1e-12]])
         GaussianParams([0.0], [[1e-8]])  # above the floor
+
+    def test_src_builds_every_instance_through_its_constructor(self):
+        src = Path(shmseq.__file__).parent
+        assert [p.name for p in sorted(src.glob("*.py")) if "object.__new__" in p.read_text()] == []
 
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionMismatch):

@@ -30,6 +30,7 @@ from shmseq.estimator import (
     jensen_lower_bound,
     logsumexp,
     prior_weighted_log_likelihood,
+    ridge_regularize,
     weighted_moments,
 )
 
@@ -242,6 +243,28 @@ class TestAdaptiveDetector:
             det.update(rng.normal(size=7))
         assert det.is_ready
         assert det.params_estimate.dim == 7
+
+    def test_raw_estimate_before_any_sample_is_an_empty_stream(self):
+        det = AdaptiveDetector(GaussianParams(np.zeros(2), np.eye(2)), GeometricPrior(0.01), 1e-3)
+        with pytest.raises(EmptyStream, match="no samples ingested yet"):
+            det.raw_estimate()
+
+    def test_params_estimate_is_built_afresh_by_the_constructor(self):
+        g = GaussianParams(np.ones(3), np.eye(3))
+        det = AdaptiveDetector(g, GeometricPrior(0.01), 1e-3)
+        rng = np.random.default_rng(5)
+        for _ in range(6):
+            det.update(rng.normal(1.0, 2.0, size=3))
+        mu, cov = det.raw_estimate()
+        want = GaussianParams(mu, ridge_regularize(cov))
+        est = det.params_estimate
+        for name in ("mean", "cov", "chol", "chol_inv"):
+            assert np.array_equal(getattr(est, name), getattr(want, name))
+        assert est.log_det == want.log_det
+        again = det.params_estimate
+        assert not np.shares_memory(est.mean, again.mean)
+        assert not np.shares_memory(est.cov, again.cov)
+        assert not any(isinstance(v, GaussianParams) for k, v in vars(det).items() if k != "g")
 
     def test_warmup_below_one_rejected(self):
         g = GaussianParams(np.zeros(2), np.eye(2))

@@ -18,6 +18,7 @@ from shmseq.detector import (
     LOG_2PI,
     PD_FLOOR,
     GaussianParams,
+    _factor,
     log_density,
     log_density_many,
     logistic,
@@ -116,7 +117,8 @@ class TestAgainstTriangularSolves:
 def test_inverse_factor_is_cached_and_fails_closed():
     g = GaussianParams([0.0, 1.0], [[2.0, 0.5], [0.5, 1.0]])
     assert np.allclose(g.chol_inv @ g.chol, np.eye(2), rtol=0.0, atol=1e-15)
-    trusted = GaussianParams._trusted(g.mean, g.cov)
-    assert np.array_equal(trusted.chol_inv, g.chol_inv)
+    chol, chol_inv, log_det = _factor(g.cov)
+    assert np.array_equal(chol, g.chol) and np.array_equal(chol_inv, g.chol_inv)
+    assert log_det == g.log_det
     with pytest.raises(NotPositiveDefinite):
-        GaussianParams._trusted(np.zeros(2), np.array([[1.0, 2.0], [2.0, 1.0]]))
+        _factor(np.array([[1.0, 2.0], [2.0, 1.0]]))

@@ -576,7 +576,7 @@ class TestInputValidation:
 
     def test_bad_header(self, tmp_path):
         bad = tmp_path / "bad.csv"
-        for header in ("when,sensor_1", "time,sensor_1,sensor_1"):
+        for header in ("when,sensor_1", "time,sensor_1,sensor_1", "time,sensor_x"):
             bad.write_text(f"{header}\n0.0,1.0,1.0\n")
             with pytest.raises(ConfigError, match="row 1"):
                 read_signal_csv(bad)
@@ -986,3 +986,89 @@ class TestCli:
         )
         assert code == 2  # the damaged input from the flag wins
         assert (tmp_path / "overridden" / "summary.json").exists()
+
+
+class TestErrorExits:
+    """Each input error the CLI reports with exit 1, and one row error `report` shows."""
+
+    @staticmethod
+    def run_cli(datasets, tmp_path, capsys, *flags, training=None):
+        code = cli.main([
+            "run",
+            "--input", str(datasets / "damaged" / "data.csv"),
+            "--training", str(training or datasets / "train" / "data.csv"),
+            "--chunk-size", "400",
+            "--order", "3",
+            "--out", str(tmp_path / "out"),
+            *flags,
+        ])
+        return code, capsys.readouterr().err.splitlines()
+
+    @staticmethod
+    def without_sensor_4(datasets, tmp_path):
+        rows = (datasets / "train" / "data.csv").read_text().splitlines()
+        path = tmp_path / "three_sensors.csv"
+        path.write_text("\n".join(",".join(row.split(",")[:4]) for row in rows) + "\n")
+        return path
+
+    def test_every_sensor_failing_exits_1_and_writes_no_table(self, datasets, tmp_path, capsys):
+        rows = (datasets / "damaged" / "data.csv").read_text().splitlines()
+        fields = rows[1].split(",")
+        rows[1] = ",".join(fields[:1] + ["nan"] * (len(fields) - 1))
+        bad = tmp_path / "bad.csv"
+        bad.write_text("\n".join(rows) + "\n")
+        code, err = self.run_cli(datasets, tmp_path, capsys, "--input", str(bad))
+        assert code == 1 and len(err) == 1, err
+        assert err[0].startswith("error: every sensor failed: sensor_1: sensor 1 chunk 1: "), err
+        for s in (2, 3, 4):
+            assert f"; sensor_{s}: sensor {s} chunk 1: 1 of 400 samples are nan" in err[0]
+        assert not (tmp_path / "out" / "trace.csv").exists()
+        assert not (tmp_path / "out" / "summary.json").exists()
+
+    def test_training_file_lacking_a_monitored_column_exits_1(self, datasets, tmp_path, capsys):
+        code, err = self.run_cli(
+            datasets, tmp_path, capsys, training=self.without_sensor_4(datasets, tmp_path)
+        )
+        assert (code, err) == (1, ["error: training data lacks columns ['sensor_4']"])
+
+    def test_post_damage_file_lacking_a_monitored_column_exits_1(self, datasets, tmp_path, capsys):
+        post = self.without_sensor_4(datasets, tmp_path)
+        code, err = self.run_cli(
+            datasets, tmp_path, capsys, "--mode", "known", "--post-training", str(post)
+        )
+        assert (code, err) == (1, ["error: post-damage training data lacks columns ['sensor_4']"])
+
+    def test_auto_order_on_training_shorter_than_one_chunk_exits_1(self, datasets, tmp_path, capsys):
+        rows = (datasets / "train" / "data.csv").read_text().splitlines()
+        short = tmp_path / "short.csv"
+        short.write_text("\n".join(rows[: 1 + 200]) + "\n")
+        code, err = self.run_cli(datasets, tmp_path, capsys, "--order", "auto", training=short)
+        assert (code, err) == (1, [f"error: training data in {short} is shorter than one chunk"])
+
+    def test_config_file_holding_an_array_exits_1(self, datasets, tmp_path, capsys):
+        config = tmp_path / "run.json"
+        config.write_text("[1, 2]")
+        code, err = self.run_cli(datasets, tmp_path, capsys, "--config", str(config))
+        assert (code, err) == (1, [f"error: {config}: expected a JSON object of run settings"])
+
+    def test_truncated_metadata_exits_1_naming_it(self, datasets, tmp_path, capsys):
+        meta = tmp_path / "metadata.json"
+        meta.write_text('{"sensors": ')
+        code, err = self.run_cli(datasets, tmp_path, capsys, "--metadata", str(meta))
+        assert code == 1 and len(err) == 1, err
+        assert err[0].startswith(f"error: {meta}: Expecting value"), err
+
+    def test_report_shows_a_failed_sensor_row_and_exits_0(self, datasets, tmp_path, capsys):
+        rows = (datasets / "damaged" / "data.csv").read_text().splitlines()
+        fields = rows[1000].split(",")  # sample 1000 of sensor_2, in chunk 3
+        fields[2] = "nan"
+        rows[1000] = ",".join(fields)
+        bad = tmp_path / "bad.csv"
+        bad.write_text("\n".join(rows) + "\n")
+        code, _ = self.run_cli(datasets, tmp_path, capsys, "--input", str(bad))
+        assert code in (0, 2)
+        assert cli.main(["report", "--run-dir", str(tmp_path / "out")]) == 0
+        out = capsys.readouterr().out.splitlines()
+        [row] = [line for line in out if " error: " in line]
+        assert row.split()[:3] == ["2", "sensor_2", "error:"], row
+        assert row.endswith(f"sensor 2 chunk 3: 1 of 400 samples are nan or inf (in {bad})"), row

@@ -323,6 +323,28 @@ class TestSimulate:
         with pytest.raises(ConfigError):
             simulate(default_model(), damaged, exc, chunk_size=100)
 
+    @pytest.mark.parametrize(
+        "name, value, message",
+        [("sample_rate", 0.0, "sample_rate and duration_s must be positive"),
+         ("duration_s", -4.0, "sample_rate and duration_s must be positive"),
+         ("intensity", -0.5, "intensity must be non-negative")],
+    )
+    def test_excitation_ranges(self, name, value, message):
+        settings = dict(seed=2, intensity=50.0, sample_rate=50.0, duration_s=20.0)
+        with pytest.raises(ValueError, match=message):
+            Excitation(**{**settings, name: value})
+
+    @pytest.mark.parametrize(
+        "chunk_size, sensors_per_story, duration_s, message",
+        [(1, 1, 20.0, "chunk_size must be >= 2"),
+         (100, 0, 20.0, "sensors_per_story must be >= 1"),
+         (100, 1, 1.0, "duration shorter than a single chunk")],
+    )
+    def test_simulate_ranges(self, chunk_size, sensors_per_story, duration_s, message):
+        exc = Excitation(seed=2, intensity=50.0, sample_rate=50.0, duration_s=duration_s)
+        with pytest.raises(ConfigError, match=message):
+            simulate(default_model(), DamageScenario.undamaged(), exc, chunk_size, sensors_per_story)
+
     def test_damaged_story_must_exist(self):
         exc = Excitation(seed=2, intensity=50.0, sample_rate=50.0, duration_s=20.0)
         damaged = DamageScenario(story=9, retention=0.5, lambda_chunk=2)

@@ -2,6 +2,8 @@
 row-at-a-time writer it replaces, and a guard that no other module encodes
 a file."""
 
+import re
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -9,6 +11,7 @@ import pytest
 
 import shmseq
 from shmseq import pipeline, shearsim, tables
+from shmseq.errors import ConfigError
 from shmseq.pipeline import PipelineConfig
 from shmseq.tables import BLOCK_ROWS, write_csv
 
@@ -142,3 +145,35 @@ def test_only_tables_reads_or_writes_json_and_signal_files():
         if p.name != "tables.py" and any(mark in p.read_text() for mark in marks)
     ] == []
     assert pipeline.read_signal_csv is tables.read_signal_csv  # the name the benchmark traces
+
+
+def test_read_signal_csv_returns_views_of_the_parsed_rows(tmp_path):
+    n = 80_000  # 3.2 MB of returned arrays, as a benchmark monitored record
+    path = tmp_path / "data.csv"
+    signals = np.random.default_rng(3).standard_normal((n, 4))
+    tables.write_signal_csv(path, np.arange(n) * 0.02, [f"sensor_{i}" for i in range(1, 5)], signals)
+    small = tmp_path / "small.csv"
+    small.write_text("time,sensor_1\n0.0,1.0\n0.02,2.0\n")
+    tables.read_signal_csv(small)  # the reader's one-time set-up stays out of the peak
+    tracemalloc.start()
+    try:
+        time, columns = tables.read_signal_csv(path)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # the columns interleave in one row-major buffer, so their bounds overlap
+    assert all(np.may_share_memory(time, col) for col in columns.values())
+    assert peak <= 1.85 * 5 * time.nbytes  # a copy of every column would take it past 2
+    assert np.array_equal(columns["sensor_3"], np.loadtxt(path, delimiter=",", skiprows=1)[:, 3])
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [("", "file is empty"), ("time,sensor_1\n", "no data rows")],
+    ids=["empty", "header-only"],
+)
+def test_read_signal_csv_rejects_a_file_without_data(tmp_path, text, message):
+    path = tmp_path / "data.csv"
+    path.write_text(text)
+    with pytest.raises(ConfigError, match=re.escape(f"{path}: {message}")):
+        tables.read_signal_csv(path)
