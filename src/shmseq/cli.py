@@ -74,9 +74,9 @@ def main(argv=None) -> int:
             print(f"wrote {paths['data']} and {paths['metadata']}")
             return pipeline.EXIT_CLEAN
         if args.command == "run":
-            result = pipeline.run(_run_config(args))
-            detected = result.summary["detected"]
-            print(f"detected={detected} outputs in {result.output_dir}")
+            config = _run_config(args)
+            result = pipeline.run(config)
+            print(f"detected={result.summary['detected']} outputs in {config.output_dir}")
             return result.exit_code
         print(pipeline.report(args.run_dir, args.out))  # the "report" command
         return pipeline.EXIT_CLEAN

@@ -1,4 +1,6 @@
-"""Exception types shared across the toolkit."""
+"""Exception types shared across the toolkit, and the one integer check."""
+
+import numbers
 
 
 class ShmSeqError(Exception):
@@ -47,3 +49,13 @@ class EigenFailure(ShmSeqError):
 
 class ConfigError(ShmSeqError):
     """Invalid, inconsistent or unparsable pipeline configuration or input file."""
+
+
+def integer(name: str, value):
+    """``value`` if it is an integer, numpy integers included; otherwise a ValueError naming ``name``.
+
+    A bool, a float or a string is not converted, even when it holds a whole number.
+    """
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return value

@@ -43,7 +43,7 @@ from .detector import (
     log_density_many,
     log_odds_threshold,
 )
-from .errors import EmptyStream, EstimatesUnready, InsufficientTraining
+from .errors import EmptyStream, EstimatesUnready, InsufficientTraining, integer
 
 RIDGE_SCALE = 1e-6
 RIDGE_FLOOR = 1e-9
@@ -170,9 +170,9 @@ def jensen_lower_bound(dsfs, prior, g: GaussianParams, theta: GaussianParams) ->
     from the exact posterior computation on the same data (with f = theta)
     so the surrogate is directly comparable to `exact_log_posterior`.
     """
-    per_k, log_w, log_nc = _scored_hypotheses(dsfs, prior, g, theta)
+    _, log_w, log_nc = _scored_hypotheses(dsfs, prior, g, theta)
     log_c = -logsumexp(np.append(log_w, log_nc))
-    return log_c + float(prior.mass(np.arange(1, per_k.size + 1)) @ per_k)
+    return log_c + prior_weighted_log_likelihood(dsfs, prior, g, theta)
 
 
 def _coefficients(offset: np.ndarray, chol_inv: np.ndarray, log_det: float) -> np.ndarray:
@@ -235,7 +235,7 @@ class AdaptiveDetector(DetectorState):
         self.g = g
         self.prior = prior
         self.sensor_id = sensor_id
-        self.warmup = g.dim + 1 if warmup is None else int(warmup)
+        self.warmup = g.dim + 1 if warmup is None else integer("warmup", warmup)
         if self.warmup < 1:
             raise ValueError(f"warmup must be >= 1, got {self.warmup}")
         m = g.dim

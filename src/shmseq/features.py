@@ -10,12 +10,12 @@ fixed or chosen by AIC on healthy-regime data.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .errors import NonFiniteSignal, ShmSeqError, SingularDesign, ZeroVariance
+from .errors import NonFiniteSignal, ShmSeqError, SingularDesign, ZeroVariance, integer
 
 STD_FLOOR = 1e-12  # a chunk with a smaller standard deviation is a dead sensor
 # A lag matrix whose Gram matrix has lambda_min <= SINGULAR_RATIO * lambda_max (condition
@@ -66,7 +66,8 @@ class DsfConfig:
 
     ``coef_indices`` selects 1-based AR coefficient indices; by default all
     ``order`` coefficients are used. The feature dimension is fixed by the
-    config for the whole stream.
+    config for the whole stream. ``chunk_size``, ``order`` and each index
+    must be integers (numpy integers too); a float, bool or string raises.
     """
 
     chunk_size: int
@@ -74,12 +75,13 @@ class DsfConfig:
     coef_indices: tuple[int, ...] | None = None
 
     def __post_init__(self) -> None:
-        if self.order < 1:
+        integer("chunk_size", self.chunk_size)
+        if integer("order", self.order) < 1:
             raise ValueError("AR order must be >= 1")
         if self.chunk_size <= self.order + 1:
             raise ValueError("chunk_size must exceed order + 1")
         if self.coef_indices is not None:
-            idx = tuple(sorted(set(int(i) for i in self.coef_indices)))
+            idx = tuple(sorted({int(integer("coef_indices entry", i)) for i in self.coef_indices}))
             if not idx or idx[0] < 1 or idx[-1] > self.order:
                 raise ValueError("coef_indices must be within 1..order")
             object.__setattr__(self, "coef_indices", idx)
@@ -345,17 +347,6 @@ def select_order(
     return int(np.argmin(aic_values(chunks, p_max, skipped))) + 1
 
 
-def iter_chunks(samples: np.ndarray, chunk_size: int, sensor_id: int = 0) -> Iterator[SignalChunk]:
-    """Split a stream into complete chunks; a trailing partial chunk is dropped."""
-    x = np.asarray(samples, dtype=float).ravel()
-    for k in range(x.size // chunk_size):
-        yield SignalChunk(
-            sensor_id=sensor_id,
-            chunk_index=k + 1,
-            samples=x[k * chunk_size : (k + 1) * chunk_size],
-        )
-
-
 def extract_dsf_stream(
     samples: np.ndarray,
     config: DsfConfig,
@@ -370,9 +361,14 @@ def extract_dsf_stream(
     produce identical features. The first chunk that cannot be fit raises,
     naming its sensor and chunk. With a ``skipped`` list, as for
     ``aic_values``, every such chunk's error is appended to it and its row
-    is left out; the first still raises when no row is left.
+    is left out; the first still raises when no row is left. ``samples``
+    is one stream: a 1-D array or a single column (or row); an array of
+    several columns, such as two sensors side by side, is a ValueError.
     """
-    x = np.asarray(samples, dtype=float).ravel()
+    x = np.asarray(samples, dtype=float)
+    if x.ndim > 1 and x.size not in x.shape:
+        raise ValueError(f"extract_dsf_stream takes one stream, got an array of shape {x.shape}")
+    x = x.ravel()
     n = x.size // config.chunk_size
     x = x[: n * config.chunk_size].reshape(n, config.chunk_size)
     z, bad = _standardize(x)

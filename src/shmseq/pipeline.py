@@ -22,10 +22,11 @@ import numpy as np
 from . import shearsim
 from .detector import DetectorState, GeometricPrior, detect, logistic, update
 from .errors import (
-    ConfigError, InsufficientTraining, NonFiniteSignal, ShmSeqError, SingularDesign, ZeroVariance
+    ConfigError, InsufficientTraining, NonFiniteSignal, ShmSeqError, SingularDesign,
+    ZeroVariance, integer,
 )
 from .estimator import AdaptiveDetector, fit_predamage
-from .features import DsfConfig, extract_dsf_stream, iter_chunks, select_order
+from .features import DsfConfig, SignalChunk, extract_dsf_stream, select_order
 from .localization import SensorOutcome, build_report
 from .tables import _sample_interval, _sensor_id, read_json, read_signal_csv, write_csv, write_json
 
@@ -135,10 +136,8 @@ class SensorRun:
     column: str
     sensor_id: int
     position: str
-    trace: list[tuple[int, float]] = field(default_factory=list)  # (step, log odds)
-    detection_time: int | None = None
+    log_odds: list[float] = field(default_factory=list)  # step k at index k - 1
     outcome: SensorOutcome | None = None
-    final_posterior: float = 0.0
     estimates: list[tuple[int, np.ndarray, np.ndarray]] = field(default_factory=list)
     dsfs: np.ndarray = field(default_factory=lambda: np.empty((0, 0)))  # (N, m), row k = step k+1
     skipped_training_chunks: list[str] = field(default_factory=list)  # the chunk errors
@@ -150,7 +149,6 @@ class RunResult:
     exit_code: int
     summary: dict
     localization: dict
-    output_dir: str
     paths: dict
 
 
@@ -193,10 +191,10 @@ def _select_order(signals: dict[str, np.ndarray], chunk_size: int, p_max: int, p
     sensor can skip it or fail, when its features are extracted at the
     chosen order.
     """
-    chunks = [
-        chunk
+    chunks = [  # every complete chunk; a trailing partial one is dropped
+        SignalChunk(_sensor_id(col), k + 1, samples[k * chunk_size : (k + 1) * chunk_size])
         for col, samples in signals.items()
-        for chunk in iter_chunks(samples, chunk_size, sensor_id=_sensor_id(col))
+        for k in range(samples.size // chunk_size)
     ]
     if not chunks:
         raise ConfigError(f"training data in {path} is shorter than one chunk")
@@ -261,20 +259,18 @@ def _process_sensor(
         for x in dsfs:
             detector = update(detector, x, g, f, prior)
             detect(detector, config.alpha)
-            run.trace.append((detector.step, detector.log_odds))
+            run.log_odds.append(detector.log_odds)
     else:
         detector = AdaptiveDetector(
             g, prior, config.alpha, sensor_id=run.sensor_id, warmup=config.warmup
         )
         for x in dsfs:
             detector.update(x)
-            run.trace.append((detector.step, detector.log_odds))
+            run.log_odds.append(detector.log_odds)
             if config.dump_estimates and detector.is_ready:
                 est = detector.params_estimate
                 run.estimates.append((detector.step, est.mean, est.cov))
         f = detector.params_estimate if detector.is_ready else None
-    run.detection_time = detector.detection_time
-    run.final_posterior = detector.posterior
     run.outcome = SensorOutcome(
         sensor_id=run.sensor_id,
         position=run.position,
@@ -301,7 +297,7 @@ def run(config: PipelineConfig) -> RunResult:
             f" {config.chunk_size}"
         )
     _require_columns(train_signals, input_signals, "training data")
-    post_signals = None
+    post_signals = {}
     if config.mode == "known":
         _, post_signals = read_signal_csv(config.postdamage_csv, interval)
         _require_columns(post_signals, input_signals, "post-damage training data")
@@ -324,7 +320,7 @@ def run(config: PipelineConfig) -> RunResult:
                 run_obj,
                 input_signals[col],
                 train_signals[col],
-                post_signals[col] if post_signals is not None else None,
+                post_signals.get(col),
                 dsf_config,
                 config,
             )
@@ -347,7 +343,6 @@ def run(config: PipelineConfig) -> RunResult:
         exit_code=EXIT_DETECTED if summary["detected"] else EXIT_CLEAN,
         summary=summary,
         localization=localization,
-        output_dir=config.output_dir,
         paths=paths,
     )
 
@@ -361,20 +356,15 @@ def _summarize(runs: list[SensorRun], config: PipelineConfig, order: int) -> dic
         if r.error is not None:
             entry["error"] = r.error
         else:
-            entry["tau"] = r.detection_time
-            entry["final_posterior"] = r.final_posterior
-            if config.lambda_true is not None:
-                entry["lambda_true"] = config.lambda_true
-                if r.detection_time is None:
-                    entry["delay"] = None
-                    entry["false_alarm"] = False
-                elif r.detection_time < config.lambda_true:
-                    # declared before the true change: a false alarm, not a negative delay
-                    entry["delay"] = None
-                    entry["false_alarm"] = True
-                else:
-                    entry["delay"] = r.detection_time - config.lambda_true
-                    entry["false_alarm"] = False
+            tau, lam = r.outcome.detection_time, config.lambda_true
+            entry["tau"] = tau
+            entry["final_posterior"] = logistic(r.log_odds[-1])
+            if lam is not None:
+                # declared before the true change: a false alarm, not a negative delay
+                early = tau is not None and tau < lam
+                entry["lambda_true"] = lam
+                entry["delay"] = None if tau is None or early else tau - lam
+                entry["false_alarm"] = early
         sensors.append(entry)
     return {
         "mode": config.mode,
@@ -382,7 +372,7 @@ def _summarize(runs: list[SensorRun], config: PipelineConfig, order: int) -> dic
         "rho": config.rho,
         "chunk_size": config.chunk_size,
         "order": order,
-        "detected": any(r.detection_time is not None for r in runs if r.error is None),
+        "detected": any(r.outcome.detection_time is not None for r in runs if r.error is None),
         "sensors": sensors,
     }
 
@@ -415,7 +405,8 @@ def _write_outputs(config, runs, localization, summary) -> dict:
     }
     # the CCDF from -r keeps its relative precision once the posterior rounds to 1
     _write_steps(paths["trace"], ["posterior", "ccdf"], runs, lambda r: [
-        (step, logistic(log_odds), logistic(-log_odds)) for step, log_odds in r.trace
+        (step, logistic(log_odds), logistic(-log_odds))
+        for step, log_odds in enumerate(r.log_odds, start=1)
     ])
     write_json(paths["summary"], summary)
     write_json(paths["localization"], localization)
@@ -461,19 +452,12 @@ def _write_estimates(path, runs) -> None:
     ])
 
 
-def _integer(name: str, value) -> int:
-    """A scenario value that must be a JSON integer: no float, bool or string is converted."""
-    if not _is_instance(value, int):
-        raise ValueError(f"{name} must be an integer, got {value!r}")
-    return value
-
-
 def gen(scenario: dict | str, out_dir: str, seed: int | None = None) -> dict:
     """Generate a labeled data set from a scenario description (dict or JSON path)."""
     if isinstance(scenario, str):
         scenario = read_json(scenario)
     try:
-        stories = _integer("stories", scenario["stories"])
+        stories = integer("stories", scenario["stories"])
         # objects, so that the model sees a bool or a string as it was written
         per_story = [
             np.broadcast_to(np.asarray(scenario[key], dtype=object), (stories,))
@@ -483,22 +467,22 @@ def gen(scenario: dict | str, out_dir: str, seed: int | None = None) -> dict:
         damage = scenario.get("damage")
         if damage:
             dmg = shearsim.DamageScenario(
-                story=_integer("damage.story", damage["story"]),
+                story=integer("damage.story", damage["story"]),
                 retention=damage["r"],
-                lambda_chunk=_integer("damage.lambda_chunk", damage["lambda_chunk"]),
+                lambda_chunk=integer("damage.lambda_chunk", damage["lambda_chunk"]),
             )
         else:
             dmg = shearsim.DamageScenario.undamaged()
         exc_cfg = scenario["excitation"]
         excitation = shearsim.Excitation(
-            seed=_integer("excitation.seed", exc_cfg["seed"]) if seed is None else int(seed),
+            seed=integer("excitation.seed", exc_cfg["seed"]) if seed is None else seed,
             intensity=exc_cfg["intensity"],
             sample_rate=exc_cfg["fs"],
             duration_s=exc_cfg["duration_s"],
             noise_snr_db=scenario.get("noise_snr_db", 40.0),
         )
-        chunk_size = _integer("chunk_size", scenario["chunk_size"])
-        sensors_per_story = _integer("sensors_per_story", scenario.get("sensors_per_story", 1))
+        chunk_size = integer("chunk_size", scenario["chunk_size"])
+        sensors_per_story = integer("sensors_per_story", scenario.get("sensors_per_story", 1))
     except (KeyError, TypeError, ValueError, OverflowError) as err:
         raise ConfigError(f"bad scenario description: {err}") from err
 

@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigError, EigenFailure
+from .errors import ConfigError, EigenFailure, integer
 from .tables import write_signal_csv
 
 
@@ -109,11 +109,8 @@ class DamageScenario:
     def __post_init__(self) -> None:
         self.retention = float(_finite("retention", self.retention, scalar=True))
         for name in ("story", "lambda_chunk"):
-            value = getattr(self, name)
-            if value is not None and (
-                not isinstance(value, (int, np.integer)) or isinstance(value, bool)
-            ):
-                raise ValueError(f"{name} must be an integer, got {value!r}")
+            if getattr(self, name) is not None:
+                integer(name, getattr(self, name))
         if self.story is None:
             if self.retention != 1.0:
                 raise ValueError("an undamaged scenario must retain full stiffness")
@@ -134,7 +131,11 @@ class DamageScenario:
 
 @dataclass
 class Excitation:
-    """White-noise forcing: seed, per-story force scale, sampling, duration."""
+    """White-noise forcing: seed, per-story force scale, sampling, duration.
+
+    ``seed`` is a non-negative integer (numpy integers too); a float, bool
+    or string raises ``ValueError`` rather than being converted.
+    """
 
     seed: int
     intensity: float
@@ -143,6 +144,8 @@ class Excitation:
     noise_snr_db: float | None = 40.0
 
     def __post_init__(self) -> None:
+        if integer("seed", self.seed) < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
         for name in ("sample_rate", "duration_s", "intensity"):
             setattr(self, name, float(_finite(name, getattr(self, name), scalar=True)))
         if self.noise_snr_db is not None:  # None: no measurement noise

@@ -16,6 +16,7 @@ from shmseq.detector import (
     detect,
     expected_delay,
     log_density,
+    log_density_many,
     update,
 )
 from shmseq.errors import DegenerateDelay, DimensionMismatch, NonFiniteSignal, NotPositiveDefinite
@@ -44,6 +45,10 @@ class TestGaussianParams:
             GaussianParams([0.0], [[1e-12]])
         GaussianParams([0.0], [[1e-8]])  # above the floor
 
+    def test_non_finite_rejected(self):
+        with pytest.raises(ValueError, match="distribution parameters must be finite"):
+            GaussianParams([np.nan, 0.0], np.eye(2))
+
     def test_src_builds_every_instance_through_its_constructor(self):
         src = Path(shmseq.__file__).parent
         assert [p.name for p in sorted(src.glob("*.py")) if "object.__new__" in p.read_text()] == []
@@ -54,6 +59,11 @@ class TestGaussianParams:
         g = GaussianParams([0.0, 1.0], np.eye(2))
         with pytest.raises(DimensionMismatch):
             log_density(g, np.zeros(3))
+
+    def test_dimension_mismatch_of_many_points(self):
+        g = GaussianParams([0.0, 1.0], np.eye(2))
+        with pytest.raises(DimensionMismatch, match="points have dimension 3, expected 2"):
+            log_density_many(g, np.zeros((4, 3)))
 
 
 class TestLogDensity:
@@ -92,6 +102,10 @@ class TestPriors:
         assert p.mass(3) == 1.0 and p.mass(2) == 0.0
         assert p.cdf(2) == 0.0 and p.cdf(3) == 1.0
         assert p.tail(2) == 1.0 and p.tail(3) == 0.0
+
+    def test_point_mass_domain(self):
+        with pytest.raises(ValueError, match="the change step must be >= 1"):
+            PointMassPrior(0)
 
 
 class TestUpdate:

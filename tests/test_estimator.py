@@ -65,6 +65,10 @@ class TestEstimateParams:
         assert np.abs(cov - cov_o).max() < 1e-10
         assert abs(wsum - den_o) < 1e-10
 
+    def test_prior_without_mass_on_the_stream_raises(self):
+        with pytest.raises(ValueError, match="prior assigns zero mass to every observed step"):
+            weighted_moments(np.zeros((3, 2)), PointMassPrior(5))
+
     def test_running_sums_equal_double_sum(self):
         rng = np.random.default_rng(3)
         prior = GeometricPrior(0.05)
@@ -181,6 +185,14 @@ class TestJensenBound:
         assert np.isfinite(bound)
         assert bound <= exact
 
+    def test_empty_or_mismatched_inputs(self):
+        g = GaussianParams(np.zeros(2), np.eye(2))
+        assert logsumexp([-np.inf, -np.inf]) == -np.inf
+        with pytest.raises(ValueError, match="need matching, non-empty density arrays"):
+            hypothesis_log_weights([1.0, 2.0], [1.0], GeometricPrior(0.1))
+        with pytest.raises(EmptyStream):
+            exact_log_posterior([], GeometricPrior(0.1), g, g)
+
     def test_exact_log_posterior_matches_recursion(self):
         rng = np.random.default_rng(8)
         xs, g, th = tight_instance(rng, n_lo=10, n_hi=20)
@@ -271,6 +283,21 @@ class TestAdaptiveDetector:
         for warmup in (0, -3):
             with pytest.raises(ValueError, match="warmup"):
                 AdaptiveDetector(g, GeometricPrior(0.01), 1e-3, warmup=warmup)
+
+    @pytest.mark.parametrize("warmup", [2.5, True, "3", 3.0])
+    def test_warmup_must_be_an_integer(self, warmup):
+        g = GaussianParams(np.zeros(2), np.eye(2))
+        with pytest.raises(ValueError, match=f"^warmup must be an integer, got {warmup!r}$"):
+            AdaptiveDetector(g, GeometricPrior(0.01), 1e-3, warmup=warmup)
+
+    def test_numpy_integer_warmup(self):
+        g = GaussianParams(np.zeros(2), np.eye(2))
+        det = AdaptiveDetector(g, GeometricPrior(0.01), 1e-3, warmup=np.int64(4))
+        for _ in range(3):
+            det.update(np.zeros(2))
+        assert det.warmup == 4 and not det.is_ready
+        det.update(np.zeros(2))
+        assert det.is_ready
 
     def test_sample_of_wrong_dimension_rejected(self):
         g = GaussianParams(np.zeros(2), np.eye(2))

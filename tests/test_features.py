@@ -79,6 +79,10 @@ class TestFitAr:
         with pytest.raises(ValueError):
             fit_ar(np.arange(4.0), 3)
 
+    def test_order_below_one_raises(self):
+        with pytest.raises(ValueError, match="AR order must be >= 1"):
+            fit_ar(np.random.default_rng(0).normal(size=100), 0)
+
     def test_rank_deficient_design_raises(self):
         # alternating signs make the two lag columns exactly collinear
         x = np.array([1.0, -1.0] * 10)
@@ -110,6 +114,12 @@ class TestFitAr:
             ArModel(order=2, coefficients=[0.5], residual_variance=1.0)
         with pytest.raises(ValueError):
             ArModel(order=1, coefficients=[0.5], residual_variance=-1.0)
+
+    def test_order_zero_model_and_one_sample_chunk_raise(self):
+        with pytest.raises(ValueError, match="AR order must be >= 1"):
+            ArModel(order=0, coefficients=[], residual_variance=1.0)
+        with pytest.raises(ValueError, match="at least two samples"):
+            SignalChunk(0, 1, [1.0])
 
 
 class TestSelectOrder:
@@ -150,6 +160,12 @@ class TestSelectOrder:
             select_order(chunks, 6)
         assert exc.value.chunk_index == 3
         assert exc.value.sensor_id == 4
+
+    def test_empty_input_and_order_below_one_raise(self):
+        with pytest.raises(ValueError, match="p_max must be >= 1"):
+            aic_values([chunk(np.random.default_rng(0).normal(size=100))], 0)
+        with pytest.raises(ValueError, match="need at least one chunk"):
+            aic_values([], 3)
 
     def test_default_order_for_structural_data(self):
         # the structural-data default carried by the extraction config
@@ -335,3 +351,36 @@ class TestExtract:
             DsfConfig(chunk_size=100, order=4, coef_indices=(0, 2))
         with pytest.raises(ValueError):
             DsfConfig(chunk_size=100, order=4, coef_indices=(5,))
+
+    def test_config_order_below_one(self):
+        with pytest.raises(ValueError, match="AR order must be >= 1"):
+            DsfConfig(chunk_size=400, order=0)
+
+    @pytest.mark.parametrize(
+        "settings, name",
+        [({"order": 2.5}, "order"), ({"order": True}, "order"), ({"order": "2"}, "order"),
+         ({"chunk_size": 400.0}, "chunk_size"), ({"coef_indices": (1.7,)}, "coef_indices"),
+         ({"coef_indices": (1, True)}, "coef_indices")],
+        ids=["order-2.5", "order-true", "order-string", "chunk-400.0", "index-1.7", "index-true"],
+    )
+    def test_config_values_must_be_integers(self, settings, name):
+        with pytest.raises(ValueError, match=f"^{name}.* must be an integer, got "):
+            DsfConfig(**{"chunk_size": 400, "order": 2, **settings})
+
+    def test_numpy_integers_are_integers(self):
+        cfg = DsfConfig(chunk_size=np.int64(100), order=np.int32(3), coef_indices=(np.int64(2), 1))
+        assert cfg.dim == 2 and cfg.coef_indices == (1, 2)
+        assert all(type(i) is int for i in cfg.coef_indices)
+        data = gen_ar([0.5], 400, np.random.default_rng(4))
+        full = extract_dsf_stream(data, DsfConfig(chunk_size=100, order=3))
+        assert np.array_equal(extract_dsf_stream(data, cfg), full[:, :2])
+
+    def test_one_stream_only(self):
+        data = gen_ar([0.5, -0.3], 1200, np.random.default_rng(6))
+        one = extract_dsf_stream(data, DsfConfig(chunk_size=200, order=2))
+        assert one.shape == (6, 2)
+        for column in (data[:, None], data[None, :]):  # a single column or row is one stream
+            assert np.array_equal(extract_dsf_stream(column, DsfConfig(chunk_size=200, order=2)), one)
+        two = np.column_stack([data, data[::-1]])  # two sensors side by side
+        with pytest.raises(ValueError, match=r"one stream, got an array of shape \(1200, 2\)"):
+            extract_dsf_stream(two, DsfConfig(chunk_size=200, order=2))

@@ -618,6 +618,14 @@ class TestInputValidation:
         with pytest.raises(ConfigError):
             PipelineConfig.from_dict({"no_such_key": 1})
 
+    def test_config_validation_of_inputs_rho_and_order(self):
+        with pytest.raises(ConfigError, match="input_csv and training_csv are required"):
+            PipelineConfig().validate()
+        with pytest.raises(ConfigError, match="rho must lie strictly between 0 and 1"):
+            PipelineConfig(input_csv="a.csv", training_csv="b.csv", rho=1.0).validate()
+        with pytest.raises(ConfigError, match="order must be >= 1"):
+            PipelineConfig(input_csv="a.csv", training_csv="b.csv", order=0).validate()
+
     def test_default_thresholds(self):
         config = PipelineConfig()
         assert config.alpha == 1e-5
@@ -726,6 +734,28 @@ class TestCli:
         assert err == [f"error: bad scenario description: {key} must be an integer, got "
                        + repr(json.loads(text))]
         assert not (tmp_path / "out" / "data.csv").exists()
+
+    @pytest.mark.parametrize("flag", [False, True], ids=["json-seed", "seed-flag"])
+    def test_negative_seed_exits_1_before_the_output_directory(self, tmp_path, capsys, flag):
+        scenario = scenario_dict(1, 24.0)
+        argv = []
+        if flag:
+            argv = ["--seed", "-5"]
+        else:
+            scenario["excitation"]["seed"] = -5
+        scen = tmp_path / "scenario.json"
+        scen.write_text(json.dumps(scenario))
+        code = cli.main(["gen", "--scenario", str(scen), "--out", str(tmp_path / "out"), *argv])
+        err = capsys.readouterr().err.splitlines()
+        assert code == 1
+        assert err == ["error: bad scenario description: seed must be >= 0, got -5"]
+        assert not (tmp_path / "out").exists()
+
+    def test_src_has_one_integer_check(self):
+        src = Path(pipeline.__file__).parent
+        assert [
+            p.name for p in sorted(src.glob("*.py")) if "must be an integer" in p.read_text()
+        ] == ["errors.py"]
 
     def test_null_noise_snr_means_no_noise(self, tmp_path):
         signals = {}

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from shmseq import shearsim
-from shmseq.errors import ConfigError
+from shmseq.errors import ConfigError, EigenFailure
 from shmseq.features import DsfConfig, extract_dsf_stream
 from shmseq.shearsim import (
     BLOCK,
@@ -71,6 +71,11 @@ class TestModal:
         f1 = modal_frequencies(model)[0]
         weakened = model.stiffnesses * np.array([1.0, 0.7, 1.0])
         assert modal_frequencies(model, weakened)[0] < f1
+
+    def test_overflowing_stiffness_is_an_eigen_failure(self):
+        model = ShearFrameModel.uniform(2, 1.0, 1e308)  # k_1 + k_2 overflows to inf
+        with pytest.warns(RuntimeWarning, match="overflow"), pytest.raises(EigenFailure):
+            modal_frequencies(model)
 
     def test_model_validation(self):
         with pytest.raises(ValueError):
@@ -333,6 +338,29 @@ class TestSimulate:
         settings = dict(seed=2, intensity=50.0, sample_rate=50.0, duration_s=20.0)
         with pytest.raises(ValueError, match=message):
             Excitation(**{**settings, name: value})
+
+    @pytest.mark.parametrize(
+        "seed, message",
+        [(-3, "seed must be >= 0, got -3"), (1.5, "seed must be an integer, got 1.5"),
+         (True, "seed must be an integer, got True"), ("7", "seed must be an integer, got '7'")],
+        ids=["negative", "float", "bool", "string"],
+    )
+    def test_seed_must_be_a_non_negative_integer(self, seed, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            Excitation(seed=seed, intensity=50.0, sample_rate=50.0, duration_s=20.0)
+
+    def test_numpy_integer_seed(self):
+        exc = Excitation(seed=np.int64(9), intensity=80.0, sample_rate=50.0, duration_s=20.0)
+        plain = Excitation(seed=9, intensity=80.0, sample_rate=50.0, duration_s=20.0)
+        model, undamaged = default_model(), DamageScenario.undamaged()
+        assert np.array_equal(
+            simulate(model, undamaged, exc, 100).signals, simulate(model, undamaged, plain, 100).signals
+        )
+
+    def test_force_history_needs_one_column_per_story(self):
+        model = ShearFrameModel.uniform(2, 1.0, 1e4)
+        with pytest.raises(ConfigError, match="force history needs one column per story"):
+            response_to_forces(model, DamageScenario.undamaged(), np.zeros((100, 3)), 50.0, 10)
 
     @pytest.mark.parametrize(
         "chunk_size, sensors_per_story, duration_s, message",

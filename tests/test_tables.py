@@ -177,3 +177,12 @@ def test_read_signal_csv_rejects_a_file_without_data(tmp_path, text, message):
     path.write_text(text)
     with pytest.raises(ConfigError, match=re.escape(f"{path}: {message}")):
         tables.read_signal_csv(path)
+
+
+@pytest.mark.parametrize("interval", [None, 0.02])
+def test_read_signal_csv_of_one_row(tmp_path, interval):
+    path = tmp_path / "data.csv"
+    path.write_text("time,sensor_1\n0.0,1.5\n")
+    time, columns = tables.read_signal_csv(path, interval)
+    assert time.tolist() == [0.0] and list(columns) == ["sensor_1"]
+    assert columns["sensor_1"].tolist() == [1.5]
