@@ -30,7 +30,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DegenerateDelay, DimensionMismatch, NonFiniteSignal, NotPositiveDefinite
+from .errors import (
+    DegenerateDelay, DimensionMismatch, NonFiniteSignal, NotPositiveDefinite, integer,
+)
 
 LOG_2PI = float(np.log(2.0 * np.pi))
 PD_FLOOR = 1e-10  # a covariance is positive definite when its smallest eigenvalue exceeds this
@@ -190,13 +192,14 @@ class PointMassPrior(_ChangePrior):
     A prior for the offline estimator functions (``weighted_moments``,
     ``exact_log_posterior`` and the like) as the everything-after-k limit of
     the geometric prior; it has no constant hazard rate, so it is not meant
-    for the recursive detector.
+    for the recursive detector. ``k0`` is an integer (numpy integers too);
+    a float such as 2.5, which would put no mass on any step, raises.
     """
 
     k0: int
 
     def __post_init__(self) -> None:
-        if self.k0 < 1:
+        if integer("k0", self.k0) < 1:
             raise ValueError("the change step must be >= 1")
 
     def log_mass(self, k):

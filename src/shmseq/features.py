@@ -26,6 +26,10 @@ SINGULAR_RATIO = 1e-10
 # whose RSS is below RSS_CANCEL * y'y * (1 + |beta|_1)^2, a near-exact one, is refit with
 # explicit residuals; every other AIC value stays within about 3e-11 of them.
 RSS_CANCEL = 1e-2
+# Feature extraction and AIC standardize and fit a record's chunks in blocks whose lag rows,
+# (p + 1) rows of M floats per chunk, fill about this many bytes, so their work arrays stay
+# O(block) whatever the record length.
+BLOCK_BYTES = 2**20
 
 
 @dataclass
@@ -102,7 +106,7 @@ def _standardize(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     with np.errstate(invalid="ignore", over="ignore", divide="ignore"):
         dev = x - x.sum(axis=1, keepdims=True) / m_len
         sigma = np.sqrt((dev * dev).sum(axis=1, keepdims=True) / (m_len - 1))
-        z = dev / sigma
+        z = np.divide(dev, sigma, out=dev)
     bad = ~(sigma[:, 0] >= STD_FLOOR)
     if bad.any():
         z[bad] = 0.0
@@ -147,6 +151,12 @@ def _require_samples(m_len: int, p: int) -> None:
         raise ValueError(f"need more than {p + 1} samples to fit AR({p}), got {m_len}")
 
 
+def _blocks(n: int, p: int, m_len: int):
+    """Slices covering rows 0..n-1, each block's lag rows within ``BLOCK_BYTES`` (or one row)."""
+    step = max(1, BLOCK_BYTES // (8 * (p + 1) * m_len))
+    return (slice(lo, lo + step) for lo in range(0, n, step))
+
+
 def _ranked(gram: np.ndarray, rows: np.ndarray | slice = slice(None)):
     """The numerical rank of each (p, p) Gram matrix in gram[rows], and gram ready to solve.
 
@@ -178,7 +188,9 @@ def _fit_stack(
     (K, p) coefficients, each row's numerical rank (``_ranked``) and, with
     ``with_rss``, each row's residual sum of squares, from explicit
     residuals. A row of rank < p is singular; its coefficients are
-    meaningless.
+    meaningless. The work arrays hold a (K, p, M - 1) lag tensor, so the
+    callers that fit a whole record pass one block of rows at a time
+    (``_blocks``); no row's result depends on which rows share its call.
     """
     m_len = z.shape[1]
     _require_samples(m_len, p)
@@ -253,7 +265,7 @@ def _fit_rows(
 ) -> np.ndarray:
     """The mask of the chunks that can be fit, after handling those that cannot.
 
-    Row i of x is a raw chunk, ``bad`` marks the rows ``_standardize``
+    ``x[i]`` holds chunk i's raw samples, ``bad`` marks the chunks ``_standardize``
     rejected and ``ranks[i, j]`` is row i's rank at AR order ``orders[j]``.
     Within a chunk a non-finite sample comes first, then zero variance, then
     the lowest order whose lag matrix is singular; the error names the
@@ -292,10 +304,11 @@ def fit_ar(normalized: np.ndarray, p: int) -> ArModel:
     matrix is at most ``SINGULAR_RATIO`` times the largest, i.e. when its
     condition number is 1e5 or more. That is stricter than an SVD rank at
     machine precision, which the Gram matrix cannot give without an SVD of
-    its own. A nan or inf sample raises NonFiniteSignal.
+    its own. A nan or inf sample raises NonFiniteSignal. ``p`` is an integer
+    (numpy integers too).
     """
     x = np.asarray(normalized, dtype=float).ravel()
-    if p < 1:
+    if integer("p", p) < 1:
         raise ValueError("AR order must be >= 1")
     if not np.isfinite(x).all():
         raise _standardize_error(x)
@@ -314,24 +327,35 @@ def aic_values(
     the per-residual variance. Normalizing RSS by the residual count M - p
     (not M) matters: RSS loses one term per added order, and dividing by M
     would cancel the 2p penalty almost exactly, leaving order selection to
-    a coin flip. The chunks must all have the same length M. Each order is
-    fitted on its own residual rows t = p..M-1, as ``fit_ar`` fits it, but
-    all orders of all chunks come from one batched cross-product of the
-    target and lags 1..p_max, updated by the rows that each lower order
-    adds, plus one small batched solve per order. The first chunk that
-    cannot be fit raises, naming its sensor and chunk, with its lowest
-    failing order. With a ``skipped`` list, every such chunk's error is
-    appended to it and the chunk is left out of the average; the first
-    still raises when no chunk is left.
+    a coin flip. ``p_max`` is an integer (numpy integers too), and the
+    chunks must all have the same length M; chunks of unequal length are a
+    ValueError. Each order is fitted on its own
+    residual rows t = p..M-1, as ``fit_ar`` fits it, but all orders of a
+    chunk come from one cross-product of the target and lags 1..p_max,
+    updated by the rows that each lower order adds, plus one small batched
+    solve per order. The chunks are stacked, standardized and fitted one
+    block at a time (``BLOCK_BYTES``), so the work arrays stay O(block)
+    however many chunks there are. The first chunk that cannot be fit
+    raises, naming its sensor and chunk, with its lowest failing order.
+    With a ``skipped`` list, every such chunk's error is appended to it and
+    the chunk is left out of the average; the first still raises when no
+    chunk is left.
     """
-    if p_max < 1:
+    if integer("p_max", p_max) < 1:
         raise ValueError("p_max must be >= 1")
     if not chunks:
         raise ValueError("need at least one chunk")
-    x = np.stack([c.samples for c in chunks])  # a ValueError for chunks of unequal length
-    z, bad = _standardize(x)
-    curves, ranks = _aic_curves(z, p_max)
-    keep = _fit_rows(chunks.__getitem__, x, bad, ranks, range(1, p_max + 1), skipped)
+    samples = [c.samples for c in chunks]
+    m_len = samples[0].size
+    if any(s.size != m_len for s in samples):
+        raise ValueError(f"chunks must have equal lengths, got {sorted({s.size for s in samples})}")
+    curves = np.empty((len(chunks), p_max))
+    ranks = np.empty((len(chunks), p_max), dtype=int)
+    bad = np.empty(len(chunks), dtype=bool)
+    for rows in _blocks(len(chunks), p_max, m_len):
+        z, bad[rows] = _standardize(np.stack(samples[rows]))
+        curves[rows], ranks[rows] = _aic_curves(z, p_max)
+    keep = _fit_rows(chunks.__getitem__, samples, bad, ranks, range(1, p_max + 1), skipped)
     return curves[keep].mean(axis=0)
 
 
@@ -356,26 +380,33 @@ def extract_dsf_stream(
 ) -> np.ndarray:
     """Turn a raw stream into an (N, ``config.dim``) feature matrix, one row per complete chunk.
 
-    Row k holds the features of chunk k + 1; all chunks are fitted in one
-    stacked solve. Extraction is deterministic: identical input bytes
-    produce identical features. The first chunk that cannot be fit raises,
-    naming its sensor and chunk. With a ``skipped`` list, as for
-    ``aic_values``, every such chunk's error is appended to it and its row
-    is left out; the first still raises when no row is left. ``samples``
-    is one stream: a 1-D array or a single column (or row); an array of
-    several columns, such as two sensors side by side, is a ValueError.
+    Row k holds the features of chunk k + 1. The chunks are standardized
+    and fitted one block at a time (``BLOCK_BYTES``), so beyond the input
+    and the (N, ``config.order``) coefficients the peak holds one block's
+    work arrays, however long the stream. Extraction is deterministic:
+    identical input bytes produce identical features, whatever the block
+    size. The first chunk that cannot be fit raises, naming its sensor and
+    chunk. With a ``skipped`` list, as for ``aic_values``, every such
+    chunk's error is appended to it and its row is left out; the first
+    still raises when no row is left. ``samples`` is one stream: a 1-D
+    array or a single column (or row); an array of several columns, such as
+    two sensors side by side, is a ValueError.
     """
     x = np.asarray(samples, dtype=float)
     if x.ndim > 1 and x.size not in x.shape:
         raise ValueError(f"extract_dsf_stream takes one stream, got an array of shape {x.shape}")
     x = x.ravel()
-    n = x.size // config.chunk_size
-    x = x[: n * config.chunk_size].reshape(n, config.chunk_size)
-    z, bad = _standardize(x)
-    coef, rank, _ = _fit_stack(z, config.order)
-    keep = _fit_rows(
-        lambda i: SignalChunk(sensor_id, i + 1, x[i]), x, bad, rank[:, None], [config.order],
-        skipped,
-    )
-    coef = coef[keep]
+    n, m_len, p = x.size // config.chunk_size, config.chunk_size, config.order
+    x = x[: n * m_len].reshape(n, m_len)
+    coef = np.empty((n, p))
+    rank = np.empty(n, dtype=int)
+    bad = np.empty(n, dtype=bool)
+    for rows in _blocks(n, p, m_len):
+        z, bad[rows] = _standardize(x[rows])
+        coef[rows], rank[rows], _ = _fit_stack(z, p)
+    if bad.any() or (rank < p).any():
+        keep = _fit_rows(
+            lambda i: SignalChunk(sensor_id, i + 1, x[i]), x, bad, rank[:, None], [p], skipped
+        )
+        coef = coef[keep]
     return coef if config.coef_indices is None else coef[:, np.asarray(config.coef_indices) - 1]

@@ -70,8 +70,9 @@ class ShearFrameModel:
 
     @classmethod
     def uniform(cls, stories: int, mass: float, stiffness: float, zeta: float = 0.02):
+        """A model of ``stories`` equal stories; ``stories`` is an integer (numpy integers too)."""
         return cls(
-            masses=np.full(stories, float(mass)),
+            masses=np.full(integer("stories", stories), float(mass)),
             stiffnesses=np.full(stories, float(stiffness)),
             zeta=zeta,
         )
@@ -392,10 +393,12 @@ def simulate(
     for a story's RMS) and O(BLOCK) work arrays. Drawn in blocks in the same
     order, the numbers are those of one whole-record draw: the forces
     (n, stories) first, then the noise one sensor column after the other.
+    ``chunk_size`` and ``sensors_per_story`` are integers (numpy integers
+    too); a float, bool or string raises ValueError.
     """
-    if chunk_size < 2:
+    if integer("chunk_size", chunk_size) < 2:
         raise ConfigError("chunk_size must be >= 2")
-    if sensors_per_story < 1:
+    if integer("sensors_per_story", sensors_per_story) < 1:
         raise ConfigError("sensors_per_story must be >= 1")
     n = excitation.n_samples
     if n < chunk_size:

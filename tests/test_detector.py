@@ -107,6 +107,15 @@ class TestPriors:
         with pytest.raises(ValueError, match="the change step must be >= 1"):
             PointMassPrior(0)
 
+    @pytest.mark.parametrize("k0", [2.5, 3.0, True, "3"])
+    def test_point_mass_step_must_be_an_integer(self, k0):
+        with pytest.raises(ValueError, match="^k0 must be an integer, got "):
+            PointMassPrior(k0)
+
+    def test_point_mass_numpy_integer_step(self):
+        ks = np.arange(1, 6)
+        assert np.array_equal(PointMassPrior(np.int64(3)).mass(ks), PointMassPrior(3).mass(ks))
+
 
 class TestUpdate:
     def test_identical_distributions_give_prior_mass_at_first_step(self):

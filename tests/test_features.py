@@ -1,11 +1,13 @@
 """Tests for chunk normalization, AR fitting and order selection."""
 
 import contextlib
+import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
 
+from shmseq import features
 from shmseq.errors import NonFiniteSignal, ShmSeqError, SingularDesign, ZeroVariance
 from shmseq.features import (
     SINGULAR_RATIO,
@@ -384,3 +386,110 @@ class TestExtract:
         two = np.column_stack([data, data[::-1]])  # two sensors side by side
         with pytest.raises(ValueError, match=r"one stream, got an array of shape \(1200, 2\)"):
             extract_dsf_stream(two, DsfConfig(chunk_size=200, order=2))
+
+
+class TestBlocks:
+    """Records long enough to be fitted in several blocks of chunks (``BLOCK_BYTES``)."""
+
+    M = 400
+
+    @classmethod
+    def record(cls, p, seed=0):
+        """A record of three blocks and a partial fourth at order p, and its block size."""
+        step = max(1, features.BLOCK_BYTES // (8 * (p + 1) * cls.M))
+        n = 3 * step + step // 2 + 1
+        rng = np.random.default_rng(seed)
+        return rng.normal(size=n * cls.M) + 0.3 * np.sin(0.2 * np.arange(n * cls.M)), step
+
+    @pytest.mark.parametrize("order", [2, 12])
+    def test_features_equal_one_chunk_calls(self, order):
+        data, _ = self.record(order)
+        cfg = DsfConfig(chunk_size=self.M, order=order, coef_indices=(1, order))
+        single = [extract_dsf_stream(row, cfg) for row in data.reshape(-1, self.M)]
+        assert np.array_equal(extract_dsf_stream(data, cfg), np.vstack(single))
+
+    def test_one_chunk_blocks(self, monkeypatch):
+        data, _ = self.record(3)
+        cfg = DsfConfig(chunk_size=self.M, order=3)
+        whole = extract_dsf_stream(data, cfg)
+        monkeypatch.setattr(features, "BLOCK_BYTES", 1)  # below one chunk's lag rows
+        assert np.array_equal(extract_dsf_stream(data, cfg), whole)
+
+    @pytest.mark.parametrize("p_max", [2, 12])
+    def test_aic_is_the_mean_of_per_chunk_curves(self, p_max):
+        data, _ = self.record(p_max, seed=1)
+        chunks = [chunk(row, index=k + 1) for k, row in enumerate(data.reshape(-1, self.M))]
+        rows = [_aic_curves(_standardize(c.samples[None, :])[0], p_max)[0] for c in chunks]
+        assert np.array_equal(aic_values(chunks, p_max), np.vstack(rows).mean(axis=0))
+
+    @pytest.mark.parametrize("order", [2, 12])
+    def test_failures_keep_their_chunk_index_and_order(self, order):
+        data, step = self.record(order, seed=2)
+        n = data.size // self.M
+        tone, dead, last = step + 3, 2 * step + 1, n - 1  # 0-based, in blocks 2, 3 and the last
+        rows = data.reshape(n, self.M)
+        rows[tone] = [1.0, -1.0] * (self.M // 2)  # singular at every order >= 2
+        rows[dead] = 0.5
+        rows[last, 7] = np.nan
+        expected = [(tone + 1, SingularDesign), (dead + 1, ZeroVariance)]
+        expected.append((last + 1, NonFiniteSignal))
+        cfg = DsfConfig(chunk_size=self.M, order=order)
+        skipped = []
+        dsfs = extract_dsf_stream(data, cfg, sensor_id=6, skipped=skipped)
+        assert [(e.chunk_index, type(e)) for e in skipped] == expected
+        assert all(str(e).startswith(f"sensor 6 chunk {e.chunk_index}: ") for e in skipped)
+        keep = np.setdiff1d(np.arange(n), [tone, dead, last])
+        assert np.array_equal(dsfs, extract_dsf_stream(rows[keep].ravel(), cfg))
+        with pytest.raises(SingularDesign, match=f"^sensor 6 chunk {tone + 1}: "):
+            extract_dsf_stream(data, cfg, sensor_id=6)
+        chunks = [chunk(row, sensor_id=6, index=k + 1) for k, row in enumerate(rows)]
+        skipped = []
+        aic_values(chunks, order, skipped)
+        assert [(e.chunk_index, type(e)) for e in skipped] == expected
+
+    def test_unequal_lengths_in_different_blocks_raise(self):
+        data, step = self.record(12)
+        chunks = [chunk(data[k : k + self.M]) for k in range(0, 2 * step * self.M, self.M)]
+        chunks.append(chunk(data[: self.M - 1]))  # in a later block than the first chunk
+        with pytest.raises(ValueError, match=r"equal lengths, got \[399, 400\]"):
+            aic_values(chunks, 12)
+
+    def test_record_shorter_than_one_chunk(self):
+        data = np.random.default_rng(3).normal(size=self.M - 1)
+        assert extract_dsf_stream(data, DsfConfig(chunk_size=self.M, order=4)).shape == (0, 4)
+        cfg = DsfConfig(chunk_size=self.M, order=4, coef_indices=(2, 3))
+        assert extract_dsf_stream(data, cfg).shape == (0, 2)
+
+    def test_memory_is_one_block(self):
+        data = np.random.default_rng(4).normal(size=2000 * self.M)  # 6.4 MB
+        cfg = DsfConfig(chunk_size=self.M, order=12)
+        tracemalloc.start()
+        try:
+            dsfs = extract_dsf_stream(data, cfg)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert dsfs.shape == (2000, 12)
+        assert peak <= 4 * 2**20  # a whole-record lag tensor alone is 77 MB
+
+
+class TestIntegerSizes:
+    @pytest.mark.parametrize("p_max", [2.5, 2.0, True, "2"])
+    def test_p_max_must_be_an_integer(self, p_max):
+        chunks = [chunk(np.random.default_rng(0).normal(size=100))]
+        with pytest.raises(ValueError, match="^p_max must be an integer, got "):
+            aic_values(chunks, p_max)
+        with pytest.raises(ValueError, match="^p_max must be an integer, got "):
+            select_order(chunks, p_max)
+
+    @pytest.mark.parametrize("p", [2.5, 2.0, True, "2"])
+    def test_ar_order_must_be_an_integer(self, p):
+        with pytest.raises(ValueError, match="^p must be an integer, got "):
+            fit_ar(np.random.default_rng(0).normal(size=100), p)
+
+    def test_numpy_integer_orders(self):
+        x = normalize_chunk(chunk(gen_ar([0.5, -0.3], 400, np.random.default_rng(5))))
+        assert np.array_equal(fit_ar(x, np.int64(2)).coefficients, fit_ar(x, 2).coefficients)
+        chunks = [chunk(x)]
+        assert np.array_equal(aic_values(chunks, np.int32(3)), aic_values(chunks, 3))
+        assert select_order(chunks, np.int64(3)) == select_order(chunks, 3)

@@ -373,6 +373,38 @@ class TestSimulate:
         with pytest.raises(ConfigError, match=message):
             simulate(default_model(), DamageScenario.undamaged(), exc, chunk_size, sensors_per_story)
 
+    @pytest.mark.parametrize(
+        "chunk_size, sensors_per_story, name",
+        [(100.0, 1, "chunk_size"), (True, 1, "chunk_size"), ("100", 1, "chunk_size"),
+         (100, 1.5, "sensors_per_story"), (100, True, "sensors_per_story")],
+        ids=["chunk-100.0", "chunk-true", "chunk-string", "sensors-1.5", "sensors-true"],
+    )
+    @pytest.mark.parametrize("damaged", [False, True], ids=["undamaged", "damaged"])
+    def test_sizes_must_be_integers(self, chunk_size, sensors_per_story, name, damaged):
+        exc = Excitation(seed=2, intensity=50.0, sample_rate=50.0, duration_s=20.0)
+        undamaged = DamageScenario.undamaged()
+        scenario = DamageScenario(story=2, retention=0.5, lambda_chunk=2) if damaged else undamaged
+        with pytest.raises(ValueError, match=f"^{name} must be an integer, got "):
+            simulate(default_model(), scenario, exc, chunk_size, sensors_per_story)
+
+    def test_numpy_integer_sizes(self):
+        exc = Excitation(seed=4, intensity=80.0, sample_rate=50.0, duration_s=20.0)
+        damaged = DamageScenario(story=2, retention=0.5, lambda_chunk=2)
+        plain = simulate(default_model(), damaged, exc, 100, 2)
+        numpy = simulate(default_model(), damaged, exc, np.int64(100), np.int32(2))
+        assert np.array_equal(numpy.signals, plain.signals)
+
+    @pytest.mark.parametrize("stories", [2.5, 2.0, True, "2"])
+    def test_uniform_stories_must_be_an_integer(self, stories):
+        with pytest.raises(ValueError, match="^stories must be an integer, got "):
+            ShearFrameModel.uniform(stories, 1000.0, 3.28e5)
+
+    def test_uniform_numpy_integer_stories(self):
+        model = ShearFrameModel.uniform(np.int64(3), 1000.0, 3.28e5)
+        plain = ShearFrameModel.uniform(3, 1000.0, 3.28e5)
+        assert model.stories == 3
+        assert np.array_equal(model.stiffness_matrix(), plain.stiffness_matrix())
+
     def test_damaged_story_must_exist(self):
         exc = Excitation(seed=2, intensity=50.0, sample_rate=50.0, duration_s=20.0)
         damaged = DamageScenario(story=9, retention=0.5, lambda_chunk=2)
