@@ -4,7 +4,6 @@ from .detector import (
     DetectorState,
     GaussianParams,
     GeometricPrior,
-    PointMassPrior,
     detect,
     expected_delay,
     log_density,
@@ -72,7 +71,6 @@ __all__ = [
     "NonFiniteSignal",
     "NotPositiveDefinite",
     "PipelineConfig",
-    "PointMassPrior",
     "SensorOutcome",
     "ShearFrameModel",
     "ShmSeqError",

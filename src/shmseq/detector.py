@@ -30,9 +30,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import (
-    DegenerateDelay, DimensionMismatch, NonFiniteSignal, NotPositiveDefinite, integer,
-)
+from .errors import DegenerateDelay, DimensionMismatch, NonFiniteSignal, NotPositiveDefinite
 
 LOG_2PI = float(np.log(2.0 * np.pi))
 PD_FLOOR = 1e-10  # a covariance is positive definite when its smallest eigenvalue exceeds this
@@ -148,29 +146,14 @@ def _float_if_scalar(out):
     return float(out) if np.ndim(out) == 0 else out
 
 
-class _ChangePrior:
-    """A prior on the change step given by two logs; the probabilities follow.
-
-    Subclasses define ``log_mass(k)`` = ln P(change = k) and ``log_tail(n)``
-    = ln P(change > n). Every method takes a step or an array of steps and
-    returns a float or an array to match.
-    """
-
-    def mass(self, k):
-        return _float_if_scalar(np.exp(self.log_mass(k)))
-
-    def tail(self, n):
-        """P(change > n)."""
-        return _float_if_scalar(np.exp(self.log_tail(n)))
-
-    def cdf(self, n):
-        """P(change <= n) = 1 - P(change > n), without cancellation near 0."""
-        return _float_if_scalar(-np.expm1(self.log_tail(n)))
-
-
 @dataclass(frozen=True)
-class GeometricPrior(_ChangePrior):
-    """Geometric prior on the change step: P(change = k) = rho * (1-rho)^(k-1)."""
+class GeometricPrior:
+    """Geometric prior on the change step: P(change = k) = rho * (1-rho)^(k-1).
+
+    ``log_mass(k)`` = ln P(change = k) and ``log_tail(n)`` = ln P(change > n);
+    ``mass``, ``tail`` and ``cdf`` follow from those two. Every method takes a
+    step or an array of steps and returns a float or an array to match.
+    """
 
     rho: float
 
@@ -184,29 +167,16 @@ class GeometricPrior(_ChangePrior):
     def log_tail(self, n):
         return _float_if_scalar(np.asarray(n) * math.log1p(-self.rho))
 
+    def mass(self, k):
+        return _float_if_scalar(np.exp(self.log_mass(k)))
 
-@dataclass(frozen=True)
-class PointMassPrior(_ChangePrior):
-    """Degenerate prior putting all mass on a single change step.
+    def tail(self, n):
+        """P(change > n)."""
+        return _float_if_scalar(np.exp(self.log_tail(n)))
 
-    A prior for the offline estimator functions (``weighted_moments``,
-    ``exact_log_posterior`` and the like) as the everything-after-k limit of
-    the geometric prior; it has no constant hazard rate, so it is not meant
-    for the recursive detector. ``k0`` is an integer (numpy integers too);
-    a float such as 2.5, which would put no mass on any step, raises.
-    """
-
-    k0: int
-
-    def __post_init__(self) -> None:
-        if integer("k0", self.k0) < 1:
-            raise ValueError("the change step must be >= 1")
-
-    def log_mass(self, k):
-        return _float_if_scalar(np.where(np.asarray(k) == self.k0, 0.0, -np.inf))
-
-    def log_tail(self, n):
-        return _float_if_scalar(np.where(np.asarray(n) < self.k0, 0.0, -np.inf))
+    def cdf(self, n):
+        """P(change <= n) = 1 - P(change > n), without cancellation near 0."""
+        return _float_if_scalar(-np.expm1(self.log_tail(n)))
 
 
 @dataclass(eq=False)

@@ -99,6 +99,9 @@ class PipelineConfig:
             raise ConfigError(f"{name} must be >= 1")
         if self.chunk_size <= largest + 1:
             raise ConfigError(f"chunk_size must exceed {name} + 1")
+        coefs = self.coef_indices
+        if coefs is not None and not (coefs and all(1 <= i <= largest for i in coefs)):
+            raise ConfigError(f"coef_indices must hold indices in 1..{name}, {name} = {largest}")
 
     @classmethod
     def from_dict(cls, data: dict) -> "PipelineConfig":

@@ -345,7 +345,6 @@ class SimulationResult:
     chunk_size: int
     lambda_chunk: int | None
     seed: int
-    model: ShearFrameModel = field(repr=False, default=None)
     scenario: DamageScenario = field(repr=False, default=None)
 
     @property
@@ -436,6 +435,5 @@ def simulate(
         chunk_size=chunk_size,
         lambda_chunk=scenario.lambda_chunk if scenario.is_damaged else None,
         seed=excitation.seed,
-        model=model,
         scenario=scenario,
     )

@@ -12,7 +12,6 @@ from shmseq.detector import (
     DetectorState,
     GaussianParams,
     GeometricPrior,
-    PointMassPrior,
     detect,
     expected_delay,
     log_density,
@@ -96,25 +95,6 @@ class TestPriors:
         assert np.allclose(p.mass(ks), 0.2 * 0.8 ** (ks - 1))
         assert np.isclose(p.tail(5), 0.8**5)
         assert np.isclose(p.cdf(5), 1 - 0.8**5)
-
-    def test_point_mass(self):
-        p = PointMassPrior(3)
-        assert p.mass(3) == 1.0 and p.mass(2) == 0.0
-        assert p.cdf(2) == 0.0 and p.cdf(3) == 1.0
-        assert p.tail(2) == 1.0 and p.tail(3) == 0.0
-
-    def test_point_mass_domain(self):
-        with pytest.raises(ValueError, match="the change step must be >= 1"):
-            PointMassPrior(0)
-
-    @pytest.mark.parametrize("k0", [2.5, 3.0, True, "3"])
-    def test_point_mass_step_must_be_an_integer(self, k0):
-        with pytest.raises(ValueError, match="^k0 must be an integer, got "):
-            PointMassPrior(k0)
-
-    def test_point_mass_numpy_integer_step(self):
-        ks = np.arange(1, 6)
-        assert np.array_equal(PointMassPrior(np.int64(3)).mass(ks), PointMassPrior(3).mass(ks))
 
 
 class TestUpdate:

@@ -897,8 +897,14 @@ class TestCli:
             ({"alpha": "1e-5"}, []),
             ({"coef_indices": 3}, []),
             ({}, ["--order", "abc"]),
+            ({"coef_indices": [5], "order": 3}, []),
+            ({"coef_indices": [9], "p_max": 4}, []),
+            ({"coef_indices": []}, []),
         ],
-        ids=["order-float", "chunk_size-str", "alpha-str", "coef_indices-int", "order-flag"],
+        ids=[
+            "order-float", "chunk_size-str", "alpha-str", "coef_indices-int", "order-flag",
+            "coef_indices-above-order", "coef_indices-above-p_max", "coef_indices-empty",
+        ],
     )
     def test_bad_setting_exits_1_naming_it(self, datasets, tmp_path, capsys, setting, flags):
         config_path = tmp_path / "run.json"
