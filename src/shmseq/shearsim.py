@@ -70,10 +70,13 @@ class ShearFrameModel:
 
     @classmethod
     def uniform(cls, stories: int, mass: float, stiffness: float, zeta: float = 0.02):
-        """A model of ``stories`` equal stories; ``stories`` is an integer (numpy integers too)."""
+        """A model of ``stories`` equal stories; ``stories`` is an integer (numpy integers too).
+
+        ``mass`` and ``stiffness`` reach the constructor unconverted, so a bool or a string raises.
+        """
         return cls(
-            masses=np.full(integer("stories", stories), float(mass)),
-            stiffnesses=np.full(stories, float(stiffness)),
+            masses=np.full(integer("stories", stories), mass, dtype=object),
+            stiffnesses=np.full(stories, stiffness, dtype=object),
             zeta=zeta,
         )
 
@@ -223,7 +226,9 @@ def _scan(u: np.ndarray, z0: np.ndarray, tables) -> np.ndarray:
     blocks = n // SCAN
     local = u.reshape(modes, blocks, SCAN) @ toe  # (modes, blocks, SCAN + 1)
     starts = _scan(local[:, :, SCAN], z0, tables[1:])  # (modes, blocks + 1)
-    states = local[:, :, :SCAN] + starts[:, :blocks, None] * powers[:, None, :SCAN]
+    states = starts[:, :blocks, None] * powers[:, None, :SCAN]
+    states += local[:, :, :SCAN]  # in place, and local is freed before the concatenation,
+    del local  # so at most three (modes, n) arrays are alive at once, u included
     return np.concatenate([states.reshape(modes, n), starts[:, blocks:]], axis=1)
 
 
@@ -264,8 +269,9 @@ def _modal_response(model: ShearFrameModel, k_mat: np.ndarray, dt: float, source
         block[:rows] = source(rows)
         block[rows:] = 0.0
         states = _scan(project @ block.T, z, tables)
-        z = states[:, rows]
+        z = states[:, rows].copy()  # not a view: this block's states go before the next scan
         out[lo : lo + rows] = ((observe @ states[:, :BLOCK]).real.T + block / model.masses)[:rows]
+        del states
     return np.concatenate([phi @ (2.0 * z).real, phi @ (2.0 * lam * z).real])
 
 
@@ -323,21 +329,25 @@ def response_to_forces(
     stiffness segment is one symmetric eigenproblem, whose modes
     ``_modal_response`` steps in closed form. The force array has one
     column per story; the returned (n, stories) array is the only n-sized
-    array made, the forces being read 8192 rows at a time.
+    array made, the forces being read 8192 rows at a time. It is
+    story-major (Fortran order), like ``simulate``'s signals.
     """
     forces = np.atleast_2d(np.asarray(forces, dtype=float))
     if forces.shape[1] != model.stories:
         raise ConfigError("force history needs one column per story")
-    out = np.empty((forces.shape[0], model.stories))
+    out = np.empty((forces.shape[0], model.stories), order="F")
     _respond(model, scenario, _array_source(forces), out, sample_rate, chunk_size)
     return out
 
 
 @dataclass
 class SimulationResult:
-    """Labeled output: sensor signals plus the ground truth that produced them."""
+    """Labeled output: sensor signals plus the ground truth that produced them.
 
-    time: np.ndarray
+    ``simulate`` stores ``signals`` sensor-major (Fortran order), so
+    ``signals[:, j]`` is contiguous; ``time`` is computed on each access.
+    """
+
     signals: np.ndarray  # (n_samples, n_sensors)
     sensor_ids: list[int]
     sensor_stories: list[int]
@@ -346,6 +356,11 @@ class SimulationResult:
     lambda_chunk: int | None
     seed: int
     scenario: DamageScenario = field(repr=False, default=None)
+
+    @property
+    def time(self) -> np.ndarray:
+        """The times of the samples in seconds: sample i is at i / ``sample_rate``."""
+        return np.arange(len(self.signals), dtype=float) / self.sample_rate
 
     @property
     def column_names(self) -> list[str]:
@@ -359,7 +374,7 @@ class SimulationResult:
             "chunk_size": self.chunk_size,
             "sample_rate": self.sample_rate,
             "lambda_chunk": self.lambda_chunk,
-            "n_samples": int(self.time.size),
+            "n_samples": len(self.signals),
             "seed": self.seed,
             "damaged_story": self.scenario.story if self.scenario else None,
             "retention": self.scenario.retention if self.scenario else None,
@@ -384,12 +399,15 @@ def simulate(
     noise scaled to ``noise_snr_db`` below the per-channel RMS. The
     response is that of ``response_to_forces``: each stiffness segment's
     modes are stepped in closed form by ``_modal_response``. The
-    (n, stories * sensors_per_story) signal array is allocated once: the
-    forces are drawn and the response written into each story's first
-    sensor column ``BLOCK`` rows at a time, and the other sensors' copies
-    and every column's noise are added in blocks too. Beyond the returned
-    signals and times, the peak holds one n-float column (the square taken
-    for a story's RMS) and O(BLOCK) work arrays. Drawn in blocks in the same
+    (n, stories * sensors_per_story) signal array is allocated once,
+    sensor-major (Fortran order), so each sensor's record is one contiguous
+    column that a per-sensor consumer takes without a copy. The forces are
+    drawn and the response written into each story's first sensor column
+    ``BLOCK`` rows at a time; the other sensors' columns are copied from it
+    whole, and every column's noise is added in blocks. Beyond the returned
+    signals, the peak holds one n-float column (the square taken for a
+    story's RMS) and O(BLOCK) work arrays; no times are stored (see
+    ``SimulationResult.time``). Drawn in blocks in the same
     order, the numbers are those of one whole-record draw: the forces
     (n, stories) first, then the noise one sensor column after the other.
     ``chunk_size`` and ``sensors_per_story`` are integers (numpy integers
@@ -410,11 +428,10 @@ def simulate(
             return rng.normal(0.0, excitation.intensity, size=(rows, model.stories))
         return np.zeros((rows, model.stories))
 
-    signals = np.empty((n, width))
+    signals = np.empty((n, width), order="F")
     _respond(model, scenario, forces, signals[:, ::spp], excitation.sample_rate, chunk_size)
-    for lo in range(0, n, BLOCK):  # each story's other sensors copy its first one
-        block = signals[lo : lo + BLOCK].reshape(-1, model.stories, spp)
-        block[:, :, 1:] = block[:, :, :1]
+    for col in range(0, width, spp):  # each story's other sensors copy its first one
+        signals[:, col + 1 : col + spp] = signals[:, col : col + 1]
     if excitation.noise_snr_db is not None:
         rms = [float(np.sqrt(np.mean(signals[:, col] ** 2))) for col in range(0, width, spp)]
         for col in range(width):  # one draw per sensor, in column order
@@ -423,11 +440,8 @@ def simulate(
                 for lo in range(0, n, BLOCK):
                     rows = min(BLOCK, n - lo)
                     signals[lo : lo + rows, col] += rng.normal(0.0, std, size=rows)
-    time = np.arange(n, dtype=float)
-    time /= excitation.sample_rate
     stories = np.repeat(np.arange(1, model.stories + 1), spp).tolist()
     return SimulationResult(
-        time=time,
         signals=signals,
         sensor_ids=list(range(1, len(stories) + 1)),
         sensor_stories=stories,

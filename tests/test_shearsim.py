@@ -255,14 +255,36 @@ class TestSimulate:
     def test_memory_beyond_the_signals_is_one_column(self, sensors_per_story):
         scenario = DamageScenario(story=2, retention=0.5, lambda_chunk=250)
         exc = Excitation(seed=24, intensity=100.0, sample_rate=50.0, duration_s=4000.0)
+        np.random.default_rng()  # numpy imports numpy.random on first use: keep it out of the trace
         tracemalloc.start()
         try:
             result = simulate(default_model(), scenario, exc, 400, sensors_per_story)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        column = result.time.nbytes  # n floats: the square taken for a story's RMS
-        assert peak <= result.signals.nbytes + result.time.nbytes + column + 2**20
+        column = result.signals[:, 0].nbytes  # n floats: the square taken for a story's RMS
+        assert peak <= result.signals.nbytes + column + 2**20
+
+    @pytest.mark.parametrize("sensors_per_story", [1, 3])
+    def test_each_sensor_is_one_contiguous_column(self, sensors_per_story):
+        exc = Excitation(seed=27, intensity=100.0, sample_rate=50.0, duration_s=8000.0)
+        result = simulate(default_model(), DamageScenario.undamaged(), exc, 400, sensors_per_story)
+        for j in range(result.signals.shape[1]):
+            column = result.signals[:, j]
+            assert column.flags.c_contiguous
+            assert np.shares_memory(np.ascontiguousarray(column), result.signals)
+        tracemalloc.start()
+        try:
+            extract_dsf_stream(result.signals[:, -1], DsfConfig(chunk_size=400, order=2))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < result.signals[:, -1].nbytes  # features from the column in place
+
+    def test_response_to_forces_has_one_contiguous_column_per_story(self):
+        forces = np.random.default_rng(28).normal(0.0, 50.0, size=(1000, 4))
+        accel = response_to_forces(default_model(), DamageScenario.undamaged(), forces, 50.0, 100)
+        assert all(accel[:, j].flags.c_contiguous for j in range(4))
 
     def test_zero_intensity_gives_zero_response(self):
         exc = Excitation(seed=5, intensity=0.0, sample_rate=50.0, duration_s=20.0)
@@ -293,7 +315,6 @@ class TestSimulate:
     def test_csv_cell_format(self, tmp_path):
         """Time with 6 decimals, samples with 12 significant digits."""
         result = SimulationResult(
-            time=np.array([0.0, 0.02]),
             signals=np.array([[-0.0, 1e-05], [0.1, 1.23456789012e14]]),
             sensor_ids=[1, 2],
             sensor_stories=[1, 2],
@@ -398,6 +419,13 @@ class TestSimulate:
     def test_uniform_stories_must_be_an_integer(self, stories):
         with pytest.raises(ValueError, match="^stories must be an integer, got "):
             ShearFrameModel.uniform(stories, 1000.0, 3.28e5)
+
+    @pytest.mark.parametrize("value", ["1000", True], ids=["string", "bool"])
+    @pytest.mark.parametrize("name", ["mass", "stiffness"])
+    def test_uniform_mass_and_stiffness_must_be_numbers(self, name, value):
+        settings = {"mass": 1000.0, "stiffness": 3.28e5, name: value}
+        with pytest.raises(ValueError, match=f"^{name}es must be numbers, got "):
+            ShearFrameModel.uniform(4, **settings)
 
     def test_uniform_numpy_integer_stories(self):
         model = ShearFrameModel.uniform(np.int64(3), 1000.0, 3.28e5)
