@@ -12,7 +12,11 @@ class ZeroVariance(ShmSeqError):
 
 
 class NonFiniteSignal(ShmSeqError):
-    """A signal chunk or a detector's feature sample holds nan or inf values."""
+    """A signal chunk or a detector's feature sample holds nan or inf values.
+
+    Also raised for a chunk of finite samples whose variance (or, in ``fit_ar``,
+    sum of squares) overflows the float range.
+    """
 
 
 class SingularDesign(ShmSeqError):

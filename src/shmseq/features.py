@@ -41,7 +41,7 @@ class SignalChunk:
     samples: np.ndarray
 
     def __post_init__(self) -> None:
-        self.samples = np.asarray(self.samples, dtype=float).ravel()
+        self.samples = _real(self.samples).ravel()
         if self.samples.size < 2:
             raise ValueError("a chunk needs at least two samples")
 
@@ -95,31 +95,60 @@ class DsfConfig:
         return self.order if self.coef_indices is None else len(self.coef_indices)
 
 
+def _real(samples) -> np.ndarray:
+    """``samples`` as a float array; a complex array raises ``ValueError`` naming its dtype.
+
+    ``np.asarray(..., dtype=float)`` would keep only the real part of a
+    complex array, with a ``ComplexWarning``.
+    """
+    x = np.asarray(samples)
+    if x.dtype.kind == "c":
+        raise ValueError(f"samples must be real, got dtype {x.dtype}")
+    return x.astype(float, copy=False)
+
+
+@np.errstate(invalid="ignore", over="ignore", divide="ignore")
 def _standardize(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Standardize each row of x (K, M) to zero mean and unit sample (n-1) standard deviation.
 
-    Also returns the mask of rows that cannot be standardized: a nan or inf
-    sample, or a standard deviation below ``STD_FLOOR``. Those rows come back
-    as zeros, and none of them emits a RuntimeWarning.
+    Also returns each row's standard deviation sigma, as a (K, 1) array. A
+    row that cannot be standardized (``_rejected``) comes back as nan, inf or
+    zeros, and none emits a RuntimeWarning.
     """
     m_len = x.shape[1]
-    with np.errstate(invalid="ignore", over="ignore", divide="ignore"):
-        dev = x - x.sum(axis=1, keepdims=True) / m_len
-        sigma = np.sqrt((dev * dev).sum(axis=1, keepdims=True) / (m_len - 1))
-        z = np.divide(dev, sigma, out=dev)
-    bad = ~(sigma[:, 0] >= STD_FLOOR)
-    if bad.any():
-        z[bad] = 0.0
-    return z, bad
+    dev = x - np.add.reduce(x, 1, keepdims=True) / m_len
+    sigma = np.sqrt(np.add.reduce(dev * dev, 1, keepdims=True) / (m_len - 1))
+    dev /= sigma
+    return dev, sigma
+
+
+def _rejected(z: np.ndarray, sigma: np.ndarray) -> np.ndarray:
+    """The mask of the rows ``_standardize`` could not standardize, after zeroing them in z.
+
+    A row is rejected when its sigma is not a finite number of at least
+    ``STD_FLOOR``: a nan or inf sample, a dead sensor, or a sum of squares
+    beyond the float range.
+    """
+    bad = ~((sigma[:, 0] >= STD_FLOOR) & (sigma[:, 0] < np.inf))
+    z[bad] = 0.0
+    return bad
 
 
 def _standardize_error(x: np.ndarray) -> ShmSeqError:
-    """The error of a chunk that ``_standardize`` rejected; non-finite samples come first."""
+    """The error of a chunk that ``_rejected`` marks: non-finite samples come first.
+
+    A chunk of finite samples is rejected for a standard deviation below
+    ``STD_FLOOR`` or for a sum of squares beyond the float range.
+    """
     bad = int(np.count_nonzero(~np.isfinite(x)))
     if bad:
         return NonFiniteSignal(f"{bad} of {x.size} samples are nan or inf")
-    sigma = float(x.std(ddof=1))
-    return ZeroVariance(f"standard deviation {sigma:.3e} below floor {STD_FLOOR:.0e}")
+    with np.errstate(over="ignore", invalid="ignore"):
+        sigma = float(x.std(ddof=1))
+    if sigma < STD_FLOOR:
+        return ZeroVariance(f"standard deviation {sigma:.3e} below floor {STD_FLOOR:.0e}")
+    # sigma is inf, or nan where partial sums overflowed to both signs
+    return NonFiniteSignal(f"variance of {x.size} finite samples overflows")
 
 
 def _singular(rank: int, p: int) -> SingularDesign:
@@ -129,12 +158,12 @@ def _singular(rank: int, p: int) -> SingularDesign:
 def normalize_chunk(chunk: SignalChunk) -> np.ndarray:
     """Standardize a chunk to zero mean and unit sample (n-1) standard deviation.
 
-    Raises NonFiniteSignal when a sample is nan or inf, and ZeroVariance when
-    the chunk standard deviation is below ``STD_FLOOR``, which signals a dead
-    or saturated sensor.
+    Raises NonFiniteSignal when a sample is nan or inf or the variance
+    overflows, and ZeroVariance when the chunk standard deviation is below
+    ``STD_FLOOR``, which signals a dead or saturated sensor.
     """
-    z, bad = _standardize(chunk.samples[None, :])
-    if bad[0]:
+    z, sigma = _standardize(chunk.samples[None, :])
+    if _rejected(z, sigma)[0]:
         raise _standardize_error(chunk.samples)
     return z[0]
 
@@ -154,64 +183,76 @@ def _require_samples(m_len: int, p: int) -> None:
 def _blocks(n: int, p: int, m_len: int):
     """Slices covering rows 0..n-1, each block's lag rows within ``BLOCK_BYTES`` (or one row)."""
     step = max(1, BLOCK_BYTES // (8 * (p + 1) * m_len))
-    return (slice(lo, lo + step) for lo in range(0, n, step))
+    return map(slice, range(0, n, step), range(step, n + step, step))
 
 
-def _ranked(gram: np.ndarray, rows: np.ndarray | slice = slice(None)):
+def _ranked(gram: np.ndarray, eig: np.ndarray, rows: np.ndarray | slice = slice(None)):
     """The numerical rank of each (p, p) Gram matrix in gram[rows], and gram ready to solve.
 
-    The rank counts the eigenvalues above ``SINGULAR_RATIO`` times the
-    largest, so it is below p exactly when lambda_min <= ``SINGULAR_RATIO``
-    * lambda_max. When one is, a copy of gram is returned in which each such
-    matrix is the identity, so that a stacked solve cannot fail on it.
+    ``eig`` holds the ascending eigenvalues of gram[rows]. The rank counts
+    those above ``SINGULAR_RATIO`` times the largest, so it is below p
+    exactly when lambda_min <= ``SINGULAR_RATIO`` * lambda_max. When one is,
+    a copy of gram is returned in which each such matrix is the identity, so
+    that a stacked solve cannot fail on it.
     """
-    p = gram.shape[-1]
-    eig = np.linalg.eigvalsh(gram[rows])
-    singular = eig[:, 0] <= SINGULAR_RATIO * eig[:, -1]
-    rank = np.full(len(eig), p)
+    rank = np.count_nonzero(eig > SINGULAR_RATIO * eig[:, -1:], axis=1)
+    singular = rank < gram.shape[-1]
     if singular.any():
-        low = eig[singular]
-        rank[singular] = np.count_nonzero(low > SINGULAR_RATIO * low[:, -1:], axis=1)
         gram = gram.copy()
-        gram[np.arange(len(gram))[rows][singular]] = np.eye(p)
+        gram[np.arange(len(gram))[rows][singular]] = np.eye(gram.shape[-1])
     return rank, gram
 
 
-def _fit_stack(
-    z: np.ndarray, p: int, with_rss: bool = False
-) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
+def _lagged(z: np.ndarray, p: int) -> tuple[np.ndarray, np.ndarray]:
+    """The (K, p, M - p) lag regressors of each row of z (K, M) and its (K, M - p, 1) targets.
+
+    design[:, j, t - p] is z[:, t - 1 - j], lag j + 1 of the target z[:, t],
+    for t = p..M-1.
+    """
+    m_len = z.shape[1]
+    design = np.empty((len(z), p, m_len - p))
+    for j in range(p):
+        design[:, j] = z[:, p - 1 - j : m_len - 1 - j]
+    return design, z[:, p:, None]
+
+
+def _fit_stack(z: np.ndarray, p: int, norm2: float) -> tuple[np.ndarray, np.ndarray | None]:
     """Fit AR(p) to every row of z (K, M) by least squares in one stacked solve.
 
     Row k is fitted as ``fit_ar`` describes, through its normal equations:
-    the (K, p, p) Gram matrices of the lag regressors are formed with one
-    batched product and solved with one ``np.linalg.solve``. Returns the
-    (K, p) coefficients, each row's numerical rank (``_ranked``) and, with
-    ``with_rss``, each row's residual sum of squares, from explicit
-    residuals. A row of rank < p is singular; its coefficients are
-    meaningless. The work arrays hold a (K, p, M - 1) lag tensor, so the
-    callers that fit a whole record pass one block of rows at a time
-    (``_blocks``); no row's result depends on which rows share its call.
+    one batched product forms the (K, p, p) Gram matrices of the lag
+    regressors, one ``eigvalsh`` checks them and one ``np.linalg.solve``
+    solves them. ``norm2`` bounds the squared norm of every row: a
+    standardized chunk's is M - 1, so M bounds it with room for round-off.
+    Each lag row is part of its row of z, so lambda_max <= trace <= p *
+    norm2. When every eigenvalue of the block exceeds ``SINGULAR_RATIO`` * p
+    * norm2, every row passes ``_ranked``'s test, and the ranks come back as
+    None; otherwise (always, for norm2 = inf) they come back row by row, and
+    a row of rank < p has meaningless coefficients. The work arrays hold a
+    (K, p, M - p) lag tensor, so the callers that fit a whole record pass
+    one block of rows at a time (``_blocks``); no row's result depends
+    on which rows share its call.
     """
-    m_len = z.shape[1]
-    _require_samples(m_len, p)
-    # design[:, j, t - p] is z[:, t - 1 - j], lag j + 1 of the target z[:, t]
-    lags = np.empty((len(z), p, m_len - 1))
-    for j in range(p):
-        lags[:, j, p - 1 :] = z[:, p - 1 - j : m_len - 1 - j]
-    design = lags[:, :, p - 1 :]
-    target = z[:, p:, None]
-    rank, gram = _ranked(design @ design.transpose(0, 2, 1))
-    coef = np.linalg.solve(gram, design @ target)
-    if not with_rss:
-        return coef[:, :, 0], rank, None
-    resid = target[:, :, 0] - (coef.transpose(0, 2, 1) @ design)[:, 0]
-    return coef[:, :, 0], rank, np.einsum("km,km->k", resid, resid)
+    design, target = _lagged(z, p)
+    gram = design @ design.transpose(0, 2, 1)
+    eig = np.linalg.eigvalsh(gram)
+    rank = None
+    if not np.minimum.reduce(eig, None) > SINGULAR_RATIO * p * norm2:
+        rank, gram = _ranked(gram, eig)
+    return np.linalg.solve(gram, design @ target)[:, :, 0], rank
+
+
+def _rss(z: np.ndarray, coef: np.ndarray) -> np.ndarray:
+    """Each row's residual sum of squares under its (K, p) AR coefficients, from explicit residuals."""
+    design, target = _lagged(z, coef.shape[1])
+    resid = target[:, :, 0] - (coef[:, None, :] @ design)[:, 0]
+    return np.einsum("km,km->k", resid, resid)
 
 
 def _aic_curves(z: np.ndarray, p_max: int) -> tuple[np.ndarray, np.ndarray]:
     """Each row's AIC curve and numerical rank at orders 1..p_max, as two (K, p_max) arrays.
 
-    Row k at order p is what ``_fit_stack(z, p, with_rss=True)`` gives, up
+    Row k at order p is what ``_fit_stack`` and ``_rss`` give, up
     to round-off, from the normal equations of its own rows t = p..M-1: one
     batched product forms the cross-products of the target and lags
     1..p_max over the rows t >= p_max that every order shares. Walking p
@@ -223,7 +264,7 @@ def _aic_curves(z: np.ndarray, p_max: int) -> tuple[np.ndarray, np.ndarray]:
     most that sum (interlacing). Only rows that fail this screen get one
     ``eigvalsh`` per order, and their ranks use ``_ranked``'s rule. A
     full-rank fit whose RSS cancels (see ``RSS_CANCEL``) takes its RSS from
-    ``_fit_stack`` instead.
+    ``_fit_stack`` and ``_rss`` instead.
     """
     m_len = z.shape[1]
     _require_samples(m_len, p_max)
@@ -242,14 +283,15 @@ def _aic_curves(z: np.ndarray, p_max: int) -> tuple[np.ndarray, np.ndarray]:
             cross[:, : p + 1, : p + 1] += row[:, :, None] * row[:, None, :]
         gram, c = cross[:, 1 : p + 1, 1 : p + 1], cross[:, 1 : p + 1, 0]
         if unscreened.size:
-            ranks[unscreened, p - 1], gram = _ranked(gram, unscreened)
+            eig = np.linalg.eigvalsh(gram[unscreened])
+            ranks[unscreened, p - 1], gram = _ranked(gram, eig, unscreened)
         beta = np.linalg.solve(gram, c[:, :, None])[:, :, 0]
         yy = cross[:, 0, 0]
         rss = yy - np.einsum("kp,kp->k", c, beta)
         scale = yy * (1 + np.abs(beta).sum(axis=1)) ** 2
         cancelled = (ranks[:, p - 1] == p) & ~(rss > RSS_CANCEL * scale)
         if cancelled.any():
-            rss[cancelled] = _fit_stack(z[cancelled], p, with_rss=True)[2]
+            rss[cancelled] = _rss(z[cancelled], _fit_stack(z[cancelled], p, m_len)[0])
         with np.errstate(divide="ignore", invalid="ignore"):
             curves[:, p - 1] = m_len * np.log(rss / (m_len - p)) + 2 * p
     return curves, ranks
@@ -265,13 +307,14 @@ def _fit_rows(
 ) -> np.ndarray:
     """The mask of the chunks that can be fit, after handling those that cannot.
 
-    ``x[i]`` holds chunk i's raw samples, ``bad`` marks the chunks ``_standardize``
-    rejected and ``ranks[i, j]`` is row i's rank at AR order ``orders[j]``.
-    Within a chunk a non-finite sample comes first, then zero variance, then
-    the lowest order whose lag matrix is singular; the error names the
-    chunk ``chunk_at(i)``. With a ``skipped`` list every failing chunk's
-    error is appended to it, in chunk order, and the first raises only when
-    no chunk is left; without one the first raises.
+    ``x[i]`` holds chunk i's raw samples, ``bad`` marks the chunks
+    ``_rejected`` and ``ranks[i, j]`` is row i's rank at AR order
+    ``orders[j]``. Within a chunk a non-finite sample comes first, then an
+    overflowing or zero variance, then the lowest order whose lag matrix is
+    singular; the error names the chunk ``chunk_at(i)``. With a ``skipped``
+    list every failing chunk's error is appended to it, in chunk order, and
+    the first raises only when no chunk is left; without one the first
+    raises.
     """
     deficient = ranks < orders
     failing = bad | deficient.any(axis=1)
@@ -304,18 +347,24 @@ def fit_ar(normalized: np.ndarray, p: int) -> ArModel:
     matrix is at most ``SINGULAR_RATIO`` times the largest, i.e. when its
     condition number is 1e5 or more. That is stricter than an SVD rank at
     machine precision, which the Gram matrix cannot give without an SVD of
-    its own. A nan or inf sample raises NonFiniteSignal. ``p`` is an integer
-    (numpy integers too).
+    its own. A chunk whose sum of squares is not finite raises as
+    ``normalize_chunk`` would: NonFiniteSignal for a nan or inf sample or
+    for a variance beyond the float range (a zero-mean chunk's sum of
+    squares is M - 1 times its variance). A complex chunk is a ValueError.
+    ``p`` is an integer (numpy integers too).
     """
-    x = np.asarray(normalized, dtype=float).ravel()
+    x = _real(normalized).ravel()
     if integer("p", p) < 1:
         raise ValueError("AR order must be >= 1")
-    if not np.isfinite(x).all():
-        raise _standardize_error(x)
-    coef, rank, rss = _fit_stack(x[None, :], p, with_rss=True)
+    with np.errstate(over="ignore", invalid="ignore"):
+        if not x @ x < np.inf:
+            raise _standardize_error(x)
+    _require_samples(x.size, p)
+    coef, rank = _fit_stack(x[None, :], p, np.inf)
     if rank[0] < p:
         raise _singular(int(rank[0]), p)
-    return ArModel(order=p, coefficients=coef[0], residual_variance=float(rss[0]) / (x.size - p))
+    rss = float(_rss(x[None, :], coef)[0])
+    return ArModel(order=p, coefficients=coef[0], residual_variance=rss / (x.size - p))
 
 
 def aic_values(
@@ -353,7 +402,8 @@ def aic_values(
     ranks = np.empty((len(chunks), p_max), dtype=int)
     bad = np.empty(len(chunks), dtype=bool)
     for rows in _blocks(len(chunks), p_max, m_len):
-        z, bad[rows] = _standardize(np.stack(samples[rows]))
+        z, sigma = _standardize(np.stack(samples[rows]))
+        bad[rows] = _rejected(z, sigma)
         curves[rows], ranks[rows] = _aic_curves(z, p_max)
     keep = _fit_rows(chunks.__getitem__, samples, bad, ranks, range(1, p_max + 1), skipped)
     return curves[keep].mean(axis=0)
@@ -383,28 +433,40 @@ def extract_dsf_stream(
     Row k holds the features of chunk k + 1. The chunks are standardized
     and fitted one block at a time (``BLOCK_BYTES``), so beyond the input
     and the (N, ``config.order``) coefficients the peak holds one block's
-    work arrays, however long the stream. Extraction is deterministic:
-    identical input bytes produce identical features, whatever the block
+    work arrays, however long the stream. A block whose chunks all pass
+    costs its arithmetic: the standardization, the lag copies, one Gram
+    product, one ``eigvalsh``, one ``solve`` and three reductions (the
+    smallest and largest sigma, the smallest eigenvalue; see
+    ``_fit_stack``). The rejected-row mask, the ranks and the error of each
+    failing chunk are built only for a block that holds one. Extraction is
+    deterministic: identical input bytes produce identical features, whatever the block
     size. The first chunk that cannot be fit raises, naming its sensor and
     chunk. With a ``skipped`` list, as for ``aic_values``, every such
     chunk's error is appended to it and its row is left out; the first
     still raises when no row is left. ``samples`` is one stream: a 1-D
     array or a single column (or row); an array of several columns, such as
-    two sensors side by side, is a ValueError.
+    two sensors side by side, is a ValueError, and so is a complex array.
     """
-    x = np.asarray(samples, dtype=float)
+    x = _real(samples)
     if x.ndim > 1 and x.size not in x.shape:
         raise ValueError(f"extract_dsf_stream takes one stream, got an array of shape {x.shape}")
     x = x.ravel()
     n, m_len, p = x.size // config.chunk_size, config.chunk_size, config.order
     x = x[: n * m_len].reshape(n, m_len)
     coef = np.empty((n, p))
-    rank = np.empty(n, dtype=int)
-    bad = np.empty(n, dtype=bool)
+    bad = rank = None  # every chunk's, built at the first block that holds a failing chunk
     for rows in _blocks(n, p, m_len):
-        z, bad[rows] = _standardize(x[rows])
-        coef[rows], rank[rows], _ = _fit_stack(z, p)
-    if bad.any() or (rank < p).any():
+        z, sigma = _standardize(x[rows])
+        low, high = np.minimum.reduce(sigma, None), np.maximum.reduce(sigma, None)
+        rejected = None if STD_FLOOR <= low and high < np.inf else _rejected(z, sigma)
+        coef[rows], block_rank = _fit_stack(z, p, m_len)
+        if block_rank is not None:  # a rejected row's zero Gram matrix has rank 0
+            if rank is None:
+                bad, rank = np.zeros(n, dtype=bool), np.full(n, p)
+            rank[rows] = block_rank
+            if rejected is not None:
+                bad[rows] = rejected
+    if rank is not None:
         keep = _fit_rows(
             lambda i: SignalChunk(sensor_id, i + 1, x[i]), x, bad, rank[:, None], [p], skipped
         )

@@ -20,7 +20,7 @@ from shmseq.features import (
     normalize_chunk,
     select_order,
 )
-from shmseq.features import _aic_curves, _fit_rows, _fit_stack, _standardize
+from shmseq.features import _aic_curves, _fit_rows, _fit_stack, _rejected, _rss, _standardize
 
 from helpers import gen_ar
 
@@ -199,7 +199,9 @@ class TestAicKernel:
         curves = np.empty((len(z), p_max))
         ranks = np.empty((len(z), p_max), dtype=int)
         for p in range(1, p_max + 1):
-            _, ranks[:, p - 1], rss = _fit_stack(z, p, with_rss=True)
+            coef, rank = _fit_stack(z, p, m_len)
+            ranks[:, p - 1] = p if rank is None else rank
+            rss = _rss(z, coef)
             with np.errstate(divide="ignore"):
                 curves[:, p - 1] = m_len * np.log(rss / (m_len - p)) + 2 * p
         return curves, ranks
@@ -221,7 +223,8 @@ class TestAicKernel:
                 assert SINGULAR_RATIO / 10 < ratio < 10 * SINGULAR_RATIO
                 rows.append(samples)
         x = np.array(rows)
-        z, bad = _standardize(x)
+        z, sigma = _standardize(x)
+        bad = _rejected(z, sigma)
         curves, ranks = _aic_curves(z, p_max)
         want_curves, want_ranks = self.explicit(z, p_max)
 
@@ -493,3 +496,147 @@ class TestIntegerSizes:
         chunks = [chunk(x)]
         assert np.array_equal(aic_values(chunks, np.int32(3)), aic_values(chunks, 3))
         assert select_order(chunks, np.int64(3)) == select_order(chunks, 3)
+
+
+class TestCleanPath:
+    """A block of chunks that all pass costs one ``eigvalsh`` and one ``solve``."""
+
+    M = 400
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        """Counts of the ``np.linalg`` calls extraction makes; reaching ``_fit_rows`` fails."""
+        counts = {"eigvalsh": 0, "solve": 0}
+
+        def counted(name):
+            real = getattr(np.linalg, name)
+
+            def call(*args, **kwargs):
+                counts[name] += 1
+                return real(*args, **kwargs)
+
+            monkeypatch.setattr(np.linalg, name, call)
+
+        counted("eigvalsh")
+        counted("solve")
+
+        def unreachable(*args, **kwargs):
+            raise AssertionError("a clean block reached _fit_rows")
+
+        monkeypatch.setattr(features, "_fit_rows", unreachable)
+        return counts
+
+    def test_one_clean_chunk(self, calls):
+        data = gen_ar([0.5, -0.3], self.M, np.random.default_rng(13))
+        dsfs = extract_dsf_stream(data, DsfConfig(chunk_size=self.M, order=2))
+        assert dsfs.shape == (1, 2)
+        assert calls == {"eigvalsh": 1, "solve": 1}
+
+    @pytest.mark.parametrize("order", [2, 12])
+    def test_one_call_of_each_per_block(self, calls, order):
+        data, step = TestBlocks.record(order, seed=3)
+        n = data.size // self.M
+        dsfs = extract_dsf_stream(data, DsfConfig(chunk_size=self.M, order=order))
+        assert dsfs.shape == (n, order)
+        blocks = -(-n // step)
+        assert blocks == 4
+        assert calls == {"eigvalsh": blocks, "solve": blocks}
+
+    @pytest.mark.parametrize("layout", ["F", "C"], ids=["simulate-column", "csv-column"])
+    def test_stream_slices_equal_the_whole_record(self, layout):
+        # one sensor's column of a (samples, 2) record: contiguous in Fortran order, as
+        # simulate stores it, or strided in C order, as read_signal_csv returns it
+        n, dead = 40, 17
+        rng = np.random.default_rng(14)
+        signals = np.asarray(rng.normal(size=(n * self.M, 2)), order=layout)
+        signals[:, 0] += np.sin(0.2 * np.arange(n * self.M))
+        signals[dead * self.M : (dead + 1) * self.M, 0] = 1.5  # a dead chunk in the middle
+        column = signals[:, 0]
+        assert column.flags.c_contiguous == (layout == "F")
+        cfg = DsfConfig(chunk_size=self.M, order=3)
+        skipped = []
+        whole = extract_dsf_stream(column, cfg, sensor_id=1, skipped=skipped)
+        assert [(e.chunk_index, type(e)) for e in skipped] == [(dead + 1, ZeroVariance)]
+        rows = []
+        for k in range(n):
+            chunk_samples = column[k * self.M : (k + 1) * self.M]
+            if k == dead:
+                with pytest.raises(ZeroVariance) as exc:
+                    extract_dsf_stream(chunk_samples, cfg, sensor_id=1)
+                assert str(exc.value).split(": ", 1)[1] == str(skipped[0]).split(": ", 1)[1]
+                continue
+            rows.append(extract_dsf_stream(chunk_samples, cfg, sensor_id=1))
+        assert np.array_equal(np.vstack(rows), whole)
+        contiguous = extract_dsf_stream(np.ascontiguousarray(column), cfg, sensor_id=1, skipped=[])
+        assert np.array_equal(contiguous, whole)
+
+
+class TestHugeAndComplexSamples:
+    """Finite chunks whose variance overflows the float range, and complex samples."""
+
+    M = 400
+
+    def record(self, scale, offset=0.0):
+        """Three chunks; the middle one is scaled by ``scale`` and shifted by ``offset``."""
+        data = gen_ar([0.5, -0.3], 3 * self.M, np.random.default_rng(15))
+        data[self.M : 2 * self.M] = offset + scale * data[self.M : 2 * self.M]
+        return data
+
+    @pytest.mark.parametrize("scale", [1e153, 1e200])
+    def test_overflowing_variance_is_non_finite(self, scale):
+        data = self.record(scale)
+        middle = data[self.M : 2 * self.M]
+        message = "variance of 400 finite samples overflows$"
+        chunks = [chunk(row, sensor_id=4, index=k + 1) for k, row in enumerate(data.reshape(3, -1))]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NonFiniteSignal, match="^sensor 4 chunk 2: " + message):
+                extract_dsf_stream(data, DsfConfig(chunk_size=self.M, order=2), sensor_id=4)
+            with pytest.raises(NonFiniteSignal, match="^sensor 4 chunk 2: " + message):
+                aic_values(chunks, 3)
+            with pytest.raises(NonFiniteSignal, match="^" + message):
+                fit_ar(middle, 2)
+            with pytest.raises(NonFiniteSignal, match="^" + message):
+                normalize_chunk(chunks[1])
+            skipped = []
+            dsfs = extract_dsf_stream(data, DsfConfig(chunk_size=self.M, order=2), skipped=skipped)
+        assert dsfs.shape == (2, 2) and [e.chunk_index for e in skipped] == [2]
+
+    @pytest.mark.parametrize("order", [2, 7])
+    def test_overflowing_mean_is_non_finite(self, order):
+        # the sum overflows, so every deviation is infinite and the standardized chunk nan
+        data = self.record(1e300, offset=1e306)
+        chunks = [chunk(row, index=k + 1) for k, row in enumerate(data.reshape(3, -1))]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NonFiniteSignal, match="^sensor 0 chunk 2: variance of 400 finite"):
+                extract_dsf_stream(data, DsfConfig(chunk_size=self.M, order=order))
+            with pytest.raises(NonFiniteSignal, match="^sensor 0 chunk 2: variance of 400 finite"):
+                aic_values(chunks, order)
+
+    def test_large_finite_variance_still_fits(self):
+        data = self.record(1.0)
+        big = self.record(1e150)
+        cfg = DsfConfig(chunk_size=self.M, order=2)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            np.testing.assert_allclose(extract_dsf_stream(big, cfg), extract_dsf_stream(data, cfg),
+                                       rtol=0, atol=1e-12)
+            chunks = [chunk(row) for row in data.reshape(3, -1)]
+            big_chunks = [chunk(row) for row in big.reshape(3, -1)]
+            np.testing.assert_allclose(aic_values(big_chunks, 3), aic_values(chunks, 3),
+                                       rtol=0, atol=1e-9)
+            small, large = fit_ar(data[self.M : 2 * self.M], 2), fit_ar(big[self.M : 2 * self.M], 2)
+        np.testing.assert_allclose(large.coefficients, small.coefficients, rtol=0, atol=1e-12)
+        assert large.residual_variance == pytest.approx(1e300 * small.residual_variance, rel=1e-9)
+
+    def test_complex_samples_raise(self):
+        data = gen_ar([0.5, -0.3], 2 * self.M, np.random.default_rng(16)) * (1 + 1j)
+        with pytest.raises(ValueError, match="^samples must be real, got dtype complex128$"):
+            extract_dsf_stream(data, DsfConfig(chunk_size=self.M, order=2))
+        with pytest.raises(ValueError, match="^samples must be real, got dtype complex128$"):
+            fit_ar(data[: self.M], 2)
+        with pytest.raises(ValueError, match="^samples must be real, got dtype complex128$"):
+            SignalChunk(0, 1, data[: self.M])
+        with pytest.raises(ValueError, match="^samples must be real, got dtype complex128$"):
+            SignalChunk(0, 1, [1.0, 2j, 3.0])
