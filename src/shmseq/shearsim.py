@@ -156,6 +156,8 @@ class Excitation:
             self.noise_snr_db = float(_finite("noise_snr_db", self.noise_snr_db, scalar=True))
         if self.sample_rate <= 0 or self.duration_s <= 0:
             raise ValueError("sample_rate and duration_s must be positive")
+        if self.sample_rate * self.duration_s == np.inf:
+            raise ValueError("sample_rate and duration_s give more samples than a float can count")
         if self.intensity < 0:
             raise ValueError("intensity must be non-negative")
 
@@ -273,6 +275,22 @@ def _modal_response(model: ShearFrameModel, k_mat: np.ndarray, dt: float, source
         out[lo : lo + rows] = ((observe @ states[:, :BLOCK]).real.T + block / model.masses)[:rows]
         del states
     return np.concatenate([phi @ (2.0 * z).real, phi @ (2.0 * lam * z).real])
+
+
+def _sum_of_squares(column: np.ndarray) -> np.floating:
+    """``np.add.reduce(column * column)`` bit for bit, squaring at most BLOCK rows at a time.
+
+    numpy sums a contiguous float array pairwise: above 128 items it splits
+    at half the length rounded down to a multiple of 8, and adds the two
+    halves' sums. Splitting the same way down to pieces of BLOCK rows sums
+    each piece along a subtree of numpy's own tree, so the total keeps its
+    bits while no n-float square is made.
+    """
+    n = len(column)
+    if n <= BLOCK:
+        return np.add.reduce(column * column)
+    half = n // 2 - n // 2 % 8
+    return _sum_of_squares(column[:half]) + _sum_of_squares(column[half:])
 
 
 def _array_source(forces: np.ndarray):
@@ -404,14 +422,19 @@ def simulate(
     column that a per-sensor consumer takes without a copy. The forces are
     drawn and the response written into each story's first sensor column
     ``BLOCK`` rows at a time; the other sensors' columns are copied from it
-    whole, and every column's noise is added in blocks. Beyond the returned
-    signals, the peak holds one n-float column (the square taken for a
-    story's RMS) and O(BLOCK) work arrays; no times are stored (see
-    ``SimulationResult.time``). Drawn in blocks in the same
-    order, the numbers are those of one whole-record draw: the forces
-    (n, stories) first, then the noise one sensor column after the other.
+    whole, and every column's noise is added in blocks. A story's RMS is
+    summed by ``_sum_of_squares`` in pieces of at most ``BLOCK`` rows along
+    numpy's own pairwise tree, so it keeps the bits of
+    ``np.mean(column ** 2)`` without squaring the whole column. Beyond the
+    returned signals, the peak holds only O(BLOCK) work arrays, whatever
+    the record's length; no times are stored (see
+    ``SimulationResult.time``). Drawn in blocks in the same order, the
+    numbers are those of one whole-record draw: the forces (n, stories)
+    first, then the noise one sensor column after the other.
     ``chunk_size`` and ``sensors_per_story`` are integers (numpy integers
-    too); a float, bool or string raises ValueError.
+    too); a float, bool or string raises ValueError. A signal array that
+    cannot be allocated, or whose shape is past numpy's limits, raises
+    ConfigError naming the samples, the sensors and the GiB it needs.
     """
     if integer("chunk_size", chunk_size) < 2:
         raise ConfigError("chunk_size must be >= 2")
@@ -428,12 +451,18 @@ def simulate(
             return rng.normal(0.0, excitation.intensity, size=(rows, model.stories))
         return np.zeros((rows, model.stories))
 
-    signals = np.empty((n, width), order="F")
+    try:
+        signals = np.empty((n, width), order="F")
+    except (MemoryError, ValueError) as err:  # ValueError: past numpy's dimension limit
+        raise ConfigError(
+            f"{n} samples x {width} sensors need {n * width * 8 / 2**30:.3g} GiB, "
+            "more than can be allocated"
+        ) from err
     _respond(model, scenario, forces, signals[:, ::spp], excitation.sample_rate, chunk_size)
     for col in range(0, width, spp):  # each story's other sensors copy its first one
         signals[:, col + 1 : col + spp] = signals[:, col : col + 1]
     if excitation.noise_snr_db is not None:
-        rms = [float(np.sqrt(np.mean(signals[:, col] ** 2))) for col in range(0, width, spp)]
+        rms = [float(np.sqrt(_sum_of_squares(signals[:, col]) / n)) for col in range(0, width, spp)]
         for col in range(width):  # one draw per sensor, in column order
             if rms[col // spp] > 0.0:
                 std = rms[col // spp] * 10.0 ** (-excitation.noise_snr_db / 20.0)

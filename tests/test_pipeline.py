@@ -681,6 +681,7 @@ class TestCli:
             ("noise_snr_db", "-1e400", "noise_snr_db"),
             ("noise_snr_db", "true", "noise_snr_db"),
             ("duration_s", "1e400", "duration_s"),
+            ("duration_s", "1e308", "sample_rate and duration_s"),
             ("intensity", "1e400", "intensity"),
             ("intensity", "NaN", "intensity"),
             ("fs", "NaN", "sample_rate"),
@@ -706,6 +707,16 @@ class TestCli:
         err = capsys.readouterr().err.splitlines()
         assert code == 1
         assert len(err) == 1 and err[0].startswith("error: bad scenario description: " + field), err
+        assert not (tmp_path / "out" / "data.csv").exists()
+
+    def test_record_too_large_to_hold_exits_1_with_one_error_line(self, tmp_path, capsys):
+        scen = tmp_path / "scenario.json"
+        scen.write_text(json.dumps(scenario_dict(1, 1e18)))  # past numpy's dimension limit
+        code = cli.main(["gen", "--scenario", str(scen), "--out", str(tmp_path / "out")])
+        err = capsys.readouterr().err.splitlines()
+        assert code == 1
+        assert err == ["error: 50000000000000000000 samples x 4 sensors need 1.49e+12 GiB, "
+                       "more than can be allocated"]
         assert not (tmp_path / "out" / "data.csv").exists()
 
     @pytest.mark.parametrize(

@@ -251,10 +251,13 @@ class TestSimulate:
         assert np.array_equal(result.signals, signals)
         assert np.array_equal(result.time, time)
 
+    @pytest.mark.parametrize("samples", [200_000, 400_000])
     @pytest.mark.parametrize("sensors_per_story", [1, 3])
-    def test_memory_beyond_the_signals_is_one_column(self, sensors_per_story):
-        scenario = DamageScenario(story=2, retention=0.5, lambda_chunk=250)
-        exc = Excitation(seed=24, intensity=100.0, sample_rate=50.0, duration_s=4000.0)
+    def test_memory_beyond_the_signals_does_not_grow_with_the_record(
+        self, sensors_per_story, samples
+    ):
+        scenario = DamageScenario(story=2, retention=0.5, lambda_chunk=samples // 800)
+        exc = Excitation(seed=24, intensity=100.0, sample_rate=50.0, duration_s=samples / 50.0)
         np.random.default_rng()  # numpy imports numpy.random on first use: keep it out of the trace
         tracemalloc.start()
         try:
@@ -262,8 +265,32 @@ class TestSimulate:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        column = result.signals[:, 0].nbytes  # n floats: the square taken for a story's RMS
-        assert peak <= result.signals.nbytes + column + 2**20
+        assert result.signals.shape == (samples, 4 * sensors_per_story)
+        assert peak <= result.signals.nbytes + 3 * 2**20
+
+    @pytest.mark.parametrize(
+        "n", [1, 8, 127, 128, 129, BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK + 8, 100_003, 800_000]
+    )
+    def test_sum_of_squares_is_numpys_bit_for_bit(self, n):
+        for scale in (1e-3, 1.0, 1e5):
+            record = np.random.default_rng(n).normal(0.0, scale, size=(n, 3))
+            for column in (np.asfortranarray(record)[:, 1], record[:, 1]):  # contiguous, strided
+                assert shearsim._sum_of_squares(column) == np.add.reduce(column * column)
+
+    def test_a_record_past_numpys_dimension_limit_is_a_config_error(self):
+        exc = Excitation(seed=3, intensity=100.0, sample_rate=50.0, duration_s=1e18)
+        with pytest.raises(ConfigError, match=r"^50000000000000000000 samples x 8 sensors need "
+                           r"2\.98e\+12 GiB, more than can be allocated$"):
+            simulate(default_model(), DamageScenario.undamaged(), exc, 400, 2)
+
+    def test_a_record_too_large_to_allocate_is_a_config_error(self, monkeypatch):
+        def no_memory(shape, *args, **kwargs):
+            raise MemoryError(f"Unable to allocate an array with shape {shape}")
+
+        monkeypatch.setattr(np, "empty", no_memory)
+        exc = Excitation(seed=3, intensity=100.0, sample_rate=50.0, duration_s=2000.0)
+        with pytest.raises(ConfigError, match=r"^100000 samples x 4 sensors need 0\.00298 GiB, "):
+            simulate(default_model(), DamageScenario.undamaged(), exc, 400)
 
     @pytest.mark.parametrize("sensors_per_story", [1, 3])
     def test_each_sensor_is_one_contiguous_column(self, sensors_per_story):
@@ -353,7 +380,8 @@ class TestSimulate:
         "name, value, message",
         [("sample_rate", 0.0, "sample_rate and duration_s must be positive"),
          ("duration_s", -4.0, "sample_rate and duration_s must be positive"),
-         ("intensity", -0.5, "intensity must be non-negative")],
+         ("intensity", -0.5, "intensity must be non-negative"),
+         ("duration_s", 1e308, "sample_rate and duration_s give more samples than a float can count")],
     )
     def test_excitation_ranges(self, name, value, message):
         settings = dict(seed=2, intensity=50.0, sample_rate=50.0, duration_s=20.0)
