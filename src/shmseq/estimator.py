@@ -105,8 +105,7 @@ def fit_predamage(training) -> GaussianParams:
     mu = x.mean(axis=0)
     xc = x - mu
     cov = xc.T @ xc / (n - 1)
-    cov = ridge_regularize(0.5 * (cov + cov.T))
-    return GaussianParams(mean=mu, cov=cov)
+    return GaussianParams(mean=mu, cov=ridge_regularize(cov))  # GaussianParams symmetrizes it
 
 
 def logsumexp(a) -> float:
@@ -158,7 +157,11 @@ def prior_weighted_log_likelihood(dsfs, prior, g: GaussianParams, theta: Gaussia
     The theta-dependent part of the Jensen surrogate; `estimate_params` is
     its exact stationary point in (mu, Sigma).
     """
-    per_k, _, _ = _scored_hypotheses(dsfs, prior, g, theta)
+    return _prior_weighted(_scored_hypotheses(dsfs, prior, g, theta)[0], prior)
+
+
+def _prior_weighted(per_k: np.ndarray, prior) -> float:
+    """sum_k pi(k) per_k[k-1], for per_k from ``hypothesis_log_weights``."""
     return float(prior.mass(np.arange(1, per_k.size + 1)) @ per_k)
 
 
@@ -170,9 +173,8 @@ def jensen_lower_bound(dsfs, prior, g: GaussianParams, theta: GaussianParams) ->
     from the exact posterior computation on the same data (with f = theta)
     so the surrogate is directly comparable to `exact_log_posterior`.
     """
-    _, log_w, log_nc = _scored_hypotheses(dsfs, prior, g, theta)
-    log_c = -logsumexp(np.append(log_w, log_nc))
-    return log_c + prior_weighted_log_likelihood(dsfs, prior, g, theta)
+    per_k, log_w, log_nc = _scored_hypotheses(dsfs, prior, g, theta)
+    return -logsumexp(np.append(log_w, log_nc)) + _prior_weighted(per_k, prior)
 
 
 def _coefficients(offset: np.ndarray, chol_inv: np.ndarray, log_det: float) -> np.ndarray:

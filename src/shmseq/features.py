@@ -122,13 +122,15 @@ def _standardize(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return dev, sigma
 
 
-def _rejected(z: np.ndarray, sigma: np.ndarray) -> np.ndarray:
+def _rejected(z: np.ndarray, sigma: np.ndarray) -> np.ndarray | None:
     """The mask of the rows ``_standardize`` could not standardize, after zeroing them in z.
 
     A row is rejected when its sigma is not a finite number of at least
     ``STD_FLOOR``: a nan or inf sample, a dead sensor, or a sum of squares
-    beyond the float range.
+    beyond the float range. None when the smallest and largest sigma pass.
     """
+    if STD_FLOOR <= np.minimum.reduce(sigma, None) and np.maximum.reduce(sigma, None) < np.inf:
+        return None
     bad = ~((sigma[:, 0] >= STD_FLOOR) & (sigma[:, 0] < np.inf))
     z[bad] = 0.0
     return bad
@@ -163,7 +165,7 @@ def normalize_chunk(chunk: SignalChunk) -> np.ndarray:
     ``STD_FLOOR``, which signals a dead or saturated sensor.
     """
     z, sigma = _standardize(chunk.samples[None, :])
-    if _rejected(z, sigma)[0]:
+    if _rejected(z, sigma) is not None:
         raise _standardize_error(chunk.samples)
     return z[0]
 
@@ -227,11 +229,11 @@ def _fit_stack(z: np.ndarray, p: int, norm2: float) -> tuple[np.ndarray, np.ndar
     Each lag row is part of its row of z, so lambda_max <= trace <= p *
     norm2. When every eigenvalue of the block exceeds ``SINGULAR_RATIO`` * p
     * norm2, every row passes ``_ranked``'s test, and the ranks come back as
-    None; otherwise (always, for norm2 = inf) they come back row by row, and
-    a row of rank < p has meaningless coefficients. The work arrays hold a
-    (K, p, M - p) lag tensor, so the callers that fit a whole record pass
-    one block of rows at a time (``_blocks``); no row's result depends
-    on which rows share its call.
+    None; otherwise they come back row by row: a row ``_rejected`` zeroed
+    has rank 0, and one of rank < p has meaningless coefficients. The work
+    arrays hold a (K, p, M - p) lag tensor, so the callers that fit a whole
+    record pass one block of rows at a time (``_blocks``); no row's result
+    depends on which rows share its call.
     """
     design, target = _lagged(z, p)
     gram = design @ design.transpose(0, 2, 1)
@@ -300,33 +302,30 @@ def _aic_curves(z: np.ndarray, p_max: int) -> tuple[np.ndarray, np.ndarray]:
 def _fit_rows(
     chunk_at: Callable[[int], SignalChunk],
     x: np.ndarray,
-    bad: np.ndarray,
     ranks: np.ndarray,
     orders: Sequence[int],
     skipped: list[ShmSeqError] | None,
 ) -> np.ndarray:
     """The mask of the chunks that can be fit, after handling those that cannot.
 
-    ``x[i]`` holds chunk i's raw samples, ``bad`` marks the chunks
-    ``_rejected`` and ``ranks[i, j]`` is row i's rank at AR order
-    ``orders[j]``. Within a chunk a non-finite sample comes first, then an
-    overflowing or zero variance, then the lowest order whose lag matrix is
-    singular; the error names the chunk ``chunk_at(i)``. With a ``skipped``
-    list every failing chunk's error is appended to it, in chunk order, and
-    the first raises only when no chunk is left; without one the first
-    raises.
+    ``x[i]`` holds chunk i's raw samples and ``ranks[i, j]`` is row i's
+    rank at AR order ``orders[j]``. A chunk fails when a rank is below its
+    order. At its lowest failing order, rank 0 is a chunk ``_rejected``
+    zeroed (``_standardize_error``) unless the chunk standardizes, to lag
+    samples of exactly 0; any other rank is a singular lag matrix. The
+    error names the chunk ``chunk_at(i)``. With a ``skipped`` list every
+    failing chunk's error is appended to it, in chunk order, and the first
+    raises only when no chunk is left; without one the first raises.
     """
     deficient = ranks < orders
-    failing = bad | deficient.any(axis=1)
+    failing = deficient.any(axis=1)
     if not failing.any():
         return ~failing
     errors = []
     for i in np.flatnonzero(failing):
-        if bad[i]:
-            err = _standardize_error(x[i])
-        else:
-            j = int(np.argmax(deficient[i]))
-            err = _singular(int(ranks[i, j]), int(orders[j]))
+        j = int(np.argmax(deficient[i]))
+        rejected = ranks[i, j] == 0 and _rejected(*_standardize(x[i][None, :])) is not None
+        err = _standardize_error(x[i]) if rejected else _singular(int(ranks[i, j]), int(orders[j]))
         errors.append(_located(err, chunk_at(int(i))))
         if skipped is None:
             raise errors[0]
@@ -350,18 +349,20 @@ def fit_ar(normalized: np.ndarray, p: int) -> ArModel:
     its own. A chunk whose sum of squares is not finite raises as
     ``normalize_chunk`` would: NonFiniteSignal for a nan or inf sample or
     for a variance beyond the float range (a zero-mean chunk's sum of
-    squares is M - 1 times its variance). A complex chunk is a ValueError.
-    ``p`` is an integer (numpy integers too).
+    squares is M - 1 times its variance); a finite one bounds its Gram
+    matrix for ``_fit_stack``. A complex chunk is a ValueError. ``p`` is an
+    integer (numpy integers too).
     """
     x = _real(normalized).ravel()
     if integer("p", p) < 1:
         raise ValueError("AR order must be >= 1")
     with np.errstate(over="ignore", invalid="ignore"):
-        if not x @ x < np.inf:
-            raise _standardize_error(x)
+        norm2 = x @ x
+    if not norm2 < np.inf:
+        raise _standardize_error(x)
     _require_samples(x.size, p)
-    coef, rank = _fit_stack(x[None, :], p, np.inf)
-    if rank[0] < p:
+    coef, rank = _fit_stack(x[None, :], p, norm2)
+    if rank is not None and rank[0] < p:
         raise _singular(int(rank[0]), p)
     rss = float(_rss(x[None, :], coef)[0])
     return ArModel(order=p, coefficients=coef[0], residual_variance=rss / (x.size - p))
@@ -400,12 +401,11 @@ def aic_values(
         raise ValueError(f"chunks must have equal lengths, got {sorted({s.size for s in samples})}")
     curves = np.empty((len(chunks), p_max))
     ranks = np.empty((len(chunks), p_max), dtype=int)
-    bad = np.empty(len(chunks), dtype=bool)
     for rows in _blocks(len(chunks), p_max, m_len):
         z, sigma = _standardize(np.stack(samples[rows]))
-        bad[rows] = _rejected(z, sigma)
+        _rejected(z, sigma)
         curves[rows], ranks[rows] = _aic_curves(z, p_max)
-    keep = _fit_rows(chunks.__getitem__, samples, bad, ranks, range(1, p_max + 1), skipped)
+    keep = _fit_rows(chunks.__getitem__, samples, ranks, range(1, p_max + 1), skipped)
     return curves[keep].mean(axis=0)
 
 
@@ -437,15 +437,15 @@ def extract_dsf_stream(
     costs its arithmetic: the standardization, the lag copies, one Gram
     product, one ``eigvalsh``, one ``solve`` and three reductions (the
     smallest and largest sigma, the smallest eigenvalue; see
-    ``_fit_stack``). The rejected-row mask, the ranks and the error of each
-    failing chunk are built only for a block that holds one. Extraction is
-    deterministic: identical input bytes produce identical features, whatever the block
-    size. The first chunk that cannot be fit raises, naming its sensor and
-    chunk. With a ``skipped`` list, as for ``aic_values``, every such
-    chunk's error is appended to it and its row is left out; the first
-    still raises when no row is left. ``samples`` is one stream: a 1-D
-    array or a single column (or row); an array of several columns, such as
-    two sensors side by side, is a ValueError, and so is a complex array.
+    ``_fit_stack``). The ranks are built only for a block that holds a failing
+    chunk, one whose rank is below the order (``_fit_rows``). Extraction is
+    deterministic: identical input bytes produce identical features, whatever
+    the block size. The first chunk that cannot be fit raises, naming its
+    sensor and chunk. With a ``skipped`` list, as for ``aic_values``, every
+    such chunk's error is appended to it and its row is left out; the first
+    still raises when no row is left. ``samples`` is one stream: a 1-D array or
+    a single column (or row); an array of several columns, such as two sensors
+    side by side, is a ValueError, and so is a complex array.
     """
     x = _real(samples)
     if x.ndim > 1 and x.size not in x.shape:
@@ -454,21 +454,18 @@ def extract_dsf_stream(
     n, m_len, p = x.size // config.chunk_size, config.chunk_size, config.order
     x = x[: n * m_len].reshape(n, m_len)
     coef = np.empty((n, p))
-    bad = rank = None  # every chunk's, built at the first block that holds a failing chunk
+    rank = None  # every chunk's, built at the first block that holds a failing chunk
     for rows in _blocks(n, p, m_len):
         z, sigma = _standardize(x[rows])
-        low, high = np.minimum.reduce(sigma, None), np.maximum.reduce(sigma, None)
-        rejected = None if STD_FLOOR <= low and high < np.inf else _rejected(z, sigma)
+        _rejected(z, sigma)
         coef[rows], block_rank = _fit_stack(z, p, m_len)
-        if block_rank is not None:  # a rejected row's zero Gram matrix has rank 0
+        if block_rank is not None:
             if rank is None:
-                bad, rank = np.zeros(n, dtype=bool), np.full(n, p)
+                rank = np.full(n, p)
             rank[rows] = block_rank
-            if rejected is not None:
-                bad[rows] = rejected
     if rank is not None:
         keep = _fit_rows(
-            lambda i: SignalChunk(sensor_id, i + 1, x[i]), x, bad, rank[:, None], [p], skipped
+            lambda i: SignalChunk(sensor_id, i + 1, x[i]), x, rank[:, None], [p], skipped
         )
         coef = coef[keep]
     return coef if config.coef_indices is None else coef[:, np.asarray(config.coef_indices) - 1]

@@ -162,6 +162,11 @@ class TestJensenBound:
         bound = jensen_lower_bound(xs, prior, g, th)
         exact = exact_log_posterior(xs, prior, g, th)
         assert bound < exact  # strict: the geometric prior is not a point mass
+        _, log_w, log_nc = hypothesis_log_weights(
+            log_density_many(g, xs), log_density_many(th, xs), prior
+        )
+        log_c = -logsumexp(np.append(log_w, log_nc))
+        assert bound == log_c + prior_weighted_log_likelihood(xs, prior, g, th)
 
     def test_point_mass_equality_single_sample(self):
         g = GaussianParams([0.0], [[0.04]])

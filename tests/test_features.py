@@ -222,11 +222,16 @@ class TestAicKernel:
                 samples, ratio = tone_with_noise(m_len, middle, factor)
                 assert SINGULAR_RATIO / 10 < ratio < 10 * SINGULAR_RATIO
                 rows.append(samples)
+        rows.append(1e200 * rng.normal(size=m_len))  # its variance overflows
         x = np.array(rows)
         z, sigma = _standardize(x)
         bad = _rejected(z, sigma)
         curves, ranks = _aic_curves(z, p_max)
         want_curves, want_ranks = self.explicit(z, p_max)
+        # zeroing gives the rejected rows rank 0 at every order; each other row here has rank >= 1
+        assert np.array_equal(np.flatnonzero(bad), [6, 7, 8, len(rows) - 1])
+        assert (ranks[bad] == 0).all() and (want_ranks[bad] == 0).all()
+        assert (ranks[~bad, 0] >= 1).all() and (want_ranks[~bad, 0] >= 1).all()
 
         # every order below a chunk's lowest singular one gives it a curve value
         fit = ~bad[:, None] & np.cumprod(want_ranks == np.arange(1, p_max + 1), axis=1).astype(bool)
@@ -237,7 +242,7 @@ class TestAicKernel:
         def errors(chunk_ranks):
             found = []
             with contextlib.suppress(ShmSeqError):
-                _fit_rows(chunks.__getitem__, x, bad, chunk_ranks, range(1, p_max + 1), found)
+                _fit_rows(chunks.__getitem__, x, chunk_ranks, range(1, p_max + 1), found)
             return [(e.chunk_index, type(e), str(e)) for e in found]
 
         expected = errors(want_ranks)
@@ -430,18 +435,27 @@ class TestBlocks:
         data, step = self.record(order, seed=2)
         n = data.size // self.M
         tone, dead, last = step + 3, 2 * step + 1, n - 1  # 0-based, in blocks 2, 3 and the last
+        flat, huge = tone + 1, dead + 1
         rows = data.reshape(n, self.M)
         rows[tone] = [1.0, -1.0] * (self.M // 2)  # singular at every order >= 2
+        # the mean absorbs the step at the last sample: the lag samples standardize to exactly
+        # 0 and give rank 0, though the standard deviation passes
+        rows[flat], rows[flat, -1] = 1e10, 1e10 + 1e-4
         rows[dead] = 0.5
+        rows[huge] *= 1e200
         rows[last, 7] = np.nan
-        expected = [(tone + 1, SingularDesign), (dead + 1, ZeroVariance)]
+        expected = [(tone + 1, SingularDesign), (flat + 1, SingularDesign)]
+        expected += [(dead + 1, ZeroVariance), (huge + 1, NonFiniteSignal)]
         expected.append((last + 1, NonFiniteSignal))
+        overflow = f"sensor 6 chunk {huge + 1}: variance of {self.M} finite samples overflows"
         cfg = DsfConfig(chunk_size=self.M, order=order)
         skipped = []
         dsfs = extract_dsf_stream(data, cfg, sensor_id=6, skipped=skipped)
         assert [(e.chunk_index, type(e)) for e in skipped] == expected
         assert all(str(e).startswith(f"sensor 6 chunk {e.chunk_index}: ") for e in skipped)
-        keep = np.setdiff1d(np.arange(n), [tone, dead, last])
+        assert str(skipped[1]).endswith(f"(rank 0 < {order})")
+        assert str(skipped[3]) == overflow
+        keep = np.setdiff1d(np.arange(n), [tone, flat, dead, huge, last])
         assert np.array_equal(dsfs, extract_dsf_stream(rows[keep].ravel(), cfg))
         with pytest.raises(SingularDesign, match=f"^sensor 6 chunk {tone + 1}: "):
             extract_dsf_stream(data, cfg, sensor_id=6)
@@ -449,6 +463,8 @@ class TestBlocks:
         skipped = []
         aic_values(chunks, order, skipped)
         assert [(e.chunk_index, type(e)) for e in skipped] == expected
+        assert str(skipped[1]).endswith("(rank 0 < 1)")
+        assert str(skipped[3]) == overflow
 
     def test_unequal_lengths_in_different_blocks_raise(self):
         data, step = self.record(12)
