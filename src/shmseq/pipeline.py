@@ -20,7 +20,7 @@ from typing import Literal
 import numpy as np
 
 from . import shearsim
-from .detector import DetectorState, GeometricPrior, detect, logistic, update
+from .detector import DetectorState, GaussianParams, GeometricPrior, detect, logistic, update
 from .errors import (
     ConfigError, InsufficientTraining, NonFiniteSignal, ShmSeqError, SingularDesign,
     ZeroVariance, integer,
@@ -134,13 +134,13 @@ class PipelineConfig:
         return cls(**data)
 
 
-@dataclass
-class SensorRun:
+@dataclass(kw_only=True)
+class SensorRun(SensorOutcome):
+    """One sensor's localization outcome, set by ``_process_sensor``, with its tables and error."""
+
     column: str
-    sensor_id: int
-    position: str
+    pre: GaussianParams | None = None  # None until the sensor succeeds
     log_odds: list[float] = field(default_factory=list)  # step k at index k - 1
-    outcome: SensorOutcome | None = None
     estimates: list[tuple[int, np.ndarray, np.ndarray]] = field(default_factory=list)
     dsfs: np.ndarray = field(default_factory=lambda: np.empty((0, 0)))  # (N, m), row k = step k+1
     skipped_training_chunks: list[str] = field(default_factory=list)  # the chunk errors
@@ -210,15 +210,6 @@ def _select_order(signals: dict[str, np.ndarray], chunk_size: int, p_max: int, p
         ) from err
 
 
-def _features(samples: np.ndarray, path, dsf_config: DsfConfig, sensor_id: int) -> np.ndarray:
-    """``extract_dsf_stream``, with the file the samples came from named in its error."""
-    try:
-        return extract_dsf_stream(samples, dsf_config, sensor_id=sensor_id)
-    except ShmSeqError as err:
-        err.args = (f"{err} (in {path})",)  # keeps the type and chunk_index
-        raise
-
-
 def _training_features(
     run: SensorRun, samples: np.ndarray, path, dsf_config: DsfConfig
 ) -> np.ndarray:
@@ -252,9 +243,14 @@ def _process_sensor(
     dsf_config: DsfConfig,
     config: PipelineConfig,
 ) -> None:
+    """Fill in ``run``: its outcome (``pre``, ``post``, ``detection_time``) and step tables."""
     prior = GeometricPrior(config.rho)
     g = fit_predamage(_training_features(run, training, config.training_csv, dsf_config))
-    dsfs = _features(stream, config.input_csv, dsf_config, run.sensor_id)
+    try:
+        dsfs = extract_dsf_stream(stream, dsf_config, sensor_id=run.sensor_id)
+    except ShmSeqError as err:
+        err.args = (f"{err} (in {config.input_csv})",)  # keeps the type and chunk_index
+        raise
 
     if config.mode == "known":
         f = fit_predamage(_training_features(run, postdamage, config.postdamage_csv, dsf_config))
@@ -274,13 +270,7 @@ def _process_sensor(
                 est = detector.params_estimate
                 run.estimates.append((detector.step, est.mean, est.cov))
         f = detector.params_estimate if detector.is_ready else None
-    run.outcome = SensorOutcome(
-        sensor_id=run.sensor_id,
-        position=run.position,
-        pre=g,
-        post=f,
-        detection_time=detector.detection_time,
-    )
+    run.pre, run.post, run.detection_time = g, f, detector.detection_time
     if config.dump_dsf:  # only a sensor that succeeded has rows in dsf.csv
         run.dsfs = dsfs
 
@@ -307,6 +297,11 @@ def run(config: PipelineConfig) -> RunResult:
 
     if isinstance(config.order, str):
         order = _select_order(train_signals, config.chunk_size, config.p_max, config.training_csv)
+        if config.coef_indices and max(config.coef_indices) > order:
+            raise ConfigError(
+                f"coef_indices {list(config.coef_indices)} exceed order {order}, which AIC"
+                f" chose in 1..p_max = {config.p_max} on {config.training_csv}"
+            )
     else:
         order = config.order
     dsf_config = DsfConfig(
@@ -337,20 +332,20 @@ def run(config: PipelineConfig) -> RunResult:
             "every sensor failed: " + "; ".join(f"{r.column}: {r.error}" for r in runs)
         )
 
-    report = build_report([r.outcome for r in good], alpha=config.alpha, rho=config.rho)
+    report = build_report(good, alpha=config.alpha, rho=config.rho)
     localization = report.to_dict()
-    summary = _summarize(runs, config, order)
+    summary = _summarize(runs, config, order, report.detected)
     with _writing_to(config.output_dir):
         paths = _write_outputs(config, runs, localization, summary)
     return RunResult(
-        exit_code=EXIT_DETECTED if summary["detected"] else EXIT_CLEAN,
+        exit_code=EXIT_DETECTED if report.detected else EXIT_CLEAN,
         summary=summary,
         localization=localization,
         paths=paths,
     )
 
 
-def _summarize(runs: list[SensorRun], config: PipelineConfig, order: int) -> dict:
+def _summarize(runs: list[SensorRun], config: PipelineConfig, order: int, detected: bool) -> dict:
     sensors = []
     for r in sorted(runs, key=lambda r: r.sensor_id):
         entry: dict = {"sensor_id": r.sensor_id, "position": r.position}
@@ -359,7 +354,7 @@ def _summarize(runs: list[SensorRun], config: PipelineConfig, order: int) -> dic
         if r.error is not None:
             entry["error"] = r.error
         else:
-            tau, lam = r.outcome.detection_time, config.lambda_true
+            tau, lam = r.detection_time, config.lambda_true
             entry["tau"] = tau
             entry["final_posterior"] = logistic(r.log_odds[-1])
             if lam is not None:
@@ -375,7 +370,7 @@ def _summarize(runs: list[SensorRun], config: PipelineConfig, order: int) -> dic
         "rho": config.rho,
         "chunk_size": config.chunk_size,
         "order": order,
-        "detected": any(r.outcome.detection_time is not None for r in runs if r.error is None),
+        "detected": detected,
         "sensors": sensors,
     }
 

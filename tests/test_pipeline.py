@@ -911,10 +911,14 @@ class TestCli:
             ({"coef_indices": [5], "order": 3}, []),
             ({"coef_indices": [9], "p_max": 4}, []),
             ({"coef_indices": []}, []),
+            ({"chunk_size": True}, []),
+            ({"order": True}, []),
+            ({"alpha": False}, []),
         ],
         ids=[
             "order-float", "chunk_size-str", "alpha-str", "coef_indices-int", "order-flag",
             "coef_indices-above-order", "coef_indices-above-p_max", "coef_indices-empty",
+            "chunk_size-bool", "order-bool", "alpha-bool",
         ],
     )
     def test_bad_setting_exits_1_naming_it(self, datasets, tmp_path, capsys, setting, flags):
@@ -957,6 +961,20 @@ class TestCli:
         assert not (tmp_path / "out").exists()
         with pytest.raises(ConfigError, match=key):
             PipelineConfig(input_csv="a.csv", training_csv="b.csv", **{key: int(flags[1])}).validate()
+
+    def test_coeffs_above_the_order_aic_chose_exits_1_naming_it(self, tmp_path, capsys):
+        noise = tmp_path / "noise.csv"  # white noise: AIC picks order 1
+        samples = np.random.default_rng(5).normal(size=(4000, 2))
+        np.savetxt(noise, np.column_stack((0.02 * np.arange(4000), samples)), delimiter=",",
+                   header="time,sensor_1,sensor_2", comments="")
+        code = cli.main([
+            "run", "--input", str(noise), "--training", str(noise), "--chunk-size", "400",
+            "--p-max", "5", "--coeffs", "2,5", "--out", str(tmp_path / "out"),
+        ])
+        err = capsys.readouterr().err.splitlines()
+        assert code == 1
+        assert err == [f"error: coef_indices [2, 5] exceed order 1, which AIC chose in"
+                       f" 1..p_max = 5 on {noise}"]
 
     def test_every_run_flag_lands_in_its_field(self, tmp_path):
         settings = {

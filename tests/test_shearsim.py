@@ -1,12 +1,13 @@
 """Tests for the shear-frame simulator physics and data contracts."""
 
+import json
 import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
 
-from shmseq import shearsim
+from shmseq import cli, shearsim
 from shmseq.errors import ConfigError, EigenFailure
 from shmseq.features import DsfConfig, extract_dsf_stream
 from shmseq.shearsim import (
@@ -76,6 +77,21 @@ class TestModal:
         model = ShearFrameModel.uniform(2, 1.0, 1e308)  # k_1 + k_2 overflows to inf
         with pytest.warns(RuntimeWarning, match="overflow"), pytest.raises(EigenFailure):
             modal_frequencies(model)
+
+    def test_a_failing_eigensolver_is_an_eigen_failure(self, monkeypatch, tmp_path, capsys):
+        def no_convergence(*args, **kwargs):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+        monkeypatch.setattr(np.linalg, "eigh", no_convergence)
+        with pytest.raises(EigenFailure, match="^Eigenvalues did not converge$"):
+            modal_frequencies(default_model())
+        scen = tmp_path / "scenario.json"
+        scen.write_text(json.dumps({
+            "stories": 2, "masses": 1000.0, "stiffnesses": 328000.0, "chunk_size": 400,
+            "excitation": {"seed": 1, "intensity": 100.0, "fs": 50.0, "duration_s": 16.0},
+        }))
+        assert cli.main(["gen", "--scenario", str(scen), "--out", str(tmp_path / "out")]) == 1
+        assert capsys.readouterr().err.splitlines() == ["error: Eigenvalues did not converge"]
 
     def test_model_validation(self):
         with pytest.raises(ValueError):
