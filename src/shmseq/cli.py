@@ -40,7 +40,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="comma-separated 1-based AR coefficient subset",
     )
     p_run.add_argument("--lambda-true", dest="lambda_true", type=int, help="true damage chunk for delay reporting")
-    p_run.add_argument("--warmup", type=int, help="adaptive mode: steps before detection is allowed")
     p_run.add_argument("--positions", help="comma-separated column=label pairs")
     p_run.add_argument("--dump-dsf", dest="dump_dsf", action="store_true", default=None)
     p_run.add_argument("--dump-estimates", dest="dump_estimates", action="store_true", default=None)

@@ -43,7 +43,7 @@ from .detector import (
     log_density_many,
     log_odds_threshold,
 )
-from .errors import EmptyStream, EstimatesUnready, InsufficientTraining, integer
+from .errors import EmptyStream, EstimatesUnready, InsufficientTraining
 
 RIDGE_SCALE = 1e-6
 RIDGE_FLOOR = 1e-9
@@ -195,10 +195,10 @@ class AdaptiveDetector(DetectorState):
 
     A ``DetectorState`` (same ``step``, ``log_odds``, ``posterior`` and
     ``detection_time``, latched by the same ``detect``) whose f is the
-    running estimate, refreshed at every step. Until ``warmup`` samples
-    (default m + 1) have arrived the covariance estimate is rank deficient
-    even with the ridge, so detection is suppressed and the log odds held at
-    -inf (posterior 0).
+    running estimate, refreshed at every step. Until ``warmup`` = m + 1
+    samples have arrived the covariance estimate is rank deficient even with
+    the ridge, so detection is suppressed and the log odds held at -inf
+    (posterior 0).
 
     No sample is stored. Step n forms the moment row r(x[n]) = [1, y, y y']
     (row-major) with y = x[n] - g.mean. Row k of ``_cum`` holds the sum of
@@ -222,24 +222,14 @@ class AdaptiveDetector(DetectorState):
     1e-9 max(1, |r|).
     """
 
-    def __init__(
-        self,
-        g: GaussianParams,
-        prior,
-        alpha: float,
-        *,
-        sensor_id: int = 0,
-        warmup: int | None = None,
-    ) -> None:
+    def __init__(self, g: GaussianParams, prior, alpha: float, *, sensor_id: int = 0) -> None:
         super().__init__()
         log_odds_threshold(alpha)  # reject a bad alpha before any sample arrives
         self.alpha = alpha
         self.g = g
         self.prior = prior
         self.sensor_id = sensor_id
-        self.warmup = g.dim + 1 if warmup is None else integer("warmup", warmup)
-        if self.warmup < 1:
-            raise ValueError(f"warmup must be >= 1, got {self.warmup}")
+        self.warmup = g.dim + 1  # the samples a full-rank covariance estimate needs
         m = g.dim
         self._weighted = np.zeros(1 + m + m * m)
         self._cum = np.zeros((1, self._weighted.size))

@@ -71,7 +71,6 @@ class PipelineConfig:
     metadata_json: str | None = None
     lambda_true: int | None = None
     positions: dict[str, str] = field(default_factory=dict)
-    warmup: int | None = None  # adaptive mode: steps before detection is allowed (default m+1)
     dump_dsf: bool = False
     dump_estimates: bool = False
 
@@ -89,10 +88,8 @@ class PipelineConfig:
             raise ConfigError("rho must lie strictly between 0 and 1")
         if self.mode == "known" and not self.postdamage_csv:
             raise ConfigError("known mode needs postdamage_csv to learn f from")
-        for name in ("warmup", "lambda_true"):  # detector steps count from 1
-            value = getattr(self, name)
-            if value is not None and value < 1:
-                raise ConfigError(f"{name} must be >= 1, got {value}")
+        if self.lambda_true is not None and self.lambda_true < 1:  # steps count from 1
+            raise ConfigError(f"lambda_true must be >= 1, got {self.lambda_true}")
         name = "p_max" if self.order == "auto" else "order"
         largest = getattr(self, name)  # the largest AR order the run may fit
         if largest < 1:
@@ -188,7 +185,7 @@ def _require_columns(signals: dict[str, np.ndarray], columns, what: str) -> None
 
 
 def _select_order(signals: dict[str, np.ndarray], chunk_size: int, p_max: int, path) -> int:
-    """AIC order selection on the chunks of every training column.
+    """AIC order selection on the chunks of the training columns the run monitors.
 
     A chunk that AIC cannot use is left out of the curve, so only its own
     sensor can skip it or fail, when its features are extracted at the
@@ -260,9 +257,7 @@ def _process_sensor(
             detect(detector, config.alpha)
             run.log_odds.append(detector.log_odds)
     else:
-        detector = AdaptiveDetector(
-            g, prior, config.alpha, sensor_id=run.sensor_id, warmup=config.warmup
-        )
+        detector = AdaptiveDetector(g, prior, config.alpha, sensor_id=run.sensor_id)
         for x in dsfs:
             detector.update(x)
             run.log_odds.append(detector.log_odds)
@@ -296,7 +291,8 @@ def run(config: PipelineConfig) -> RunResult:
         _require_columns(post_signals, input_signals, "post-damage training data")
 
     if isinstance(config.order, str):
-        order = _select_order(train_signals, config.chunk_size, config.p_max, config.training_csv)
+        monitored = {col: train_signals[col] for col in input_signals}
+        order = _select_order(monitored, config.chunk_size, config.p_max, config.training_csv)
         if config.coef_indices and max(config.coef_indices) > order:
             raise ConfigError(
                 f"coef_indices {list(config.coef_indices)} exceed order {order}, which AIC"

@@ -281,27 +281,6 @@ class TestAdaptiveDetector:
         assert not np.shares_memory(est.cov, again.cov)
         assert not any(isinstance(v, GaussianParams) for k, v in vars(det).items() if k != "g")
 
-    def test_warmup_below_one_rejected(self):
-        g = GaussianParams(np.zeros(2), np.eye(2))
-        for warmup in (0, -3):
-            with pytest.raises(ValueError, match="warmup"):
-                AdaptiveDetector(g, GeometricPrior(0.01), 1e-3, warmup=warmup)
-
-    @pytest.mark.parametrize("warmup", [2.5, True, "3", 3.0])
-    def test_warmup_must_be_an_integer(self, warmup):
-        g = GaussianParams(np.zeros(2), np.eye(2))
-        with pytest.raises(ValueError, match=f"^warmup must be an integer, got {warmup!r}$"):
-            AdaptiveDetector(g, GeometricPrior(0.01), 1e-3, warmup=warmup)
-
-    def test_numpy_integer_warmup(self):
-        g = GaussianParams(np.zeros(2), np.eye(2))
-        det = AdaptiveDetector(g, GeometricPrior(0.01), 1e-3, warmup=np.int64(4))
-        for _ in range(3):
-            det.update(np.zeros(2))
-        assert det.warmup == 4 and not det.is_ready
-        det.update(np.zeros(2))
-        assert det.is_ready
-
     def test_sample_of_wrong_dimension_rejected(self):
         g = GaussianParams(np.zeros(2), np.eye(2))
         det = AdaptiveDetector(g, GeometricPrior(0.01), 1e-3)

@@ -663,6 +663,24 @@ class TestCli:
         assert plot["lambda_true"] == 8
         assert set(plot["series"]) == {"1", "2", "3", "4"}
 
+    def test_known_mode_dump_estimates_writes_no_estimates(self, datasets, tmp_path):
+        argv = [
+            "run",
+            "--input", str(datasets / "damaged" / "data.csv"),
+            "--training", str(datasets / "train" / "data.csv"),
+            "--post-training", str(datasets / "post" / "data.csv"),
+            "--chunk-size", "400",
+            "--order", "3",
+            "--mode", "known",
+        ]
+        code = cli.main([*argv, "--out", str(tmp_path / "plain")])
+        dumped = tmp_path / "dumped"
+        assert cli.main([*argv, "--out", str(dumped), "--dump-dsf", "--dump-estimates"]) == code
+        assert code == 2
+        assert (dumped / "dsf.csv").exists()
+        assert not (dumped / "estimates.csv").exists()  # f is learned, not estimated
+        assert (dumped / "trace.csv").read_bytes() == (tmp_path / "plain" / "trace.csv").read_bytes()
+
     def test_gen_seed_override(self, tmp_path):
         scen = tmp_path / "scenario.json"
         scen.write_text(json.dumps(scenario_dict(1, 24.0)))
@@ -784,10 +802,11 @@ class TestCli:
         [
             (["run", "--input", "a.csv", "--training", "b.csv", "--alpha", "abc"], 1),
             (["run", "--no-such-flag"], 1),
+            (["run", "--warmup", "30"], 1),  # retired: the warm-up is m + 1 steps
             ([], 1),
             (["--help"], 0),
         ],
-        ids=["bad-value", "unknown-flag", "no-subcommand", "help"],
+        ids=["bad-value", "unknown-flag", "retired-warmup-flag", "no-subcommand", "help"],
     )
     def test_usage_error_exits_1_not_2(self, capsys, argv, code):
         assert cli.main(argv) == code  # 2 would read as "damage declared"
@@ -938,13 +957,8 @@ class TestCli:
 
     @pytest.mark.parametrize(
         "flags",
-        [
-            ["--warmup", "-3"],
-            ["--warmup", "0"],
-            ["--lambda-true", "-4"],
-            ["--lambda-true", "0"],
-        ],
-        ids=["warmup-negative", "warmup-zero", "lambda_true-negative", "lambda_true-zero"],
+        [["--lambda-true", "-4"], ["--lambda-true", "0"]],
+        ids=["lambda_true-negative", "lambda_true-zero"],
     )
     def test_step_setting_below_one_exits_1_naming_it(self, datasets, tmp_path, capsys, flags):
         code = cli.main([
@@ -976,6 +990,34 @@ class TestCli:
         assert err == [f"error: coef_indices [2, 5] exceed order 1, which AIC chose in"
                        f" 1..p_max = 5 on {noise}"]
 
+    def test_auto_order_reads_only_the_monitored_training_columns(self, tmp_path, capsys):
+        def ar(coefs, n, rng):  # an AR(len(coefs)) stream after a burn-in of 500 samples
+            x, e = np.zeros(n + 500), rng.normal(size=n + 500)
+            for t in range(len(coefs), n + 500):
+                x[t] = e[t] + np.dot(coefs, x[t - len(coefs) : t][::-1])
+            return x[500:]
+
+        def write(name, columns):  # 4000 samples at 50 Hz
+            path = tmp_path / name
+            np.savetxt(path, np.column_stack((0.02 * np.arange(4000), *columns.values())),
+                       delimiter=",", header=",".join(["time", *columns]), comments="")
+            return path
+
+        def chosen_order(inputs, training, out):
+            code = cli.main(["run", "--input", str(inputs), "--training", str(training),
+                             "--chunk-size", "400", "--out", str(tmp_path / out)])
+            assert code in (0, 2), capsys.readouterr().err
+            return json.loads((tmp_path / out / "summary.json").read_text())["order"]
+
+        rng = np.random.default_rng(3)
+        ar2, ar8 = ar([0.5, -0.3], 4000, rng), ar([0.0] * 7 + [0.6], 4000, rng)
+        monitored = write("in.csv", {"sensor_1": ar([0.5, -0.3], 4000, rng)})
+        alone = write("alone.csv", {"sensor_1": ar2})
+        both = write("both.csv", {"sensor_1": ar2, "sensor_2": ar8})
+        assert chosen_order(monitored, alone, "alone") == 2
+        assert chosen_order(monitored, both, "both") == 2  # sensor_2 is not monitored
+        assert chosen_order(both, both, "both_monitored") == 8  # once monitored, it counts
+
     def test_every_run_flag_lands_in_its_field(self, tmp_path):
         settings = {
             "input_csv": "in.csv",
@@ -991,7 +1033,6 @@ class TestCli:
             "p_max": 9,
             "coef_indices": [2, 4],
             "lambda_true": 41,
-            "warmup": 30,
             "positions": {"sensor_1": "roof", "sensor_2": "base"},
             "dump_dsf": True,
             "dump_estimates": True,
@@ -1011,7 +1052,6 @@ class TestCli:
             "--p-max", "9",
             "--coeffs", "2,4",
             "--lambda-true", "41",
-            "--warmup", "30",
             "--positions", "sensor_1=roof,sensor_2=base",
             "--dump-dsf",
             "--dump-estimates",
@@ -1115,6 +1155,13 @@ class TestErrorExits:
         config.write_text("[1, 2]")
         code, err = self.run_cli(datasets, tmp_path, capsys, "--config", str(config))
         assert (code, err) == (1, [f"error: {config}: expected a JSON object of run settings"])
+
+    def test_config_file_holding_the_retired_warmup_key_exits_1(self, datasets, tmp_path, capsys):
+        config = tmp_path / "run.json"
+        config.write_text(json.dumps({"warmup": 30}))
+        code, err = self.run_cli(datasets, tmp_path, capsys, "--config", str(config))
+        assert (code, err) == (1, ["error: unknown config keys: ['warmup']"])
+        assert not (tmp_path / "out").exists()
 
     def test_truncated_metadata_exits_1_naming_it(self, datasets, tmp_path, capsys):
         meta = tmp_path / "metadata.json"
