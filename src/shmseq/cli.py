@@ -3,11 +3,21 @@
 from __future__ import annotations
 
 import argparse
+import contextlib
 import sys
 
 from . import pipeline
 from .errors import ConfigError, ShmSeqError
 from .tables import read_json
+
+
+def _parsed(parse):
+    """An argparse ``type``: ``parse(text)``, or the text as given for ``validate`` to name."""
+    def convert(text: str):
+        with contextlib.suppress(ValueError):
+            return parse(text)
+        return text
+    return convert
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -27,20 +37,19 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("--input", dest="input_csv", help="monitored signal CSV")
     p_run.add_argument("--training", dest="training_csv", help="pre-damage training CSV")
     p_run.add_argument("--post-training", dest="postdamage_csv", help="post-damage CSV (known mode)")
-    p_run.add_argument("--metadata", dest="metadata_json", help="metadata JSON from `gen`")
+    p_run.add_argument("--metadata", dest="metadata_json", help="data set JSON, as `gen` writes")
     p_run.add_argument("--out", dest="output_dir", help="output directory")
     p_run.add_argument("--mode", choices=("known", "adaptive"))
     p_run.add_argument("--alpha", type=float)
     p_run.add_argument("--rho", type=float)
     p_run.add_argument("--chunk-size", dest="chunk_size", type=int)
-    p_run.add_argument("--order", help="AR order, or 'auto' for AIC selection")
+    p_run.add_argument("--order", type=_parsed(int), help="AR order, or 'auto' for AIC selection")
     p_run.add_argument("--p-max", dest="p_max", type=int, help="largest order tried by 'auto'")
     p_run.add_argument(
         "--coeffs", dest="coef_indices", metavar="COEFFS",
+        type=_parsed(lambda text: tuple(int(t) for t in text.split(","))),
         help="comma-separated 1-based AR coefficient subset",
     )
-    p_run.add_argument("--lambda-true", dest="lambda_true", type=int, help="true damage chunk for delay reporting")
-    p_run.add_argument("--positions", help="comma-separated column=label pairs")
     p_run.add_argument("--dump-dsf", dest="dump_dsf", action="store_true", default=None)
     p_run.add_argument("--dump-estimates", dest="dump_estimates", action="store_true", default=None)
 

@@ -14,7 +14,7 @@ import csv
 import os
 import types
 import typing
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Literal
 
 import numpy as np
@@ -36,7 +36,7 @@ EXIT_DETECTED = 2
 
 
 def _is_instance(value, hint) -> bool:
-    """isinstance against a field annotation (unions, Literal, tuple[X, ...], dict[K, V])."""
+    """isinstance against a field annotation (unions, Literal, tuple[X, ...])."""
     origin, args = typing.get_origin(hint), typing.get_args(hint)
     if origin in (typing.Union, types.UnionType):
         return any(_is_instance(value, h) for h in args)
@@ -44,10 +44,6 @@ def _is_instance(value, hint) -> bool:
         return value in args
     if origin is tuple:
         return isinstance(value, tuple) and all(_is_instance(v, args[0]) for v in value)
-    if origin is dict:
-        return isinstance(value, dict) and all(
-            _is_instance(k, args[0]) and _is_instance(v, args[1]) for k, v in value.items()
-        )
     if isinstance(value, bool) and hint is not bool:
         return False  # JSON true/false is no number
     return isinstance(value, (int, float) if hint is float else hint)
@@ -69,8 +65,6 @@ class PipelineConfig:
     mode: Literal["known", "adaptive"] = "adaptive"
     postdamage_csv: str | None = None
     metadata_json: str | None = None
-    lambda_true: int | None = None
-    positions: dict[str, str] = field(default_factory=dict)
     dump_dsf: bool = False
     dump_estimates: bool = False
 
@@ -88,8 +82,6 @@ class PipelineConfig:
             raise ConfigError("rho must lie strictly between 0 and 1")
         if self.mode == "known" and not self.postdamage_csv:
             raise ConfigError("known mode needs postdamage_csv to learn f from")
-        if self.lambda_true is not None and self.lambda_true < 1:  # steps count from 1
-            raise ConfigError(f"lambda_true must be >= 1, got {self.lambda_true}")
         name = "p_max" if self.order == "auto" else "order"
         largest = getattr(self, name)  # the largest AR order the run may fit
         if largest < 1:
@@ -102,32 +94,15 @@ class PipelineConfig:
 
     @classmethod
     def from_dict(cls, data: dict) -> "PipelineConfig":
-        """Config from JSON values, or from the strings the CLI flags give.
+        """Config from JSON values; a ``coef_indices`` list becomes a tuple.
 
-        ``order`` may also be an integer string, ``coef_indices`` a list or a
-        comma-separated string of integers, and ``positions`` a string of
-        comma-separated ``column=label`` pairs. A string that does not parse
-        is kept, and ``validate`` reports it.
+        A value of the wrong type is kept, and ``validate`` reports it.
         """
         bad = set(data) - set(cls.__dataclass_fields__)
         if bad:
             raise ConfigError(f"unknown config keys: {sorted(bad)}")
-        data = dict(data)
-        order = data.get("order")
-        if isinstance(order, str) and order != "auto":
-            with contextlib.suppress(ValueError):
-                data["order"] = int(order)
-        coefs = data.get("coef_indices")
-        if isinstance(coefs, str):
-            with contextlib.suppress(ValueError):
-                coefs = [int(t) for t in coefs.split(",")]
-        if isinstance(coefs, list):
-            data["coef_indices"] = tuple(coefs)
-        positions = data.get("positions")
-        if isinstance(positions, str):
-            pairs = [pair.split("=", 1) for pair in positions.split(",")]
-            if all(len(pair) == 2 for pair in pairs):
-                data["positions"] = {col.strip(): label.strip() for col, label in pairs}
+        if isinstance(data.get("coef_indices"), list):
+            data = {**data, "coef_indices": tuple(data["coef_indices"])}
         return cls(**data)
 
 
@@ -152,10 +127,15 @@ class RunResult:
     paths: dict
 
 
-def _resolve_metadata(config: PipelineConfig) -> PipelineConfig:
-    if not config.metadata_json:
-        return config
+def _read_metadata(config: PipelineConfig) -> tuple[dict[str, str], int | None]:
+    """The sensor positions by column and the true damage step from ``config.metadata_json``.
+
+    Each key of the file is optional; with no file, or no key, a sensor is
+    labelled by its column and no delay is reported.
+    """
     path = config.metadata_json
+    if not path:
+        return {}, None
     meta = read_json(path)
     sensors = meta.get("sensors", []) if isinstance(meta, dict) else None
     if not isinstance(sensors, list) or not all(
@@ -169,13 +149,16 @@ def _resolve_metadata(config: PipelineConfig) -> PipelineConfig:
             f" {config.chunk_size}; pass --chunk-size {chunk_size}"
         )
     positions = {s["column"]: s.get("position", s["column"]) for s in sensors}
-    lam = config.lambda_true if config.lambda_true is not None else meta.get("lambda_chunk")
-    resolved = replace(config, positions={**positions, **config.positions}, lambda_true=lam)
+    for col, position in positions.items():
+        if not isinstance(position, str):
+            raise ConfigError(f"{path}: position of {col} must be a string, got {position!r}")
+    lam = meta.get("lambda_chunk")
     try:
-        resolved.validate()
-    except ConfigError as err:
+        if lam is not None and integer("lambda_chunk", lam) < 1:  # steps count from 1
+            raise ValueError(f"lambda_chunk must be >= 1, got {lam}")
+    except ValueError as err:
         raise ConfigError(f"{path}: {err}") from err
-    return resolved
+    return positions, lam
 
 
 def _require_columns(signals: dict[str, np.ndarray], columns, what: str) -> None:
@@ -273,7 +256,7 @@ def _process_sensor(
 def run(config: PipelineConfig) -> RunResult:
     """Execute the full pipeline and write trace/summary/localization files."""
     config.validate()
-    config = _resolve_metadata(config)
+    positions, lambda_true = _read_metadata(config)
     with _writing_to(config.output_dir):  # fail before the work, not after it
         os.makedirs(config.output_dir, exist_ok=True)
     train_time, train_signals = read_signal_csv(config.training_csv)
@@ -307,7 +290,7 @@ def run(config: PipelineConfig) -> RunResult:
     runs = []
     for col in input_signals:
         run_obj = SensorRun(
-            column=col, sensor_id=_sensor_id(col), position=config.positions.get(col, col)
+            column=col, sensor_id=_sensor_id(col), position=positions.get(col, col)
         )
         try:
             _process_sensor(
@@ -330,7 +313,7 @@ def run(config: PipelineConfig) -> RunResult:
 
     report = build_report(good, alpha=config.alpha, rho=config.rho)
     localization = report.to_dict()
-    summary = _summarize(runs, config, order, report.detected)
+    summary = _summarize(runs, config, order, report.detected, lambda_true)
     with _writing_to(config.output_dir):
         paths = _write_outputs(config, runs, localization, summary)
     return RunResult(
@@ -341,7 +324,9 @@ def run(config: PipelineConfig) -> RunResult:
     )
 
 
-def _summarize(runs: list[SensorRun], config: PipelineConfig, order: int, detected: bool) -> dict:
+def _summarize(
+    runs: list[SensorRun], config: PipelineConfig, order: int, detected: bool, lam: int | None
+) -> dict:
     sensors = []
     for r in sorted(runs, key=lambda r: r.sensor_id):
         entry: dict = {"sensor_id": r.sensor_id, "position": r.position}
@@ -350,7 +335,7 @@ def _summarize(runs: list[SensorRun], config: PipelineConfig, order: int, detect
         if r.error is not None:
             entry["error"] = r.error
         else:
-            tau, lam = r.detection_time, config.lambda_true
+            tau = r.detection_time
             entry["tau"] = tau
             entry["final_posterior"] = logistic(r.log_odds[-1])
             if lam is not None:

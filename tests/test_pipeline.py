@@ -117,6 +117,30 @@ class TestRun:
         assert not result.summary["detected"]
         assert all(e["di2"] is None for e in result.localization["sensors"])
 
+    def test_hand_written_lambda_chunk_alone_sets_every_sensors_delay(self, datasets, tmp_path):
+        meta = tmp_path / "metadata.json"
+        meta.write_text(json.dumps({"lambda_chunk": 11}))  # gen's file says 8
+        result = pipeline.run(base_config(datasets, tmp_path / "out", metadata_json=str(meta)))
+        assert result.summary["detected"]
+        for s in result.summary["sensors"]:
+            tau = s["tau"]
+            early = tau is not None and tau < 11
+            assert (s["lambda_true"], s["false_alarm"]) == (11, early), s
+            assert s["delay"] == (None if tau is None or early else tau - 11), s
+            assert s["position"] == f"sensor_{s['sensor_id']}"  # no sensors listed
+        assert any(s["delay"] is not None for s in result.summary["sensors"])
+
+    def test_hand_written_position_labels_its_sensor(self, datasets, tmp_path):
+        meta = tmp_path / "metadata.json"
+        meta.write_text(json.dumps({"sensors": [{"column": "sensor_2", "position": "roof"}]}))
+        pipeline.run(base_config(datasets, tmp_path / "out", metadata_json=str(meta)))
+        summary = json.loads((tmp_path / "out" / "summary.json").read_text())
+        localization = json.loads((tmp_path / "out" / "localization.json").read_text())
+        expected = {1: "sensor_1", 2: "roof", 3: "sensor_3", 4: "sensor_4"}
+        assert {s["sensor_id"]: s["position"] for s in summary["sensors"]} == expected
+        assert {e["id"]: e["position"] for e in localization["sensors"]} == expected
+        assert not any("lambda_true" in s for s in summary["sensors"])  # no lambda_chunk
+
     def test_streaming_equals_rerunning_by_hand(self, datasets, tmp_path):
         """The pipeline trace must match a manual pass over the same stream."""
         config = base_config(datasets, tmp_path / "out")
@@ -582,17 +606,24 @@ class TestInputValidation:
                 read_signal_csv(bad)
 
     @pytest.mark.parametrize(
-        "metadata",
+        "metadata, named",
         [
-            {"sensors": [{"id": 1}]},
-            [],
-            {"sensors": 3},
-            {"lambda_chunk": "41"},
-            {"chunk_size": 400, "sensors": []},  # the run's chunk size is the default 1600
+            ({"sensors": [{"id": 1}]}, "expected"),
+            ([], "expected"),
+            ({"sensors": 3}, "expected"),
+            ({"lambda_chunk": "41"}, "lambda_chunk"),
+            ({"chunk_size": 400, "sensors": []}, "chunk_size"),  # the run's is the default 1600
+            ({"lambda_chunk": 0}, "lambda_chunk"),
+            ({"lambda_chunk": 4.5}, "lambda_chunk"),
+            ({"lambda_chunk": True}, "lambda_chunk"),
+            ({"sensors": [{"column": "sensor_2", "position": 3}]}, "position"),
         ],
-        ids=["no-column", "list", "sensors-int", "lambda-str", "chunk-size"],
+        ids=[
+            "no-column", "list", "sensors-int", "lambda-str", "chunk-size", "lambda-zero",
+            "lambda-float", "lambda-bool", "position-int",
+        ],
     )
-    def test_malformed_metadata_exits_1_naming_it(self, datasets, tmp_path, capsys, metadata):
+    def test_malformed_metadata_exits_1_naming_it(self, datasets, tmp_path, capsys, metadata, named):
         meta = tmp_path / "metadata.json"
         meta.write_text(json.dumps(metadata))
         code = cli.main([
@@ -604,7 +635,8 @@ class TestInputValidation:
         ])
         err = capsys.readouterr().err.splitlines()
         assert code == 1
-        assert len(err) == 1 and err[0].startswith(f"error: {meta}: "), err
+        assert len(err) == 1 and err[0].startswith(f"error: {meta}: {named} "), err
+        assert not (tmp_path / "out").exists()
 
     def test_config_validation(self):
         with pytest.raises(ConfigError):
@@ -803,10 +835,15 @@ class TestCli:
             (["run", "--input", "a.csv", "--training", "b.csv", "--alpha", "abc"], 1),
             (["run", "--no-such-flag"], 1),
             (["run", "--warmup", "30"], 1),  # retired: the warm-up is m + 1 steps
+            (["run", "--positions", "a=b"], 1),  # retired: positions come from --metadata
+            (["run", "--lambda-true", "3"], 1),  # retired: so does the true damage step
             ([], 1),
             (["--help"], 0),
         ],
-        ids=["bad-value", "unknown-flag", "retired-warmup-flag", "no-subcommand", "help"],
+        ids=[
+            "bad-value", "unknown-flag", "retired-warmup-flag", "retired-positions-flag",
+            "retired-lambda-true-flag", "no-subcommand", "help",
+        ],
     )
     def test_usage_error_exits_1_not_2(self, capsys, argv, code):
         assert cli.main(argv) == code  # 2 would read as "damage declared"
@@ -933,11 +970,15 @@ class TestCli:
             ({"chunk_size": True}, []),
             ({"order": True}, []),
             ({"alpha": False}, []),
+            ({"order": "3"}, []),  # the comma and integer forms are flag syntax only
+            ({"coef_indices": "1,2"}, []),
+            ({}, ["--coeffs", "1,x"]),
         ],
         ids=[
             "order-float", "chunk_size-str", "alpha-str", "coef_indices-int", "order-flag",
             "coef_indices-above-order", "coef_indices-above-p_max", "coef_indices-empty",
-            "chunk_size-bool", "order-bool", "alpha-bool",
+            "chunk_size-bool", "order-bool", "alpha-bool", "order-str", "coef_indices-str",
+            "coeffs-flag",
         ],
     )
     def test_bad_setting_exits_1_naming_it(self, datasets, tmp_path, capsys, setting, flags):
@@ -950,31 +991,10 @@ class TestCli:
         config_path.write_text(json.dumps({**run, **setting}))
         code = cli.main(["run", "--config", str(config_path), *flags])
         err = capsys.readouterr().err.splitlines()
-        key = next(iter(setting), "order")
+        key = next(iter(setting), "coef_indices" if "--coeffs" in flags else "order")
         assert code == 1
         assert len(err) == 1 and err[0].startswith(f"error: {key} "), err
         assert not (tmp_path / "out").exists()
-
-    @pytest.mark.parametrize(
-        "flags",
-        [["--lambda-true", "-4"], ["--lambda-true", "0"]],
-        ids=["lambda_true-negative", "lambda_true-zero"],
-    )
-    def test_step_setting_below_one_exits_1_naming_it(self, datasets, tmp_path, capsys, flags):
-        code = cli.main([
-            "run",
-            "--input", str(datasets / "damaged" / "data.csv"),
-            "--training", str(datasets / "train" / "data.csv"),
-            "--out", str(tmp_path / "out"),
-            *flags,
-        ])
-        err = capsys.readouterr().err.splitlines()
-        key = flags[0][2:].replace("-", "_")
-        assert code == 1
-        assert len(err) == 1 and err[0].startswith(f"error: {key} must be >= 1"), err
-        assert not (tmp_path / "out").exists()
-        with pytest.raises(ConfigError, match=key):
-            PipelineConfig(input_csv="a.csv", training_csv="b.csv", **{key: int(flags[1])}).validate()
 
     def test_coeffs_above_the_order_aic_chose_exits_1_naming_it(self, tmp_path, capsys):
         noise = tmp_path / "noise.csv"  # white noise: AIC picks order 1
@@ -1032,8 +1052,6 @@ class TestCli:
             "order": 5,
             "p_max": 9,
             "coef_indices": [2, 4],
-            "lambda_true": 41,
-            "positions": {"sensor_1": "roof", "sensor_2": "base"},
             "dump_dsf": True,
             "dump_estimates": True,
         }
@@ -1051,8 +1069,6 @@ class TestCli:
             "--order", "5",
             "--p-max", "9",
             "--coeffs", "2,4",
-            "--lambda-true", "41",
-            "--positions", "sensor_1=roof,sensor_2=base",
             "--dump-dsf",
             "--dump-estimates",
         ]
@@ -1161,6 +1177,19 @@ class TestErrorExits:
         config.write_text(json.dumps({"warmup": 30}))
         code, err = self.run_cli(datasets, tmp_path, capsys, "--config", str(config))
         assert (code, err) == (1, ["error: unknown config keys: ['warmup']"])
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize(
+        "setting", [{"lambda_true": 11}, {"positions": {"sensor_2": "roof"}}],
+        ids=["lambda_true", "positions"],
+    )
+    def test_config_file_holding_a_retired_metadata_key_exits_1(
+        self, datasets, tmp_path, capsys, setting
+    ):
+        config = tmp_path / "run.json"
+        config.write_text(json.dumps(setting))  # such facts come from --metadata only
+        code, err = self.run_cli(datasets, tmp_path, capsys, "--config", str(config))
+        assert (code, err) == (1, [f"error: unknown config keys: {list(setting)}"])
         assert not (tmp_path / "out").exists()
 
     def test_truncated_metadata_exits_1_naming_it(self, datasets, tmp_path, capsys):
