@@ -218,29 +218,47 @@ def _lagged(z: np.ndarray, p: int) -> tuple[np.ndarray, np.ndarray]:
     return design, z[:, p:, None]
 
 
+def _clears(gram: np.ndarray, floor) -> bool:
+    """Whether every (p, p) matrix in the finite stack gram has lambda_min > ``floor``.
+
+    ``floor`` is a scalar, or one value per matrix shaped to broadcast
+    against gram, such as (K, 1, 1). One stacked Cholesky of gram - floor * I
+    answers it: it completes exactly when every shifted matrix is positive
+    definite, up to rounding of order u * |gram| (Higham, *Accuracy and
+    Stability of Numerical Algorithms*, 2nd ed., ch. 10), at a fraction of
+    the cost of an ``eigvalsh``. A nan would pass unseen, so gram must be
+    finite, as the Gram matrices of finite rows are.
+    """
+    try:
+        np.linalg.cholesky(gram - floor * np.eye(gram.shape[-1]))
+    except np.linalg.LinAlgError:
+        return False
+    return True
+
+
 def _fit_stack(z: np.ndarray, p: int, norm2: float) -> tuple[np.ndarray, np.ndarray | None]:
     """Fit AR(p) to every row of z (K, M) by least squares in one stacked solve.
 
     Row k is fitted as ``fit_ar`` describes, through its normal equations:
     one batched product forms the (K, p, p) Gram matrices of the lag
-    regressors, one ``eigvalsh`` checks them and one ``np.linalg.solve``
-    solves them. ``norm2`` bounds the squared norm of every row: a
-    standardized chunk's is M - 1, so M bounds it with room for round-off.
-    Each lag row is part of its row of z, so lambda_max <= trace <= p *
-    norm2. When every eigenvalue of the block exceeds ``SINGULAR_RATIO`` * p
-    * norm2, every row passes ``_ranked``'s test, and the ranks come back as
-    None; otherwise they come back row by row: a row ``_rejected`` zeroed
-    has rank 0, and one of rank < p has meaningless coefficients. The work
-    arrays hold a (K, p, M - p) lag tensor, so the callers that fit a whole
-    record pass one block of rows at a time (``_blocks``); no row's result
-    depends on which rows share its call.
+    regressors, one Cholesky screens them (``_clears``) and one
+    ``np.linalg.solve`` solves them. ``norm2`` bounds the squared norm of
+    every row: a standardized chunk's is M - 1, so M bounds it with room for
+    round-off. Each lag row is part of its row of z, so lambda_max <= trace
+    <= p * norm2. When every Gram matrix of the block has lambda_min above
+    ``SINGULAR_RATIO`` * p * norm2, every row passes ``_ranked``'s test,
+    and the ranks come back as None. Otherwise one ``eigvalsh`` gives them
+    row by row: a row ``_rejected`` zeroed has rank 0, and one of rank < p
+    has meaningless coefficients. The coefficients come from the same solve
+    either way. The work arrays hold a (K, p, M - p) lag tensor, so the
+    callers that fit a whole record pass one block of rows at a time
+    (``_blocks``); no row's result depends on which rows share its call.
     """
     design, target = _lagged(z, p)
     gram = design @ design.transpose(0, 2, 1)
-    eig = np.linalg.eigvalsh(gram)
     rank = None
-    if not np.minimum.reduce(eig, None) > SINGULAR_RATIO * p * norm2:
-        rank, gram = _ranked(gram, eig)
+    if not _clears(gram, SINGULAR_RATIO * p * norm2):
+        rank, gram = _ranked(gram, np.linalg.eigvalsh(gram))
     return np.linalg.solve(gram, design @ target)[:, :, 0], rank
 
 
@@ -263,19 +281,26 @@ def _aic_curves(z: np.ndarray, p_max: int) -> tuple[np.ndarray, np.ndarray]:
     passes every order at once when, on the shared rows, lambda_min >
     ``SINGULAR_RATIO`` * (lambda_max + the squared norms of the added
     rows): adding rows only raises lambda_min and raises lambda_max by at
-    most that sum (interlacing). Only rows that fail this screen get one
-    ``eigvalsh`` per order, and their ranks use ``_ranked``'s rule. A
-    full-rank fit whose RSS cancels (see ``RSS_CANCEL``) takes its RSS from
-    ``_fit_stack`` and ``_rss`` instead.
+    most that sum (interlacing). The trace bounds lambda_max, so a block
+    whose shared Gram matrices all clear ``SINGULAR_RATIO`` * (trace + the
+    added norms) passes with one Cholesky (``_clears``). Only a block that
+    does not pays one ``eigvalsh`` of them for the screen above; only rows
+    that fail it get one ``eigvalsh`` per order, and their ranks use
+    ``_ranked``'s rule. A full-rank fit whose RSS cancels (see
+    ``RSS_CANCEL``) takes its RSS from ``_fit_stack`` and ``_rss`` instead.
     """
     m_len = z.shape[1]
     _require_samples(m_len, p_max)
     # window[:, s, i] is z[:, t - i] for t = M - 1 - s >= p_max: the target, then its lags
     window = sliding_window_view(z[:, ::-1], p_max + 1, axis=1)
     cross = window.transpose(0, 2, 1) @ window
-    eig = np.linalg.eigvalsh(cross[:, 1:, 1:])
+    shared = cross[:, 1:, 1:]
     added = np.cumsum(z[:, : p_max - 1] ** 2, axis=1).sum(axis=1)
-    unscreened = np.flatnonzero(~(eig[:, 0] > SINGULAR_RATIO * (eig[:, -1] + added)))
+    floor = SINGULAR_RATIO * (np.trace(shared, 0, 1, 2) + added)
+    unscreened = np.empty(0, dtype=int)
+    if not _clears(shared, floor[:, None, None]):
+        eig = np.linalg.eigvalsh(shared)
+        unscreened = np.flatnonzero(~(eig[:, 0] > SINGULAR_RATIO * (eig[:, -1] + added)))
     orders = np.arange(1, p_max + 1)
     curves = np.empty((len(z), p_max))
     ranks = np.tile(orders, (len(z), 1))
@@ -435,10 +460,14 @@ def extract_dsf_stream(
     and the (N, ``config.order``) coefficients the peak holds one block's
     work arrays, however long the stream. A block whose chunks all pass
     costs its arithmetic: the standardization, the lag copies, one Gram
-    product, one ``eigvalsh``, one ``solve`` and three reductions (the
-    smallest and largest sigma, the smallest eigenvalue; see
-    ``_fit_stack``). The ranks are built only for a block that holds a failing
-    chunk, one whose rank is below the order (``_fit_rows``). Extraction is
+    product, one Cholesky of the Gram matrices shifted down by the singular
+    floor, one ``solve`` and two reductions (the smallest and largest sigma;
+    see ``_fit_stack``). The Cholesky completes exactly when every Gram
+    matrix's smallest eigenvalue clears the floor, the yes/no that an
+    ``eigvalsh`` would answer at several times the cost. Only a block where
+    it fails pays an ``eigvalsh`` for the ranks: one that holds a failing
+    chunk, whose rank is below the order (``_fit_rows``), or rarely one
+    within a factor p of the singular limit. Extraction is
     deterministic: identical input bytes produce identical features, whatever
     the block size. The first chunk that cannot be fit raises, naming its
     sensor and chunk. With a ``skipped`` list, as for ``aic_values``, every

@@ -131,7 +131,8 @@ def _read_metadata(config: PipelineConfig) -> tuple[dict[str, str], int | None]:
     """The sensor positions by column and the true damage step from ``config.metadata_json``.
 
     Each key of the file is optional; with no file, or no key, a sensor is
-    labelled by its column and no delay is reported.
+    labelled by its column and no delay is reported. ``run`` checks that
+    each listed column is one of the input's once it has read the input.
     """
     path = config.metadata_json
     if not path:
@@ -142,18 +143,18 @@ def _read_metadata(config: PipelineConfig) -> tuple[dict[str, str], int | None]:
         isinstance(s, dict) and isinstance(s.get("column"), str) for s in sensors
     ):
         raise ConfigError(f"{path}: expected an object whose 'sensors' each name a 'column'")
-    chunk_size = meta.get("chunk_size", config.chunk_size)
-    if chunk_size != config.chunk_size:
-        raise ConfigError(
-            f"{path}: chunk_size {chunk_size} differs from the run's chunk size"
-            f" {config.chunk_size}; pass --chunk-size {chunk_size}"
-        )
     positions = {s["column"]: s.get("position", s["column"]) for s in sensors}
     for col, position in positions.items():
         if not isinstance(position, str):
             raise ConfigError(f"{path}: position of {col} must be a string, got {position!r}")
+    chunk_size = meta.get("chunk_size", config.chunk_size)
     lam = meta.get("lambda_chunk")
     try:
+        if integer("chunk_size", chunk_size) != config.chunk_size:
+            raise ValueError(
+                f"chunk_size {chunk_size} differs from the run's chunk size"
+                f" {config.chunk_size}; pass --chunk-size {chunk_size}"
+            )
         if lam is not None and integer("lambda_chunk", lam) < 1:  # steps count from 1
             raise ValueError(f"lambda_chunk must be >= 1, got {lam}")
     except ValueError as err:
@@ -262,6 +263,8 @@ def run(config: PipelineConfig) -> RunResult:
     train_time, train_signals = read_signal_csv(config.training_csv)
     interval = _sample_interval(train_time) if train_time.size > 1 else None
     input_time, input_signals = read_signal_csv(config.input_csv, interval)
+    described = f"{config.input_csv}, which {config.metadata_json} describes,"
+    _require_columns(input_signals, positions, described)
     if input_time.size < config.chunk_size:
         raise ConfigError(
             f"{config.input_csv} has {input_time.size} samples, fewer than one chunk of"

@@ -29,11 +29,12 @@ def write_csv(path, header: str, fmts: Sequence[str], *parts: np.ndarray) -> Non
 
     The table's columns are those of the ``parts`` side by side: 1-D arrays
     and 2-D blocks of columns with one length. Each block of rows is stacked
-    from them as it is written, so no copy of the whole table is made.
+    from them as it is written, so no copy of the whole table is made. The
+    file is written as bytes, with ``\\n`` line ends on every platform.
     """
-    row_fmt = ",".join(fmts) + "\n"
-    with open(path, "w") as fh:
-        fh.write(header + "\n")
+    row_fmt = (",".join(fmts) + "\n").encode()
+    with open(path, "wb") as fh:
+        fh.write((header + "\n").encode())
         for lo in range(0, len(parts[0]), BLOCK_ROWS):
             block = np.column_stack([part[lo : lo + BLOCK_ROWS] for part in parts])
             fh.write((row_fmt * len(block)) % tuple(block.ravel().tolist()))

@@ -515,14 +515,14 @@ class TestIntegerSizes:
 
 
 class TestCleanPath:
-    """A block of chunks that all pass costs one ``eigvalsh`` and one ``solve``."""
+    """A block of chunks that all pass costs one ``cholesky``, one ``solve`` and no ``eigvalsh``."""
 
     M = 400
 
     @pytest.fixture
     def calls(self, monkeypatch):
         """Counts of the ``np.linalg`` calls extraction makes; reaching ``_fit_rows`` fails."""
-        counts = {"eigvalsh": 0, "solve": 0}
+        counts = {"cholesky": 0, "eigvalsh": 0, "solve": 0}
 
         def counted(name):
             real = getattr(np.linalg, name)
@@ -533,6 +533,7 @@ class TestCleanPath:
 
             monkeypatch.setattr(np.linalg, name, call)
 
+        counted("cholesky")
         counted("eigvalsh")
         counted("solve")
 
@@ -546,7 +547,7 @@ class TestCleanPath:
         data = gen_ar([0.5, -0.3], self.M, np.random.default_rng(13))
         dsfs = extract_dsf_stream(data, DsfConfig(chunk_size=self.M, order=2))
         assert dsfs.shape == (1, 2)
-        assert calls == {"eigvalsh": 1, "solve": 1}
+        assert calls == {"cholesky": 1, "eigvalsh": 0, "solve": 1}
 
     @pytest.mark.parametrize("order", [2, 12])
     def test_one_call_of_each_per_block(self, calls, order):
@@ -556,7 +557,7 @@ class TestCleanPath:
         assert dsfs.shape == (n, order)
         blocks = -(-n // step)
         assert blocks == 4
-        assert calls == {"eigvalsh": blocks, "solve": blocks}
+        assert calls == {"cholesky": blocks, "eigvalsh": 0, "solve": blocks}
 
     @pytest.mark.parametrize("layout", ["F", "C"], ids=["simulate-column", "csv-column"])
     def test_stream_slices_equal_the_whole_record(self, layout):
@@ -585,6 +586,50 @@ class TestCleanPath:
         assert np.array_equal(np.vstack(rows), whole)
         contiguous = extract_dsf_stream(np.ascontiguousarray(column), cfg, sensor_id=1, skipped=[])
         assert np.array_equal(contiguous, whole)
+
+
+class TestCholeskyScreen:
+    """The Cholesky screen gives the eigenvalue test's verdict, and the fallback its outputs."""
+
+    def test_forced_fallback_gives_the_same_aic_curves_and_ranks(self, monkeypatch):
+        data, step = TestBlocks.record(12, seed=5)
+        z, sigma = _standardize(data.reshape(-1, 400)[:step])
+        assert _rejected(z, sigma) is None
+        eigvalsh, count = np.linalg.eigvalsh, [0]
+
+        def counted(*args, **kwargs):
+            count[0] += 1
+            return eigvalsh(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", counted)
+        screened = _aic_curves(z, 12)
+        assert count[0] == 0  # every chunk cleared the screen
+        monkeypatch.setattr(features, "_clears", lambda gram, floor: False)
+        fallback = _aic_curves(z, 12)
+        assert count[0] == 1  # the shared Gram matrices, and no chunk needs one per order
+        assert np.array_equal(screened[0], fallback[0])
+        assert np.array_equal(screened[1], fallback[1])
+        assert (screened[1] == np.arange(1, 13)).all()
+
+    @pytest.mark.parametrize("p", [2, 7, 12])
+    def test_verdict_matches_eigvalsh_at_the_floor(self, p):
+        rng = np.random.default_rng(p)
+        floor = SINGULAR_RATIO * p * 400
+        n = 60
+        sign = np.where(np.arange(n) % 2, 1.0, -1.0)
+        spectrum = floor * np.exp(rng.uniform(np.log(10), np.log(1e8), size=(n, p)))
+        spectrum[:, 0] = floor * (1 + sign * 1e-6)
+        q = np.linalg.qr(rng.normal(size=(n, p, p)))[0]
+        gram = (q * spectrum[:, None, :]) @ q.transpose(0, 2, 1)
+        gram = (gram + gram.transpose(0, 2, 1)) / 2
+        above = np.linalg.eigvalsh(gram).min(axis=1) > floor
+        assert np.array_equal(above, sign > 0)
+        assert [features._clears(g[None], floor) for g in gram] == list(above)
+        # a stack clears only when every matrix does, with one floor or one per matrix
+        assert features._clears(gram[above], floor)
+        assert not features._clears(gram, floor)
+        per_matrix = np.where(above, floor, floor / 2)[:, None, None]
+        assert features._clears(gram, per_matrix)
 
 
 class TestHugeAndComplexSamples:

@@ -617,10 +617,12 @@ class TestInputValidation:
             ({"lambda_chunk": 4.5}, "lambda_chunk"),
             ({"lambda_chunk": True}, "lambda_chunk"),
             ({"sensors": [{"column": "sensor_2", "position": 3}]}, "position"),
+            ({"chunk_size": "1600"}, "chunk_size must be an integer,"),  # the run's, as text
+            ({"chunk_size": 1600.0}, "chunk_size must be an integer,"),
         ],
         ids=[
             "no-column", "list", "sensors-int", "lambda-str", "chunk-size", "lambda-zero",
-            "lambda-float", "lambda-bool", "position-int",
+            "lambda-float", "lambda-bool", "position-int", "chunk-size-str", "chunk-size-float",
         ],
     )
     def test_malformed_metadata_exits_1_naming_it(self, datasets, tmp_path, capsys, metadata, named):
@@ -637,6 +639,24 @@ class TestInputValidation:
         assert code == 1
         assert len(err) == 1 and err[0].startswith(f"error: {meta}: {named} "), err
         assert not (tmp_path / "out").exists()
+
+    def test_metadata_sensor_the_input_lacks_exits_1_naming_it(self, datasets, tmp_path, capsys):
+        meta = tmp_path / "metadata.json"
+        meta.write_text(json.dumps({"sensors": [
+            {"column": "sensor_2", "position": "roof"}, {"column": "sensor_9", "position": "x"},
+        ]}))
+        data = datasets / "damaged" / "data.csv"
+        code = cli.main([
+            "run",
+            "--input", str(data),
+            "--training", str(datasets / "train" / "data.csv"),
+            "--metadata", str(meta),
+            "--out", str(tmp_path / "out"),
+        ])
+        assert code == 1
+        assert capsys.readouterr().err.splitlines() == [
+            f"error: {data}, which {meta} describes, lacks columns ['sensor_9']"
+        ]
 
     def test_config_validation(self):
         with pytest.raises(ConfigError):
