@@ -26,9 +26,9 @@ SINGULAR_RATIO = 1e-10
 # whose RSS is below RSS_CANCEL * y'y * (1 + |beta|_1)^2, a near-exact one, is refit with
 # explicit residuals; every other AIC value stays within about 3e-11 of them.
 RSS_CANCEL = 1e-2
-# Feature extraction and AIC standardize and fit a record's chunks in blocks whose lag rows,
-# (p + 1) rows of M floats per chunk, fill about this many bytes, so their work arrays stay
-# O(block) whatever the record length.
+# Feature extraction and AIC standardize and fit a record's chunks in blocks whose work arrays
+# fill about this many bytes, each routine counting the floats it holds per chunk
+# (``_blocks``), so their memory stays O(block) whatever the record length.
 BLOCK_BYTES = 2**20
 
 
@@ -182,9 +182,15 @@ def _require_samples(m_len: int, p: int) -> None:
         raise ValueError(f"need more than {p + 1} samples to fit AR({p}), got {m_len}")
 
 
-def _blocks(n: int, p: int, m_len: int):
-    """Slices covering rows 0..n-1, each block's lag rows within ``BLOCK_BYTES`` (or one row)."""
-    step = max(1, BLOCK_BYTES // (8 * (p + 1) * m_len))
+def _blocks(n: int, floats: int):
+    """Slices covering rows 0..n-1, each block's ``floats`` per row within ``BLOCK_BYTES``.
+
+    ``floats`` counts what the caller's work arrays hold per row: for a fit
+    at order p, the (p + 1) * M floats of ``_lagged``'s lag rows and
+    targets; for AIC, the count that ``aic_values`` gives. A row larger
+    than the budget is a block of its own.
+    """
+    step = max(1, BLOCK_BYTES // (8 * floats))
     return map(slice, range(0, n, step), range(step, n + step, step))
 
 
@@ -251,8 +257,9 @@ def _fit_stack(z: np.ndarray, p: int, norm2: float) -> tuple[np.ndarray, np.ndar
     row by row: a row ``_rejected`` zeroed has rank 0, and one of rank < p
     has meaningless coefficients. The coefficients come from the same solve
     either way. The work arrays hold a (K, p, M - p) lag tensor, so the
-    callers that fit a whole record pass one block of rows at a time
-    (``_blocks``); no row's result depends on which rows share its call.
+    callers that fit a whole record pass one block of rows at a time, sized
+    by (p + 1) * M floats per row (``_blocks``); no row's result depends on
+    which rows share its call.
     """
     design, target = _lagged(z, p)
     gram = design @ design.transpose(0, 2, 1)
@@ -286,8 +293,13 @@ def _aic_curves(z: np.ndarray, p_max: int) -> tuple[np.ndarray, np.ndarray]:
     added norms) passes with one Cholesky (``_clears``). Only a block that
     does not pays one ``eigvalsh`` of them for the screen above; only rows
     that fail it get one ``eigvalsh`` per order, and their ranks use
-    ``_ranked``'s rule. A full-rank fit whose RSS cancels (see
-    ``RSS_CANCEL``) takes its RSS from ``_fit_stack`` and ``_rss`` instead.
+    ``_ranked``'s rule. The order loop makes only the update, the solve
+    and the RSS; the cancellation test and the logs run once on the
+    (K, p_max) table. A full-rank fit whose RSS cancels (see
+    ``RSS_CANCEL``) takes its RSS from ``_fit_stack`` and ``_rss`` instead,
+    in blocks of their own (p + 1) * M floats per row, so even a block of
+    near-exact fits keeps its refits O(block). The lags are a view of z,
+    so the work arrays hold no lag tensor (see ``aic_values``).
     """
     m_len = z.shape[1]
     _require_samples(m_len, p_max)
@@ -302,8 +314,8 @@ def _aic_curves(z: np.ndarray, p_max: int) -> tuple[np.ndarray, np.ndarray]:
         eig = np.linalg.eigvalsh(shared)
         unscreened = np.flatnonzero(~(eig[:, 0] > SINGULAR_RATIO * (eig[:, -1] + added)))
     orders = np.arange(1, p_max + 1)
-    curves = np.empty((len(z), p_max))
     ranks = np.tile(orders, (len(z), 1))
+    yy, rss, l1 = np.empty((3, len(z), p_max))  # y'y, RSS and |beta|_1 at each order
     for p in orders[::-1]:
         if p < p_max:
             row = z[:, p::-1]  # z[t], z[t - 1], ..., z[t - p] at t = p
@@ -313,15 +325,17 @@ def _aic_curves(z: np.ndarray, p_max: int) -> tuple[np.ndarray, np.ndarray]:
             eig = np.linalg.eigvalsh(gram[unscreened])
             ranks[unscreened, p - 1], gram = _ranked(gram, eig, unscreened)
         beta = np.linalg.solve(gram, c[:, :, None])[:, :, 0]
-        yy = cross[:, 0, 0]
-        rss = yy - np.einsum("kp,kp->k", c, beta)
-        scale = yy * (1 + np.abs(beta).sum(axis=1)) ** 2
-        cancelled = (ranks[:, p - 1] == p) & ~(rss > RSS_CANCEL * scale)
-        if cancelled.any():
-            rss[cancelled] = _rss(z[cancelled], _fit_stack(z[cancelled], p, m_len)[0])
-        with np.errstate(divide="ignore", invalid="ignore"):
-            curves[:, p - 1] = m_len * np.log(rss / (m_len - p)) + 2 * p
-    return curves, ranks
+        yy[:, p - 1] = cross[:, 0, 0]
+        rss[:, p - 1] = yy[:, p - 1] - np.einsum("kp,kp->k", c, beta)
+        l1[:, p - 1] = np.abs(beta).sum(axis=1)
+    cancelled = (ranks == orders) & ~(rss > RSS_CANCEL * (yy * (1 + l1) ** 2))
+    for p in orders[cancelled.any(axis=0)]:
+        refit = np.flatnonzero(cancelled[:, p - 1])
+        for part in _blocks(refit.size, (p + 1) * m_len):  # _fit_stack's lag tensor
+            rows = refit[part]
+            rss[rows, p - 1] = _rss(z[rows], _fit_stack(z[rows], p, m_len)[0])
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return m_len * np.log(rss / (m_len - orders)) + 2 * orders, ranks
 
 
 def _fit_rows(
@@ -409,9 +423,13 @@ def aic_values(
     chunk come from one cross-product of the target and lags 1..p_max,
     updated by the rows that each lower order adds, plus one small batched
     solve per order. The chunks are stacked, standardized and fitted one
-    block at a time (``BLOCK_BYTES``), so the work arrays stay O(block)
-    however many chunks there are. The first chunk that cannot be fit
-    raises, naming its sensor and chunk, with its lowest failing order.
+    block at a time, sized by the floats AIC holds per chunk: 3 * M for the
+    samples, their standardized copy and its square, and 4 * (p_max + 1)^2
+    for the cross-products and the temporaries of the screen or of one
+    order's update and solve. So the work arrays stay within
+    ``BLOCK_BYTES``, however many chunks there are. The first chunk that
+    cannot be fit raises, naming its sensor and chunk, with its lowest
+    failing order.
     With a ``skipped`` list, every such chunk's error is appended to it and
     the chunk is left out of the average; the first still raises when no
     chunk is left.
@@ -426,7 +444,7 @@ def aic_values(
         raise ValueError(f"chunks must have equal lengths, got {sorted({s.size for s in samples})}")
     curves = np.empty((len(chunks), p_max))
     ranks = np.empty((len(chunks), p_max), dtype=int)
-    for rows in _blocks(len(chunks), p_max, m_len):
+    for rows in _blocks(len(chunks), 3 * m_len + 4 * (p_max + 1) ** 2):
         z, sigma = _standardize(np.stack(samples[rows]))
         _rejected(z, sigma)
         curves[rows], ranks[rows] = _aic_curves(z, p_max)
@@ -456,9 +474,10 @@ def extract_dsf_stream(
     """Turn a raw stream into an (N, ``config.dim``) feature matrix, one row per complete chunk.
 
     Row k holds the features of chunk k + 1. The chunks are standardized
-    and fitted one block at a time (``BLOCK_BYTES``), so beyond the input
-    and the (N, ``config.order``) coefficients the peak holds one block's
-    work arrays, however long the stream. A block whose chunks all pass
+    and fitted one block at a time, each block's lag rows, (p + 1) * M
+    floats per chunk, within ``BLOCK_BYTES``, so beyond the input and the
+    (N, ``config.order``) coefficients the peak holds one block's work
+    arrays, however long the stream. A block whose chunks all pass
     costs its arithmetic: the standardization, the lag copies, one Gram
     product, one Cholesky of the Gram matrices shifted down by the singular
     floor, one ``solve`` and two reductions (the smallest and largest sigma;
@@ -484,7 +503,7 @@ def extract_dsf_stream(
     x = x[: n * m_len].reshape(n, m_len)
     coef = np.empty((n, p))
     rank = None  # every chunk's, built at the first block that holds a failing chunk
-    for rows in _blocks(n, p, m_len):
+    for rows in _blocks(n, (p + 1) * m_len):
         z, sigma = _standardize(x[rows])
         _rejected(z, sigma)
         coef[rows], block_rank = _fit_stack(z, p, m_len)

@@ -162,10 +162,10 @@ def _read_metadata(config: PipelineConfig) -> tuple[dict[str, str], int | None]:
     return positions, lam
 
 
-def _require_columns(signals: dict[str, np.ndarray], columns, what: str) -> None:
+def _require_columns(signals: dict[str, np.ndarray], columns, what: str, why: str = "") -> None:
     missing = [c for c in columns if c not in signals]
     if missing:
-        raise ConfigError(f"{what} lacks columns {missing}")
+        raise ConfigError(f"{what} lacks columns {missing}{why}")
 
 
 def _select_order(signals: dict[str, np.ndarray], chunk_size: int, p_max: int, path) -> int:
@@ -255,11 +255,18 @@ def _process_sensor(
 
 
 def run(config: PipelineConfig) -> RunResult:
-    """Execute the full pipeline and write trace/summary/localization files."""
+    """Execute the full pipeline and write trace/summary/localization files.
+
+    A run that fails leaves no empty output directory behind (``_output_dir``).
+    """
     config.validate()
     positions, lambda_true = _read_metadata(config)
-    with _writing_to(config.output_dir):  # fail before the work, not after it
-        os.makedirs(config.output_dir, exist_ok=True)
+    with _output_dir(config.output_dir):
+        return _run(config, positions, lambda_true)
+
+
+def _run(config: PipelineConfig, positions: dict[str, str], lambda_true: int | None) -> RunResult:
+    """The work of ``run`` once its output directory exists."""
     train_time, train_signals = read_signal_csv(config.training_csv)
     interval = _sample_interval(train_time) if train_time.size > 1 else None
     input_time, input_signals = read_signal_csv(config.input_csv, interval)
@@ -270,11 +277,12 @@ def run(config: PipelineConfig) -> RunResult:
             f"{config.input_csv} has {input_time.size} samples, fewer than one chunk of"
             f" {config.chunk_size}"
         )
-    _require_columns(train_signals, input_signals, "training data")
+    monitors = f" that {config.input_csv} monitors"
+    _require_columns(train_signals, input_signals, config.training_csv, monitors)
     post_signals = {}
     if config.mode == "known":
         _, post_signals = read_signal_csv(config.postdamage_csv, interval)
-        _require_columns(post_signals, input_signals, "post-damage training data")
+        _require_columns(post_signals, input_signals, config.postdamage_csv, monitors)
 
     if isinstance(config.order, str):
         monitored = {col: train_signals[col] for col in input_signals}
@@ -368,6 +376,32 @@ def _reading(path: str):
         raise ConfigError(f"{path}: no field {err}") from err
     except (OSError, csv.Error, TypeError, ValueError) as err:
         raise ConfigError(f"{path}: {err}") from err
+
+
+@contextlib.contextmanager
+def _output_dir(path: str):
+    """Make the directory ``path`` before the work; if the work raises, remove what was made.
+
+    Making it first fails an unwritable ``path`` before the work, not after
+    it. On an error, each directory this made, deepest first, is removed
+    while it is empty, so a failed ``run`` or ``gen`` leaves no empty
+    ``--out`` behind; a directory that existed before, or that holds a
+    file, stays.
+    """
+    made = []  # path and each missing parent, as os.makedirs walks them (a/../b makes a)
+    head = path
+    while head and not os.path.lexists(head):
+        made.append(head)
+        head = os.path.dirname(head)
+    with _writing_to(path):
+        os.makedirs(path, exist_ok=True)
+    try:
+        yield
+    except BaseException:
+        for directory in made:
+            with contextlib.suppress(OSError):  # not empty, or a/.. once a/../b is gone
+                os.rmdir(directory)
+        raise
 
 
 @contextlib.contextmanager
@@ -468,14 +502,13 @@ def gen(scenario: dict | str, out_dir: str, seed: int | None = None) -> dict:
     except (KeyError, TypeError, ValueError, OverflowError) as err:
         raise ConfigError(f"bad scenario description: {err}") from err
 
-    with _writing_to(out_dir):  # fail before the simulation, not after it
-        os.makedirs(out_dir, exist_ok=True)
-    result = shearsim.simulate(model, dmg, excitation, chunk_size, sensors_per_story)
     data_path = os.path.join(out_dir, "data.csv")
     meta_path = os.path.join(out_dir, "metadata.json")
-    with _writing_to(out_dir):
-        result.to_csv(data_path)
-        write_json(meta_path, result.metadata())
+    with _output_dir(out_dir):  # fail before the simulation, not after it
+        result = shearsim.simulate(model, dmg, excitation, chunk_size, sensors_per_story)
+        with _writing_to(out_dir):
+            result.to_csv(data_path)
+            write_json(meta_path, result.metadata())
     return {"data": data_path, "metadata": meta_path}
 
 

@@ -402,9 +402,15 @@ class TestBlocks:
     M = 400
 
     @classmethod
-    def record(cls, p, seed=0):
-        """A record of three blocks and a partial fourth at order p, and its block size."""
-        step = max(1, features.BLOCK_BYTES // (8 * (p + 1) * cls.M))
+    def record(cls, p, seed=0, aic=False):
+        """A record of three blocks and a partial fourth at order p, and its block size.
+
+        Extraction's blocks hold (p + 1) * M floats per chunk, its lag rows. With ``aic``,
+        AIC's hold 3 * M + 4 * (p + 1)**2, its samples, standardized rows and their square,
+        its cross-products and per-order temporaries.
+        """
+        floats = 3 * cls.M + 4 * (p + 1) ** 2 if aic else (p + 1) * cls.M
+        step = max(1, features.BLOCK_BYTES // (8 * floats))
         n = 3 * step + step // 2 + 1
         rng = np.random.default_rng(seed)
         return rng.normal(size=n * cls.M) + 0.3 * np.sin(0.2 * np.arange(n * cls.M)), step
@@ -425,16 +431,45 @@ class TestBlocks:
 
     @pytest.mark.parametrize("p_max", [2, 12])
     def test_aic_is_the_mean_of_per_chunk_curves(self, p_max):
-        data, _ = self.record(p_max, seed=1)
+        data, _ = self.record(p_max, seed=1, aic=True)
         chunks = [chunk(row, index=k + 1) for k, row in enumerate(data.reshape(-1, self.M))]
         rows = [_aic_curves(_standardize(c.samples[None, :])[0], p_max)[0] for c in chunks]
         assert np.array_equal(aic_values(chunks, p_max), np.vstack(rows).mean(axis=0))
 
+    def test_aic_refits_near_exact_fits_in_extraction_blocks(self, monkeypatch):
+        data, step = self.record(12, seed=6, aic=True)
+        rows = data.reshape(-1, self.M)
+        noise = np.random.default_rng(6).normal(size=(step, self.M))
+        # AIC's second block is all near-exact AR(2) fits, of full rank at every order: their
+        # RSS cancels, so each order refits them with explicit residuals
+        rows[step : 2 * step] = np.sin(0.3 * np.arange(self.M)) + 1e-3 * noise
+        chunks = [chunk(row, index=k + 1) for k, row in enumerate(rows)]
+        refits = []
+        fit_stack = features._fit_stack
+
+        def counted(z, p, norm2):
+            refits.append((int(p), len(z)))
+            return fit_stack(z, p, norm2)
+
+        monkeypatch.setattr(features, "_fit_stack", counted)
+        skipped = []
+        whole = aic_values(chunks, 12, skipped)
+        assert skipped == []
+        assert sorted({p for p, _ in refits}) == list(range(2, 13))
+        for p in range(2, 13):
+            sizes = [k for q, k in refits if q == p]
+            assert sum(sizes) == step
+            assert max(sizes) == min(step, features.BLOCK_BYTES // (8 * (p + 1) * self.M))
+        refits.clear()
+        monkeypatch.setattr(features, "BLOCK_BYTES", 1)  # below one chunk's work arrays
+        assert np.array_equal(aic_values(chunks, 12), whole)
+        assert {k for _, k in refits} == {1}
+
     @pytest.mark.parametrize("order", [2, 12])
     def test_failures_keep_their_chunk_index_and_order(self, order):
-        data, step = self.record(order, seed=2)
+        data, step = self.record(order, seed=2, aic=True)
         n = data.size // self.M
-        tone, dead, last = step + 3, 2 * step + 1, n - 1  # 0-based, in blocks 2, 3 and the last
+        tone, dead, last = step + 3, 2 * step + 1, n - 1  # 0-based, in AIC blocks 2, 3, the last
         flat, huge = tone + 1, dead + 1
         rows = data.reshape(n, self.M)
         rows[tone] = [1.0, -1.0] * (self.M // 2)  # singular at every order >= 2
@@ -491,6 +526,20 @@ class TestBlocks:
         assert dsfs.shape == (2000, 12)
         assert peak <= 4 * 2**20  # a whole-record lag tensor alone is 77 MB
 
+    def test_aic_memory_is_one_block(self):
+        data = np.random.default_rng(4).normal(size=2000 * self.M)  # 6.4 MB
+        chunks = [chunk(row, index=k + 1) for k, row in enumerate(data.reshape(-1, self.M))]
+        tracemalloc.start()
+        try:
+            curve = aic_values(chunks, 12)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert curve.shape == (12,)
+        # one block within BLOCK_BYTES, plus the (2000, 12) curves and ranks; a whole-record
+        # stack and its standardized copy alone are 12.8 MB
+        assert peak <= 2 * 2**20
+
 
 class TestIntegerSizes:
     @pytest.mark.parametrize("p_max", [2.5, 2.0, True, "2"])
@@ -515,13 +564,13 @@ class TestIntegerSizes:
 
 
 class TestCleanPath:
-    """A block of chunks that all pass costs one ``cholesky``, one ``solve`` and no ``eigvalsh``."""
+    """A block of chunks that all pass costs one ``cholesky``, its solves and no ``eigvalsh``."""
 
     M = 400
 
     @pytest.fixture
-    def calls(self, monkeypatch):
-        """Counts of the ``np.linalg`` calls extraction makes; reaching ``_fit_rows`` fails."""
+    def counts(self, monkeypatch):
+        """Counts of the ``np.linalg`` calls made while it is in use."""
         counts = {"cholesky": 0, "eigvalsh": 0, "solve": 0}
 
         def counted(name):
@@ -536,6 +585,11 @@ class TestCleanPath:
         counted("cholesky")
         counted("eigvalsh")
         counted("solve")
+        return counts
+
+    @pytest.fixture
+    def calls(self, counts, monkeypatch):
+        """``counts`` for extraction, in which reaching ``_fit_rows`` fails."""
 
         def unreachable(*args, **kwargs):
             raise AssertionError("a clean block reached _fit_rows")
@@ -558,6 +612,16 @@ class TestCleanPath:
         blocks = -(-n // step)
         assert blocks == 4
         assert calls == {"cholesky": blocks, "eigvalsh": 0, "solve": blocks}
+
+    @pytest.mark.parametrize("p_max", [2, 12])
+    def test_aic_makes_one_cholesky_and_p_max_solves_per_block(self, counts, p_max):
+        data, step = TestBlocks.record(p_max, seed=3, aic=True)
+        chunks = [chunk(row, index=k + 1) for k, row in enumerate(data.reshape(-1, self.M))]
+        aic_values(chunks, p_max)
+        blocks = -(-len(chunks) // step)
+        assert blocks == 4
+        # no block refits a cancelled RSS, which would add a cholesky and a solve
+        assert counts == {"cholesky": blocks, "eigvalsh": 0, "solve": p_max * blocks}
 
     @pytest.mark.parametrize("layout", ["F", "C"], ids=["simulate-column", "csv-column"])
     def test_stream_slices_equal_the_whole_record(self, layout):

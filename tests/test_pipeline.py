@@ -459,7 +459,7 @@ class TestInputValidation:
         err = capsys.readouterr().err.splitlines()
         assert code == 1
         assert err == [f"error: {short} has 200 samples, fewer than one chunk of 400"], err
-        assert not (tmp_path / "out" / "trace.csv").exists()
+        assert not (tmp_path / "out").exists()
 
     def test_byte_order_mark_is_ignored(self, tmp_path):
         plain, marked = tmp_path / "plain.csv", tmp_path / "marked.csv"
@@ -787,7 +787,7 @@ class TestCli:
         assert code == 1
         assert err == ["error: 50000000000000000000 samples x 4 sensors need 1.49e+12 GiB, "
                        "more than can be allocated"]
-        assert not (tmp_path / "out" / "data.csv").exists()
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize(
         "key, text",
@@ -1167,17 +1167,67 @@ class TestErrorExits:
         assert not (tmp_path / "out" / "summary.json").exists()
 
     def test_training_file_lacking_a_monitored_column_exits_1(self, datasets, tmp_path, capsys):
-        code, err = self.run_cli(
-            datasets, tmp_path, capsys, training=self.without_sensor_4(datasets, tmp_path)
-        )
-        assert (code, err) == (1, ["error: training data lacks columns ['sensor_4']"])
+        training = self.without_sensor_4(datasets, tmp_path)
+        code, err = self.run_cli(datasets, tmp_path, capsys, training=training)
+        monitored = datasets / "damaged" / "data.csv"
+        expected = f"error: {training} lacks columns ['sensor_4'] that {monitored} monitors"
+        assert (code, err) == (1, [expected])
 
     def test_post_damage_file_lacking_a_monitored_column_exits_1(self, datasets, tmp_path, capsys):
         post = self.without_sensor_4(datasets, tmp_path)
         code, err = self.run_cli(
             datasets, tmp_path, capsys, "--mode", "known", "--post-training", str(post)
         )
-        assert (code, err) == (1, ["error: post-damage training data lacks columns ['sensor_4']"])
+        monitored = datasets / "damaged" / "data.csv"
+        expected = f"error: {post} lacks columns ['sensor_4'] that {monitored} monitors"
+        assert (code, err) == (1, [expected])
+
+    @staticmethod
+    def failing_inputs(datasets, tmp_path, failure):
+        """The flags and training file of a run that exits 1 after it made its output directory."""
+        if failure == "missing-training":
+            return [], tmp_path / "missing.csv"
+        rows = (datasets / "damaged" / "data.csv").read_text().splitlines()
+        if failure == "short-input":
+            rows = rows[: 1 + 200]
+        else:  # every sensor fails at its first chunk
+            rows[1] = ",".join(rows[1].split(",")[:1] + ["nan"] * 4)
+        bad = tmp_path / "bad.csv"
+        bad.write_text("\n".join(rows) + "\n")
+        return ["--input", str(bad)], None
+
+    FAILURES = ["missing-training", "short-input", "every-sensor-fails"]
+
+    @pytest.mark.parametrize("failure", FAILURES)
+    def test_a_failed_run_leaves_no_output_directory(self, datasets, tmp_path, capsys, failure):
+        flags, training = self.failing_inputs(datasets, tmp_path, failure)
+        out = tmp_path / "new" / ".." / "made" / "out"  # makes new, made and out
+        code, err = self.run_cli(
+            datasets, tmp_path, capsys, *flags, "--out", str(out), training=training
+        )
+        assert code == 1 and len(err) == 1 and err[0].startswith("error: "), err
+        assert not {"new", "made"} & {p.name for p in tmp_path.iterdir()}
+
+    @pytest.mark.parametrize("failure", FAILURES)
+    def test_a_failed_run_keeps_an_output_directory_that_existed(
+        self, datasets, tmp_path, capsys, failure
+    ):
+        flags, training = self.failing_inputs(datasets, tmp_path, failure)
+        out = tmp_path / "out"
+        out.mkdir()
+        code, err = self.run_cli(datasets, tmp_path, capsys, *flags, training=training)
+        assert code == 1 and len(err) == 1, err
+        assert out.is_dir() and not any(out.iterdir())
+
+    def test_a_failed_write_keeps_what_was_written(self, datasets, tmp_path, capsys, monkeypatch):
+        def full(path, data):
+            raise OSError(28, "No space left on device")
+
+        monkeypatch.setattr(pipeline, "write_json", full)
+        code, err = self.run_cli(datasets, tmp_path, capsys)
+        out = tmp_path / "out"
+        assert (code, err) == (1, [f"error: cannot write to {out}: [Errno 28] No space left on device"])
+        assert [p.name for p in out.iterdir()] == ["trace.csv"]
 
     def test_auto_order_on_training_shorter_than_one_chunk_exits_1(self, datasets, tmp_path, capsys):
         rows = (datasets / "train" / "data.csv").read_text().splitlines()
