@@ -10,6 +10,7 @@ fixed or chosen by AIC on healthy-regime data.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 from typing import Callable, Sequence
 
 import numpy as np
@@ -194,6 +195,14 @@ def _blocks(n: int, floats: int):
     return map(slice, range(0, n, step), range(step, n + step, step))
 
 
+@cache
+def _identity(p: int) -> np.ndarray:
+    """The (p, p) identity, made once per order and read-only."""
+    eye = np.eye(p)
+    eye.flags.writeable = False
+    return eye
+
+
 def _ranked(gram: np.ndarray, eig: np.ndarray, rows: np.ndarray | slice = slice(None)):
     """The numerical rank of each (p, p) Gram matrix in gram[rows], and gram ready to solve.
 
@@ -207,7 +216,7 @@ def _ranked(gram: np.ndarray, eig: np.ndarray, rows: np.ndarray | slice = slice(
     singular = rank < gram.shape[-1]
     if singular.any():
         gram = gram.copy()
-        gram[np.arange(len(gram))[rows][singular]] = np.eye(gram.shape[-1])
+        gram[np.arange(len(gram))[rows][singular]] = _identity(gram.shape[-1])
     return rank, gram
 
 
@@ -236,7 +245,7 @@ def _clears(gram: np.ndarray, floor) -> bool:
     finite, as the Gram matrices of finite rows are.
     """
     try:
-        np.linalg.cholesky(gram - floor * np.eye(gram.shape[-1]))
+        np.linalg.cholesky(gram - floor * _identity(gram.shape[-1]))
     except np.linalg.LinAlgError:
         return False
     return True
@@ -464,6 +473,29 @@ def select_order(
     return int(np.argmin(aic_values(chunks, p_max, skipped))) + 1
 
 
+def _fit_one_chunk(samples, config: DsfConfig) -> np.ndarray | None:
+    """The (1, ``config.order``) coefficients of a 1-D float64 array of one complete chunk.
+
+    The online step of a stream skips the block path's bookkeeping:
+    ``_standardize`` and ``_fit_stack`` on the (1, M) row, with sigma checked
+    against ``STD_FLOOR`` as one float. The same numpy operations in the same
+    order give the block path's bits. None for any other input (the exact
+    type is checked first, before any conversion) and for a chunk that is
+    rejected or fails the Cholesky screen: the block path then fits, names
+    or skips it.
+    """
+    if type(samples) is not np.ndarray or samples.ndim != 1 or samples.dtype != np.float64:
+        return None
+    m_len = config.chunk_size
+    if samples.size // m_len != 1:
+        return None
+    z, sigma = _standardize(samples[None, :m_len])
+    if not STD_FLOOR <= sigma.item() < np.inf:
+        return None
+    coef, rank = _fit_stack(z, config.order, m_len)
+    return coef if rank is None else None
+
+
 def extract_dsf_stream(
     samples: np.ndarray,
     config: DsfConfig,
@@ -493,8 +525,20 @@ def extract_dsf_stream(
     such chunk's error is appended to it and its row is left out; the first
     still raises when no row is left. ``samples`` is one stream: a 1-D array or
     a single column (or row); an array of several columns, such as two sensors
-    side by side, is a ValueError, and so is a complex array.
+    side by side, is a ValueError, and so is a complex array. A 1-D float64
+    array of exactly one complete chunk skips the block bookkeeping
+    (``_fit_one_chunk``) unless that chunk fails, with the same features.
     """
+    coef = _fit_one_chunk(samples, config)
+    if coef is None:
+        coef = _fit_blocks(samples, config, sensor_id, skipped)
+    return coef if config.coef_indices is None else coef[:, np.asarray(config.coef_indices) - 1]
+
+
+def _fit_blocks(
+    samples, config: DsfConfig, sensor_id: int, skipped: list[ShmSeqError] | None
+) -> np.ndarray:
+    """``extract_dsf_stream``'s (N, p) coefficients, all p per chunk kept, fitted block by block."""
     x = _real(samples)
     if x.ndim > 1 and x.size not in x.shape:
         raise ValueError(f"extract_dsf_stream takes one stream, got an array of shape {x.shape}")
@@ -516,4 +560,4 @@ def extract_dsf_stream(
             lambda i: SignalChunk(sensor_id, i + 1, x[i]), x, rank[:, None], [p], skipped
         )
         coef = coef[keep]
-    return coef if config.coef_indices is None else coef[:, np.asarray(config.coef_indices) - 1]
+    return coef

@@ -175,11 +175,13 @@ def _select_order(signals: dict[str, np.ndarray], chunk_size: int, p_max: int, p
     sensor can skip it or fail, when its features are extracted at the
     chosen order.
     """
-    chunks = [  # every complete chunk; a trailing partial one is dropped
-        SignalChunk(_sensor_id(col), k + 1, samples[k * chunk_size : (k + 1) * chunk_size])
-        for col, samples in signals.items()
-        for k in range(samples.size // chunk_size)
-    ]
+    chunks = []  # every complete chunk; a trailing partial one is dropped
+    for col, samples in signals.items():
+        sensor_id = _sensor_id(col)
+        chunks += (
+            SignalChunk(sensor_id, k + 1, samples[k * chunk_size : (k + 1) * chunk_size])
+            for k in range(samples.size // chunk_size)
+        )
     if not chunks:
         raise ConfigError(f"training data in {path} is shorter than one chunk")
     try:

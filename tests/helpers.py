@@ -5,8 +5,13 @@ use the explicit inverse/determinant formula, posteriors are enumerated in
 the linear domain, the estimator identity is the literal double sum, the
 simulator's reference draws every random number for the whole record at
 once, and its dynamics reference steps the state-space model one sample at
-a time with matrices from ``scipy.linalg.expm``.
+a time with matrices from ``scipy.linalg.expm``. The Normal-Inverse-Wishart
+marginal is the closed form over a whole sample set, with no predictive
+step, so that the Student-t predictives can check it.
 """
+
+import math
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -147,3 +152,84 @@ def expm_system(model, k_mat, dt):
 def expm_kernel(model, k_mat, dt, source, out, x0):
     """``shearsim._modal_response`` the reference way: ``lti_response_loop`` over ``expm_system``."""
     return lti_response_loop(*expm_system(model, k_mat, dt), source, out, x0)
+
+
+@dataclass(frozen=True)
+class NiwState:
+    """A Normal-Inverse-Wishart law: Sigma ~ IW(psi, nu) and mu | Sigma ~ N(mu, Sigma / kappa)."""
+
+    mu: np.ndarray
+    kappa: float
+    psi: np.ndarray
+    nu: float
+
+
+def niw_vague(mean, cov, kappa=0.01):
+    """The vague prior about a fitted g = N(mean, cov).
+
+    nu = m + 2 and psi = cov * (nu - m - 1) = cov, so the prior mean of Sigma
+    is cov; kappa is small, so mu is free to move away from mean.
+    """
+    mean = np.atleast_1d(np.asarray(mean, dtype=float))
+    return NiwState(mean, kappa, np.atleast_2d(np.asarray(cov, dtype=float)), mean.size + 2.0)
+
+
+def niw_seeded(xs):
+    """The state seeded from training vectors xs (n, m).
+
+    kappa = n, nu = n + m + 2, mu the mean of xs and psi their scatter
+    sum((x - mean)(x - mean)^T).
+    """
+    xs = np.atleast_2d(np.asarray(xs, dtype=float))
+    n, m = xs.shape
+    dev = xs - xs.mean(axis=0)
+    return NiwState(xs.mean(axis=0), float(n), dev.T @ dev, float(n + m + 2))
+
+
+def niw_update(state, xs):
+    """The posterior NiwState after the vectors xs (n, m), in the mean-and-scatter form."""
+    xs = np.atleast_2d(np.asarray(xs, dtype=float))
+    n = len(xs)
+    mean = xs.mean(axis=0)
+    dev, shift = xs - mean, mean - state.mu
+    kappa = state.kappa + n
+    psi = state.psi + dev.T @ dev + (state.kappa * n / kappa) * np.outer(shift, shift)
+    return NiwState((state.kappa * state.mu + n * mean) / kappa, kappa, psi, state.nu + n)
+
+
+def niw_predictive(state):
+    """(loc, shape, df) of the multivariate Student-t law of the next vector under ``state``."""
+    m = state.mu.size
+    df = state.nu - m + 1
+    return state.mu, state.psi * (state.kappa + 1) / (state.kappa * df), df
+
+
+def _log_multigamma(a, m):
+    """ln Gamma_m(a) = m(m - 1)/4 ln(pi) + sum_{j=1..m} ln Gamma(a + (1 - j)/2)."""
+    return m * (m - 1) / 4 * math.log(math.pi) + sum(math.lgamma(a - j / 2) for j in range(m))
+
+
+def niw_log_marginal(state, xs):
+    """ln p(xs) of the vectors xs (n, m) under ``state``, in closed form.
+
+    With y = x - mu and sums over the n vectors,
+    psi_n = psi + sum(y y^T) - sum(y) sum(y)^T / (kappa + n), and
+    ln p = -(nm/2) ln(pi) + ln Gamma_m(nu_n/2) - ln Gamma_m(nu/2)
+           + (nu/2) ln|psi| - (nu_n/2) ln|psi_n| + (m/2) ln(kappa/kappa_n).
+    """
+    xs = np.atleast_2d(np.asarray(xs, dtype=float))
+    n, m = xs.shape
+    y = xs - state.mu
+    total = y.sum(axis=0)
+    kappa_n, nu_n = state.kappa + n, state.nu + n
+    psi_n = state.psi + y.T @ y - np.outer(total, total) / kappa_n
+    logdet = np.linalg.slogdet(state.psi)[1]
+    logdet_n = np.linalg.slogdet(psi_n)[1]
+    return (
+        -n * m / 2 * math.log(math.pi)
+        + _log_multigamma(nu_n / 2, m)
+        - _log_multigamma(state.nu / 2, m)
+        + state.nu / 2 * logdet
+        - nu_n / 2 * logdet_n
+        + m / 2 * math.log(state.kappa / kappa_n)
+    )

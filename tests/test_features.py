@@ -415,12 +415,22 @@ class TestBlocks:
         rng = np.random.default_rng(seed)
         return rng.normal(size=n * cls.M) + 0.3 * np.sin(0.2 * np.arange(n * cls.M)), step
 
-    @pytest.mark.parametrize("order", [2, 12])
-    def test_features_equal_one_chunk_calls(self, order):
+    @pytest.mark.parametrize("order", [1, 2, 7, 12])
+    def test_features_equal_one_chunk_calls(self, order, monkeypatch):
         data, _ = self.record(order)
-        cfg = DsfConfig(chunk_size=self.M, order=order, coef_indices=(1, order))
-        single = [extract_dsf_stream(row, cfg) for row in data.reshape(-1, self.M)]
-        assert np.array_equal(extract_dsf_stream(data, cfg), np.vstack(single))
+        configs = [DsfConfig(chunk_size=self.M, order=order, coef_indices=indices)
+                   for indices in [(1, order), None]]
+        wholes = [extract_dsf_stream(data, cfg) for cfg in configs]
+        # every one-chunk call below takes _fit_one_chunk, the whole record the blocks
+        monkeypatch.setattr(features, "_fit_blocks", TestOneChunkPath.unreachable)
+        n = data.size // self.M
+        for cfg, whole in zip(configs, wholes):
+            single = [extract_dsf_stream(row, cfg) for row in data.reshape(-1, self.M)]
+            assert np.vstack(single).tobytes() == whole.tobytes()
+            # a trailing partial chunk (the first half of the next) is dropped
+            tails = [extract_dsf_stream(data[k * self.M : (k + 1) * self.M + self.M // 2], cfg)
+                     for k in range(n - 1)]
+            assert np.vstack(tails).tobytes() == whole[:-1].tobytes()
 
     def test_one_chunk_blocks(self, monkeypatch):
         data, _ = self.record(3)
@@ -539,6 +549,98 @@ class TestBlocks:
         # one block within BLOCK_BYTES, plus the (2000, 12) curves and ranks; a whole-record
         # stack and its standardized copy alone are 12.8 MB
         assert peak <= 2 * 2**20
+
+
+class TestOneChunkPath:
+    """A 1-D float64 array of one complete chunk skips the blocks, with their bits and errors."""
+
+    M = 400
+
+    @staticmethod
+    def unreachable(*args, **kwargs):
+        raise AssertionError("a clean one-chunk call reached the block path")
+
+    @pytest.fixture
+    def block_calls(self, monkeypatch):
+        """The arguments of each ``_fit_blocks`` call made while it is in use."""
+        calls = []
+        real = features._fit_blocks
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(features, "_fit_blocks", counted)
+        return calls
+
+    @staticmethod
+    def failing(case):
+        """One chunk of 400 samples that cannot be fit, the order it is fit at, and its error."""
+        samples = np.random.default_rng(21).normal(size=400)
+        overflow = "variance of 400 finite samples overflows"
+        if case == "nan":
+            samples[123] = np.nan
+            return samples, 2, NonFiniteSignal, "1 of 400 samples are nan or inf"
+        if case == "constant":
+            floor = "standard deviation 0.000e+00 below floor 1e-12"
+            return np.full(400, 1.5), 2, ZeroVariance, floor
+        if case == "overflow":
+            return samples * 1e200, 2, NonFiniteSignal, overflow
+        if case == "overflow-mean":
+            return 1e306 + 1e300 * samples, 7, NonFiniteSignal, overflow
+        # a tone of whole periods has a mean of about 0, so it is singular from order 3 on
+        order = int(case.split("-")[1])
+        tone = np.sin(2 * np.pi * 10 * np.arange(400) / 400)
+        rank = f"lag regressor matrix is rank deficient (rank 2 < {order})"
+        return tone, order, SingularDesign, rank
+
+    @pytest.mark.parametrize(
+        "case", ["nan", "constant", "overflow", "overflow-mean", "tone-3", "tone-12"]
+    )
+    @pytest.mark.parametrize("tail", [0, 150], ids=["one-chunk", "partial-tail"])
+    def test_failing_chunk_raises_as_the_blocks(self, case, tail, block_calls):
+        samples, order, kind, message = self.failing(case)
+        samples = np.concatenate([samples, np.random.default_rng(22).normal(size=tail)])
+        cfg = DsfConfig(chunk_size=self.M, order=order)
+        expected = f"sensor 3 chunk 1: {message}"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(kind) as exc:
+                extract_dsf_stream(samples, cfg, sensor_id=3)
+            assert type(exc.value) is kind and str(exc.value) == expected
+            assert len(block_calls) == 1  # the failing chunk went on to the block path
+            with pytest.raises(kind) as as_list:  # a list always takes the block path
+                extract_dsf_stream(samples.tolist(), cfg, sensor_id=3)
+            assert str(as_list.value) == expected
+            skipped = []
+            with pytest.raises(kind) as exc:  # no row is left
+                extract_dsf_stream(samples, cfg, sensor_id=3, skipped=skipped)
+        assert [(type(e), str(e)) for e in skipped] == [(kind, expected)]
+        assert exc.value is skipped[0] and exc.value.chunk_index == 1
+
+    @pytest.mark.parametrize(
+        "convert",
+        [lambda x: x.astype(np.float32), lambda x: np.round(1000 * x).astype(np.int64),
+         lambda x: x.tolist(), lambda x: x[:, None], lambda x: x[None, :]],
+        ids=["float32", "int64", "list", "column", "row"],
+    )
+    @pytest.mark.parametrize("order", [2, 12])
+    def test_other_inputs_take_the_blocks_with_the_same_bytes(self, convert, order, block_calls):
+        samples = gen_ar([0.5, -0.3], self.M, np.random.default_rng(23))
+        other = convert(samples)
+        as_float = np.asarray(other, dtype=float).ravel()
+        cfg = DsfConfig(chunk_size=self.M, order=order, coef_indices=(1, order))
+        expected = extract_dsf_stream(as_float, cfg)
+        assert not block_calls
+        assert extract_dsf_stream(other, cfg).tobytes() == expected.tobytes()
+        assert len(block_calls) == 1
+
+    def test_two_chunks_take_the_blocks(self, block_calls):
+        samples = gen_ar([0.5, -0.3], 2 * self.M, np.random.default_rng(24))
+        cfg = DsfConfig(chunk_size=self.M, order=2)
+        assert extract_dsf_stream(samples, cfg).shape == (2, 2)
+        assert extract_dsf_stream(samples[: self.M - 1], cfg).shape == (0, 2)
+        assert len(block_calls) == 2
 
 
 class TestIntegerSizes:
