@@ -203,10 +203,10 @@ def _identity(p: int) -> np.ndarray:
     return eye
 
 
-def _ranked(gram: np.ndarray, eig: np.ndarray, rows: np.ndarray | slice = slice(None)):
-    """The numerical rank of each (p, p) Gram matrix in gram[rows], and gram ready to solve.
+def _ranked(gram: np.ndarray, eig: np.ndarray):
+    """The numerical rank of each (p, p) Gram matrix in gram, and gram ready to solve.
 
-    ``eig`` holds the ascending eigenvalues of gram[rows]. The rank counts
+    ``eig`` holds the ascending eigenvalues of gram. The rank counts
     those above ``SINGULAR_RATIO`` times the largest, so it is below p
     exactly when lambda_min <= ``SINGULAR_RATIO`` * lambda_max. When one is,
     a copy of gram is returned in which each such matrix is the identity, so
@@ -216,7 +216,7 @@ def _ranked(gram: np.ndarray, eig: np.ndarray, rows: np.ndarray | slice = slice(
     singular = rank < gram.shape[-1]
     if singular.any():
         gram = gram.copy()
-        gram[np.arange(len(gram))[rows][singular]] = _identity(gram.shape[-1])
+        gram[singular] = _identity(gram.shape[-1])
     return rank, gram
 
 
@@ -299,9 +299,8 @@ def _aic_curves(z: np.ndarray, p_max: int) -> tuple[np.ndarray, np.ndarray]:
     rows): adding rows only raises lambda_min and raises lambda_max by at
     most that sum (interlacing). The trace bounds lambda_max, so a block
     whose shared Gram matrices all clear ``SINGULAR_RATIO`` * (trace + the
-    added norms) passes with one Cholesky (``_clears``). Only a block that
-    does not pays one ``eigvalsh`` of them for the screen above; only rows
-    that fail it get one ``eigvalsh`` per order, and their ranks use
+    added norms) passes with one Cholesky (``_clears``). A block that does
+    not gets one ``eigvalsh`` per order for every row, and its ranks use
     ``_ranked``'s rule. The order loop makes only the update, the solve
     and the RSS; the cancellation test and the logs run once on the
     (K, p_max) table. A full-rank fit whose RSS cancels (see
@@ -318,10 +317,7 @@ def _aic_curves(z: np.ndarray, p_max: int) -> tuple[np.ndarray, np.ndarray]:
     shared = cross[:, 1:, 1:]
     added = np.cumsum(z[:, : p_max - 1] ** 2, axis=1).sum(axis=1)
     floor = SINGULAR_RATIO * (np.trace(shared, 0, 1, 2) + added)
-    unscreened = np.empty(0, dtype=int)
-    if not _clears(shared, floor[:, None, None]):
-        eig = np.linalg.eigvalsh(shared)
-        unscreened = np.flatnonzero(~(eig[:, 0] > SINGULAR_RATIO * (eig[:, -1] + added)))
+    screened = _clears(shared, floor[:, None, None])
     orders = np.arange(1, p_max + 1)
     ranks = np.tile(orders, (len(z), 1))
     yy, rss, l1 = np.empty((3, len(z), p_max))  # y'y, RSS and |beta|_1 at each order
@@ -330,9 +326,8 @@ def _aic_curves(z: np.ndarray, p_max: int) -> tuple[np.ndarray, np.ndarray]:
             row = z[:, p::-1]  # z[t], z[t - 1], ..., z[t - p] at t = p
             cross[:, : p + 1, : p + 1] += row[:, :, None] * row[:, None, :]
         gram, c = cross[:, 1 : p + 1, 1 : p + 1], cross[:, 1 : p + 1, 0]
-        if unscreened.size:
-            eig = np.linalg.eigvalsh(gram[unscreened])
-            ranks[unscreened, p - 1], gram = _ranked(gram, eig, unscreened)
+        if not screened:
+            ranks[:, p - 1], gram = _ranked(gram, np.linalg.eigvalsh(gram))
         beta = np.linalg.solve(gram, c[:, :, None])[:, :, 0]
         yy[:, p - 1] = cross[:, 0, 0]
         rss[:, p - 1] = yy[:, p - 1] - np.einsum("kp,kp->k", c, beta)

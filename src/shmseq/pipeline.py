@@ -259,16 +259,12 @@ def _process_sensor(
 def run(config: PipelineConfig) -> RunResult:
     """Execute the full pipeline and write trace/summary/localization files.
 
-    A run that fails leaves no empty output directory behind (``_output_dir``).
+    An output directory that cannot be written fails before the work
+    (``_check_writable``); the directory is made only when the outputs are.
     """
     config.validate()
     positions, lambda_true = _read_metadata(config)
-    with _output_dir(config.output_dir):
-        return _run(config, positions, lambda_true)
-
-
-def _run(config: PipelineConfig, positions: dict[str, str], lambda_true: int | None) -> RunResult:
-    """The work of ``run`` once its output directory exists."""
+    _check_writable(config.output_dir)
     train_time, train_signals = read_signal_csv(config.training_csv)
     interval = _sample_interval(train_time) if train_time.size > 1 else None
     input_time, input_signals = read_signal_csv(config.input_csv, interval)
@@ -380,30 +376,19 @@ def _reading(path: str):
         raise ConfigError(f"{path}: {err}") from err
 
 
-@contextlib.contextmanager
-def _output_dir(path: str):
-    """Make the directory ``path`` before the work; if the work raises, remove what was made.
+def _check_writable(path: str) -> None:
+    """Raise a ConfigError naming ``path`` unless it can be made and written as a directory.
 
-    Making it first fails an unwritable ``path`` before the work, not after
-    it. On an error, each directory this made, deepest first, is removed
-    while it is empty, so a failed ``run`` or ``gen`` leaves no empty
-    ``--out`` behind; a directory that existed before, or that holds a
-    file, stays.
+    ``path``, or its nearest existing ancestor when it does not exist, must
+    be a directory this process can write and search. Nothing is made here:
+    a failed run or ``gen`` leaves no empty ``--out`` behind, and the
+    directory is made when the outputs are written.
     """
-    made = []  # path and each missing parent, as os.makedirs walks them (a/../b makes a)
     head = path
     while head and not os.path.lexists(head):
-        made.append(head)
-        head = os.path.dirname(head)
-    with _writing_to(path):
-        os.makedirs(path, exist_ok=True)
-    try:
-        yield
-    except BaseException:
-        for directory in made:
-            with contextlib.suppress(OSError):  # not empty, or a/.. once a/../b is gone
-                os.rmdir(directory)
-        raise
+        head = os.path.dirname(head) or os.curdir
+    if not (os.path.isdir(head) and os.access(head, os.W_OK | os.X_OK)):
+        raise ConfigError(f"cannot write to {path}: {head!r} is not a writable directory")
 
 
 @contextlib.contextmanager
@@ -416,6 +401,7 @@ def _writing_to(path: str):
 
 
 def _write_outputs(config, runs, localization, summary) -> dict:
+    os.makedirs(config.output_dir, exist_ok=True)
     paths = {
         "trace": os.path.join(config.output_dir, "trace.csv"),
         "summary": os.path.join(config.output_dir, "summary.json"),
@@ -506,11 +492,12 @@ def gen(scenario: dict | str, out_dir: str, seed: int | None = None) -> dict:
 
     data_path = os.path.join(out_dir, "data.csv")
     meta_path = os.path.join(out_dir, "metadata.json")
-    with _output_dir(out_dir):  # fail before the simulation, not after it
-        result = shearsim.simulate(model, dmg, excitation, chunk_size, sensors_per_story)
-        with _writing_to(out_dir):
-            result.to_csv(data_path)
-            write_json(meta_path, result.metadata())
+    _check_writable(out_dir)  # fail before the simulation, not after it
+    result = shearsim.simulate(model, dmg, excitation, chunk_size, sensors_per_story)
+    with _writing_to(out_dir):
+        os.makedirs(out_dir, exist_ok=True)
+        result.to_csv(data_path)
+        write_json(meta_path, result.metadata())
     return {"data": data_path, "metadata": meta_path}
 
 

@@ -7,7 +7,8 @@ simulator's reference draws every random number for the whole record at
 once, and its dynamics reference steps the state-space model one sample at
 a time with matrices from ``scipy.linalg.expm``. The Normal-Inverse-Wishart
 marginal is the closed form over a whole sample set, with no predictive
-step, so that the Student-t predictives can check it.
+step, so that the Student-t predictives can check it; the log odds built on
+it enumerate every change step, with one marginal per suffix.
 """
 
 import math
@@ -233,3 +234,46 @@ def niw_log_marginal(state, xs):
         - nu_n / 2 * logdet_n
         + m / 2 * math.log(state.kappa / kappa_n)
     )
+
+
+def niw_concentrated(mean, cov, strength):
+    """A state concentrated on N(mean, cov): kappa = strength, nu = strength + m + 1.
+
+    psi = cov * strength, so the prior mean of Sigma, psi / (nu - m - 1), is
+    cov; as strength grows, the state's predictive tends to N(mean, cov).
+    """
+    mean = np.atleast_1d(np.asarray(mean, dtype=float))
+    cov = np.atleast_2d(np.asarray(cov, dtype=float))
+    return NiwState(mean, float(strength), cov * strength, strength + mean.size + 1.0)
+
+
+def niw_log_odds(xs, rho, f_state, g):
+    """The log odds r_N after the vectors xs (N, m) under a geometric prior, by enumeration.
+
+    Hypothesis k (the change at step k, pi(k) = rho (1 - rho)^(k - 1))
+    scores x[k..N] by its marginal under ``f_state``. With ``g`` a
+    (mean, cov) pair, g is known:
+        r_N = logsumexp_k[ln pi(k) + ln p_f(x[k..N]) - sum_{n=k..N} ln g(x_n)]
+              - ln P(change > N).
+    With ``g`` an NiwState, g is unknown too, and is scored by its marginal:
+        r_N = logsumexp_k[ln pi(k) + ln p_g(x[1..k-1]) + ln p_f(x[k..N])]
+              - ln P(change > N) - ln p_g(x[1..N]).
+    Each suffix and prefix gets its own ``niw_log_marginal``: O(N^2 m^2).
+    The three forms, with g_hat = N(mean, cov) fitted to training vectors:
+    g known, f vague about it (``niw_vague(mean, cov)``, g = (mean, cov));
+    a g-state (the same f_state, g = ``niw_seeded(training)``); and an
+    informed f-state (f_state = ``niw_seeded(postdamage)``, the same g-state).
+    """
+    xs = np.atleast_2d(np.asarray(xs, dtype=float))
+    n = len(xs)
+    k = np.arange(1, n + 1)
+    log_pi = math.log(rho) + (k - 1) * math.log1p(-rho)
+    log_f = np.array([niw_log_marginal(f_state, xs[i:]) for i in range(n)])
+    if isinstance(g, NiwState):
+        log_g = np.array([0.0] + [niw_log_marginal(g, xs[:i]) for i in range(1, n + 1)])
+        terms = log_pi + log_g[:-1] + log_f - log_g[-1]
+    else:
+        suffix_g = np.cumsum(naive_logpdf(xs, *g)[::-1])[::-1]  # sum_{n=k..N} ln g(x_n)
+        terms = log_pi + log_f - suffix_g
+    top = terms.max()
+    return float(top + math.log(np.exp(terms - top).sum()) - n * math.log1p(-rho))

@@ -772,7 +772,7 @@ class TestCholeskyScreen:
         assert count[0] == 0  # every chunk cleared the screen
         monkeypatch.setattr(features, "_clears", lambda gram, floor: False)
         fallback = _aic_curves(z, 12)
-        assert count[0] == 1  # the shared Gram matrices, and no chunk needs one per order
+        assert count[0] == 12  # one per order, for every chunk of the block
         assert np.array_equal(screened[0], fallback[0])
         assert np.array_equal(screened[1], fallback[1])
         assert (screened[1] == np.arange(1, 13)).all()

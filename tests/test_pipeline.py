@@ -894,6 +894,79 @@ class TestCli:
         assert code == 1
         assert len(err) == 1 and err[0].startswith("error: ") and str(taken / "x") in err[0], err
 
+    @staticmethod
+    def deny_access(monkeypatch, directory):
+        """Make ``os.access`` deny ``directory``, as for one this process cannot write."""
+        access = os.access
+
+        def denied(path, mode, *args, **kwargs):
+            return os.path.abspath(path) != str(directory) and access(path, mode, *args, **kwargs)
+
+        monkeypatch.setattr(os, "access", denied)
+
+    @staticmethod
+    def command_argv(datasets, tmp_path, command):
+        """A ``run`` or ``gen`` command line that succeeds once given an ``--out``."""
+        if command == "run":
+            return [
+                "run",
+                "--input", str(datasets / "damaged" / "data.csv"),
+                "--training", str(datasets / "train" / "data.csv"),
+                "--chunk-size", "400",
+                "--order", "3",
+            ]
+        scen = tmp_path / "scenario.json"
+        scen.write_text(json.dumps(scenario_dict(1, 24.0)))
+        return ["gen", "--scenario", str(scen)]
+
+    @staticmethod
+    def fail_the_work(monkeypatch):
+        """Make reading a CSV or simulating a record fail loudly."""
+        monkeypatch.setattr(pipeline, "read_signal_csv", None)
+        monkeypatch.setattr(pipeline.shearsim, "simulate", None)
+
+    @pytest.mark.parametrize("under", [False, True], ids=["locked", "locked-child"])
+    @pytest.mark.parametrize("command", ["run", "gen"])
+    def test_an_unwritable_directory_exits_1_before_the_work(
+        self, datasets, tmp_path, capsys, monkeypatch, command, under
+    ):
+        argv = self.command_argv(datasets, tmp_path, command)
+        locked = tmp_path / "locked"
+        locked.mkdir()
+        out = locked / "new" if under else locked
+        self.deny_access(monkeypatch, locked)
+        self.fail_the_work(monkeypatch)
+        code = cli.main([*argv, "--out", str(out)])
+        err = capsys.readouterr().err.splitlines()
+        assert code == 1
+        assert err == [f"error: cannot write to {out}: {str(locked)!r} is not a writable directory"]
+        assert not any(locked.iterdir())
+
+    @pytest.mark.parametrize("command", ["run", "gen"])
+    def test_an_empty_out_exits_1_before_the_work(
+        self, datasets, tmp_path, capsys, monkeypatch, command
+    ):
+        argv = self.command_argv(datasets, tmp_path, command)
+        self.fail_the_work(monkeypatch)
+        code = cli.main([*argv, "--out", ""])
+        err = capsys.readouterr().err.splitlines()
+        assert (code, err) == (1, ["error: cannot write to : '' is not a writable directory"])
+
+    @pytest.mark.parametrize("command", ["run", "gen"])
+    def test_a_directory_that_cannot_be_made_exits_1_naming_it(
+        self, datasets, tmp_path, capsys, monkeypatch, command
+    ):
+        def too_long(path, *args, **kwargs):
+            raise OSError(36, "File name too long")  # the check cannot foresee this
+
+        argv = self.command_argv(datasets, tmp_path, command)
+        monkeypatch.setattr(os, "makedirs", too_long)
+        out = tmp_path / "out"
+        code = cli.main([*argv, "--out", str(out)])
+        err = capsys.readouterr().err.splitlines()
+        assert (code, err) == (1, [f"error: cannot write to {out}: [Errno 36] File name too long"])
+        assert not out.exists()
+
     def test_report_into_a_missing_directory_exits_1(self, datasets, tmp_path, capsys):
         out = tmp_path / "out"
         pipeline.run(base_config(datasets, out))
@@ -1184,7 +1257,7 @@ class TestErrorExits:
 
     @staticmethod
     def failing_inputs(datasets, tmp_path, failure):
-        """The flags and training file of a run that exits 1 after it made its output directory."""
+        """The flags and training file of a run that fails once its output directory is checked."""
         if failure == "missing-training":
             return [], tmp_path / "missing.csv"
         rows = (datasets / "damaged" / "data.csv").read_text().splitlines()
@@ -1207,6 +1280,22 @@ class TestErrorExits:
         )
         assert code == 1 and len(err) == 1 and err[0].startswith("error: "), err
         assert not {"new", "made"} & {p.name for p in tmp_path.iterdir()}
+
+    @pytest.mark.parametrize("relative", [False, True], ids=["absolute", "relative"])
+    def test_a_run_makes_its_output_directory_and_its_parents(
+        self, datasets, tmp_path, capsys, monkeypatch, relative
+    ):
+        out = Path("new", "..", "made", "out")
+        if relative:
+            monkeypatch.chdir(tmp_path)
+        else:
+            out = tmp_path / out
+        code, err = self.run_cli(datasets, tmp_path, capsys, "--out", str(out))
+        assert code in (0, 2) and err == [], err
+        assert {"new", "made"} <= {p.name for p in tmp_path.iterdir()}
+        assert sorted(p.name for p in (tmp_path / "made" / "out").iterdir()) == [
+            "localization.json", "summary.json", "trace.csv"
+        ]
 
     @pytest.mark.parametrize("failure", FAILURES)
     def test_a_failed_run_keeps_an_output_directory_that_existed(
