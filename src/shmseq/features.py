@@ -497,6 +497,7 @@ def extract_dsf_stream(
     *,
     sensor_id: int = 0,
     skipped: list[ShmSeqError] | None = None,
+    first_chunk: int = 1,
 ) -> np.ndarray:
     """Turn a raw stream into an (N, ``config.dim``) feature matrix, one row per complete chunk.
 
@@ -518,20 +519,21 @@ def extract_dsf_stream(
     the block size. The first chunk that cannot be fit raises, naming its
     sensor and chunk. With a ``skipped`` list, as for ``aic_values``, every
     such chunk's error is appended to it and its row is left out; the first
-    still raises when no row is left. ``samples`` is one stream: a 1-D array or
-    a single column (or row); an array of several columns, such as two sensors
-    side by side, is a ValueError, and so is a complex array. A 1-D float64
+    still raises when no row is left. Errors number the chunks from
+    ``first_chunk``, for a stream read in parts. ``samples`` is one stream: a
+    1-D array or a single column (or row); an array of several columns, such
+    as two sensors side by side, is a ValueError, and so is a complex array. A 1-D float64
     array of exactly one complete chunk skips the block bookkeeping
     (``_fit_one_chunk``) unless that chunk fails, with the same features.
     """
     coef = _fit_one_chunk(samples, config)
     if coef is None:
-        coef = _fit_blocks(samples, config, sensor_id, skipped)
+        coef = _fit_blocks(samples, config, sensor_id, skipped, first_chunk)
     return coef if config.coef_indices is None else coef[:, np.asarray(config.coef_indices) - 1]
 
 
 def _fit_blocks(
-    samples, config: DsfConfig, sensor_id: int, skipped: list[ShmSeqError] | None
+    samples, config: DsfConfig, sensor_id: int, skipped: list[ShmSeqError] | None, first_chunk: int
 ) -> np.ndarray:
     """``extract_dsf_stream``'s (N, p) coefficients, all p per chunk kept, fitted block by block."""
     x = _real(samples)
@@ -552,7 +554,7 @@ def _fit_blocks(
             rank[rows] = block_rank
     if rank is not None:
         keep = _fit_rows(
-            lambda i: SignalChunk(sensor_id, i + 1, x[i]), x, rank[:, None], [p], skipped
+            lambda i: SignalChunk(sensor_id, first_chunk + i, x[i]), x, rank[:, None], [p], skipped
         )
         coef = coef[keep]
     return coef

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import contextlib
 import csv
+import itertools
 import os
 import types
 import typing
@@ -28,7 +29,10 @@ from .errors import (
 from .estimator import AdaptiveDetector, fit_predamage
 from .features import DsfConfig, SignalChunk, extract_dsf_stream, select_order
 from .localization import SensorOutcome, build_report
-from .tables import _sample_interval, _sensor_id, read_json, read_signal_csv, write_csv, write_json
+from .tables import (
+    BLOCK_ROWS, SignalTable, _sensor_id, read_json, read_signal_blocks, read_signal_csv, write_csv,
+    write_json,
+)
 
 EXIT_CLEAN = 0
 EXIT_ERROR = 1
@@ -108,13 +112,19 @@ class PipelineConfig:
 
 @dataclass(kw_only=True)
 class SensorRun(SensorOutcome):
-    """One sensor's localization outcome, set by ``_process_sensor``, with its tables and error."""
+    """One sensor's localization outcome, with its detector, step tables and error.
+
+    ``_train_sensor`` sets g (``pre``), f in known mode and the detector;
+    ``_follow`` feeds it each block of the monitored stream. Only a run
+    without an error is reported.
+    """
 
     column: str
-    pre: GaussianParams | None = None  # None until the sensor succeeds
+    pre: GaussianParams | None = None  # None until g is fitted
+    detector: DetectorState | None = None  # a known-mode state or an AdaptiveDetector
     log_odds: list[float] = field(default_factory=list)  # step k at index k - 1
     estimates: list[tuple[int, np.ndarray, np.ndarray]] = field(default_factory=list)
-    dsfs: np.ndarray = field(default_factory=lambda: np.empty((0, 0)))  # (N, m), row k = step k+1
+    dsfs: list[np.ndarray] = field(default_factory=list)  # (n, m) blocks; stacked, row k = step k+1
     skipped_training_chunks: list[str] = field(default_factory=list)  # the chunk errors
     error: str | None = None
 
@@ -218,68 +228,137 @@ def _training_features(
     return dsfs
 
 
-def _process_sensor(
+def _train_sensor(
     run: SensorRun,
-    stream: np.ndarray,
     training: np.ndarray,
     postdamage: np.ndarray | None,
     dsf_config: DsfConfig,
     config: PipelineConfig,
 ) -> None:
-    """Fill in ``run``: its outcome (``pre``, ``post``, ``detection_time``) and step tables."""
-    prior = GeometricPrior(config.rho)
-    g = fit_predamage(_training_features(run, training, config.training_csv, dsf_config))
+    """Fit ``run``'s g (``pre``), and in known mode its f (``post``), and start its detector."""
+    run.pre = fit_predamage(_training_features(run, training, config.training_csv, dsf_config))
+    if config.mode == "known":
+        run.post = fit_predamage(
+            _training_features(run, postdamage, config.postdamage_csv, dsf_config)
+        )
+        run.detector = DetectorState()
+    else:
+        run.detector = AdaptiveDetector(
+            run.pre, GeometricPrior(config.rho), config.alpha, sensor_id=run.sensor_id
+        )
+
+
+def _follow(
+    run: SensorRun,
+    samples: np.ndarray,
+    first_chunk: int,
+    dsf_config: DsfConfig,
+    config: PipelineConfig,
+) -> None:
+    """Feed ``run``'s detector ``samples``, its stream's chunks from ``first_chunk`` on.
+
+    Its outcome (``post`` in adaptive mode, ``detection_time``) and step
+    tables then hold the stream so far.
+    """
     try:
-        dsfs = extract_dsf_stream(stream, dsf_config, sensor_id=run.sensor_id)
+        dsfs = extract_dsf_stream(
+            samples, dsf_config, sensor_id=run.sensor_id, first_chunk=first_chunk
+        )
     except ShmSeqError as err:
         err.args = (f"{err} (in {config.input_csv})",)  # keeps the type and chunk_index
         raise
 
+    detector = run.detector
     if config.mode == "known":
-        f = fit_predamage(_training_features(run, postdamage, config.postdamage_csv, dsf_config))
-        detector = DetectorState()
+        prior = GeometricPrior(config.rho)
         for x in dsfs:
-            detector = update(detector, x, g, f, prior)
+            detector = update(detector, x, run.pre, run.post, prior)
             detect(detector, config.alpha)
             run.log_odds.append(detector.log_odds)
+        run.detector = detector
     else:
-        detector = AdaptiveDetector(g, prior, config.alpha, sensor_id=run.sensor_id)
         for x in dsfs:
             detector.update(x)
             run.log_odds.append(detector.log_odds)
             if config.dump_estimates and detector.is_ready:
                 est = detector.params_estimate
                 run.estimates.append((detector.step, est.mean, est.cov))
-        f = detector.params_estimate if detector.is_ready else None
-    run.pre, run.post, run.detection_time = g, f, detector.detection_time
-    if config.dump_dsf:  # only a sensor that succeeded has rows in dsf.csv
-        run.dsfs = dsfs
+        run.post = detector.params_estimate if detector.is_ready else None
+    run.detection_time = detector.detection_time
+    if config.dump_dsf:
+        run.dsfs.append(dsfs)
 
 
 def run(config: PipelineConfig) -> RunResult:
     """Execute the full pipeline and write trace/summary/localization files.
 
-    An output directory that cannot be written fails before the work
-    (``_check_writable``); the directory is made only when the outputs are.
+    The training phase (``_train``) reads the training records whole and
+    fits every sensor; the monitoring phase (``_monitor``) then reads the
+    monitored record a block of whole chunks at a time, so a run holds one
+    block of it, however long it is. Its header and first block are read
+    and checked before the training phase. An output directory that cannot
+    be written fails before the work (``_check_writable``); the directory is
+    made only when the outputs are.
     """
     config.validate()
     positions, lambda_true = _read_metadata(config)
     _check_writable(config.output_dir)
-    train_time, train_signals = read_signal_csv(config.training_csv)
-    interval = _sample_interval(train_time) if train_time.size > 1 else None
-    input_time, input_signals = read_signal_csv(config.input_csv, interval)
+    training = read_signal_csv(config.training_csv)
+    block_rows = config.chunk_size * max(1, BLOCK_ROWS // config.chunk_size)
+    blocks = read_signal_blocks(config.input_csv, block_rows, training.interval)
+    with contextlib.closing(blocks):
+        first = next(blocks)
+        runs, dsf_config = _train(config, positions, training, *first)
+        stream = itertools.chain([first], blocks)
+        del training, first  # from here on a run holds one block of the monitored record
+        _monitor(runs, stream, dsf_config, config)
+
+    good = [r for r in runs if r.error is None]
+    if not good:
+        raise ConfigError(
+            "every sensor failed: " + "; ".join(f"{r.column}: {r.error}" for r in runs)
+        )
+
+    report = build_report(good, alpha=config.alpha, rho=config.rho)
+    localization = report.to_dict()
+    summary = _summarize(runs, config, dsf_config.order, report.detected, lambda_true)
+    with _writing_to(config.output_dir):  # a sensor that failed has no rows in any table
+        paths = _write_outputs(config, good, localization, summary)
+    return RunResult(
+        exit_code=EXIT_DETECTED if report.detected else EXIT_CLEAN,
+        summary=summary,
+        localization=localization,
+        paths=paths,
+    )
+
+
+def _train(
+    config: PipelineConfig,
+    positions: dict[str, str],
+    training: SignalTable,
+    input_time: np.ndarray,
+    input_signals: dict[str, np.ndarray],
+) -> tuple[list[SensorRun], DsfConfig]:
+    """The training phase: every monitored sensor's run, fitted or failed, and the features' config.
+
+    ``input_time`` and ``input_signals`` are the monitored record's first
+    block, whose columns and length are checked first. The post-damage
+    record is read here, in known mode, and AIC chooses the order when it
+    is "auto".
+    """
     described = f"{config.input_csv}, which {config.metadata_json} describes,"
     _require_columns(input_signals, positions, described)
-    if input_time.size < config.chunk_size:
+    if input_time.size < config.chunk_size:  # a first block this short is the whole record
         raise ConfigError(
             f"{config.input_csv} has {input_time.size} samples, fewer than one chunk of"
             f" {config.chunk_size}"
         )
+    train_signals = training.signals
     monitors = f" that {config.input_csv} monitors"
     _require_columns(train_signals, input_signals, config.training_csv, monitors)
     post_signals = {}
     if config.mode == "known":
-        _, post_signals = read_signal_csv(config.postdamage_csv, interval)
+        _, post_signals = read_signal_csv(config.postdamage_csv, training.interval)
         _require_columns(post_signals, input_signals, config.postdamage_csv, monitors)
 
     if isinstance(config.order, str):
@@ -302,35 +381,33 @@ def run(config: PipelineConfig) -> RunResult:
             column=col, sensor_id=_sensor_id(col), position=positions.get(col, col)
         )
         try:
-            _process_sensor(
-                run_obj,
-                input_signals[col],
-                train_signals[col],
-                post_signals.get(col),
-                dsf_config,
-                config,
+            _train_sensor(
+                run_obj, train_signals[col], post_signals.get(col), dsf_config, config
             )
         except ShmSeqError as err:
             run_obj.error = str(err)
         runs.append(run_obj)
+    return runs, dsf_config
 
-    good = [r for r in runs if r.error is None]
-    if not good:
-        raise ConfigError(
-            "every sensor failed: " + "; ".join(f"{r.column}: {r.error}" for r in runs)
-        )
 
-    report = build_report(good, alpha=config.alpha, rho=config.rho)
-    localization = report.to_dict()
-    summary = _summarize(runs, config, order, report.detected, lambda_true)
-    with _writing_to(config.output_dir):
-        paths = _write_outputs(config, runs, localization, summary)
-    return RunResult(
-        exit_code=EXIT_DETECTED if report.detected else EXIT_CLEAN,
-        summary=summary,
-        localization=localization,
-        paths=paths,
-    )
+def _monitor(
+    runs: list[SensorRun], blocks, dsf_config: DsfConfig, config: PipelineConfig
+) -> None:
+    """The monitoring phase: each block's chunks go to every sensor that has not failed.
+
+    ``blocks`` yields the monitored record's ``(time, signals)`` in blocks
+    of whole chunks. A sensor that fails keeps its error and takes no more
+    blocks; an error in the record itself ends the run.
+    """
+    first_chunk = 1
+    for time, signals in blocks:
+        for run_obj in runs:
+            if run_obj.error is None:
+                try:
+                    _follow(run_obj, signals[run_obj.column], first_chunk, dsf_config, config)
+                except ShmSeqError as err:
+                    run_obj.error = str(err)
+        first_chunk += time.size // config.chunk_size
 
 
 def _summarize(
@@ -441,10 +518,12 @@ def _write_steps(path, names: list[str], runs, rows) -> None:
 
 
 def _write_dsf(path, runs) -> None:
-    m = max(r.dsfs.shape[1] for r in runs)
-    _write_steps(path, [f"coef_{i}" for i in range(1, m + 1)], runs, lambda r: np.column_stack(
-        (np.arange(1, len(r.dsfs) + 1), r.dsfs)
-    ))
+    def rows(r):
+        dsfs = np.vstack(r.dsfs)
+        return np.column_stack((np.arange(1, len(dsfs) + 1), dsfs))
+
+    m = runs[0].dsfs[0].shape[1]
+    _write_steps(path, [f"coef_{i}" for i in range(1, m + 1)], runs, rows)
 
 
 def _write_estimates(path, runs) -> None:

@@ -245,6 +245,34 @@ class TestInputValidation:
             assert [e["id"] for e in result.localization["sensors"]] == [1, 3, 4]
         assert "DLASCL" not in capfd.readouterr().err
 
+    def test_non_finite_cell_in_a_later_block_names_its_chunk(self, datasets, tmp_path):
+        src = (datasets / "damaged" / "data.csv").read_text().splitlines()
+        fields = src[9000].split(",")  # sample 9000 of sensor_2: chunk 23, in block 3 of 4000 rows
+        fields[2] = "nan"
+        src[9000] = ",".join(fields)
+        bad = tmp_path / "bad.csv"
+        bad.write_text("\n".join(src) + "\n")
+        for mode in ("adaptive", "known"):
+            config = base_config(
+                datasets, tmp_path / mode, input_csv=str(bad), mode=mode,
+                postdamage_csv=str(datasets / "post" / "data.csv"),
+            )
+            sensors = {s["sensor_id"]: s for s in pipeline.run(config).summary["sensors"]}
+            assert sensors[2]["error"] == f"sensor 2 chunk 23: 1 of 400 samples are nan or inf (in {bad})"
+            assert all("error" not in sensors[i] and "tau" in sensors[i] for i in (1, 3, 4))
+            trace = np.loadtxt(tmp_path / mode / "trace.csv", delimiter=",", skiprows=1)
+            assert set(trace[:, 0]) == {1.0, 3.0, 4.0}  # no rows of the steps sensor 2 took
+
+    def test_a_trailing_partial_chunk_is_left_out(self, datasets, tmp_path):
+        rows = (datasets / "damaged" / "data.csv").read_text().splitlines()
+        outputs = []
+        for name, samples in (("whole", 25 * 400), ("partial", 25 * 400 + 150)):
+            path = tmp_path / f"{name}.csv"
+            path.write_text("\n".join(rows[: 1 + samples]) + "\n")  # 3 blocks, the last partial
+            pipeline.run(base_config(datasets, tmp_path / name, input_csv=str(path)))
+            outputs.append([(tmp_path / name / f).read_bytes() for f in ("trace.csv", "summary.json")])
+        assert outputs[0] == outputs[1]
+
     def test_dead_chunk_fails_only_its_sensor(self, datasets, tmp_path):
         src = (datasets / "damaged" / "data.csv").read_text().splitlines()
         for row in range(801, 1201):  # all of chunk 3 of sensor_3
@@ -448,7 +476,7 @@ class TestInputValidation:
         rows = (datasets / "damaged" / "data.csv").read_text().splitlines()
         short = tmp_path / "short.csv"
         short.write_text("\n".join(rows[: 1 + 200]) + "\n")
-        monkeypatch.setattr(pipeline, "_process_sensor", None)  # the work would fail loudly
+        monkeypatch.setattr(pipeline, "_train_sensor", None)  # the work would fail loudly
         code = cli.main([
             "run",
             "--input", str(short),
@@ -460,6 +488,35 @@ class TestInputValidation:
         assert code == 1
         assert err == [f"error: {short} has 200 samples, fewer than one chunk of 400"], err
         assert not (tmp_path / "out").exists()
+
+    def test_bad_row_in_a_later_block_exits_1_naming_it(self, datasets, tmp_path, capsys):
+        src = (datasets / "damaged" / "data.csv").read_text().splitlines()
+        src[9000] = src[9000].replace(",", ",x", 1)  # row 9001, in block 3
+        bad = tmp_path / "bad.csv"
+        bad.write_text("\n".join(src) + "\n")
+        code = cli.main([
+            "run", "--input", str(bad), "--training", str(datasets / "train" / "data.csv"),
+            "--chunk-size", "400", "--order", "3", "--out", str(tmp_path / "out"),
+        ])
+        err = capsys.readouterr().err.splitlines()
+        cell = "x" + src[9000].split(",x")[1].split(",")[0]
+        assert (code, err) == (1, [f"error: {bad}: row 9001: cannot parse {cell!r} as a number"])
+        assert not (tmp_path / "out").exists()
+
+    def test_input_that_is_not_utf8_exits_1_naming_it(self, datasets, tmp_path, capsys):
+        src = (datasets / "damaged" / "data.csv").read_bytes().splitlines()
+        src[9000] = src[9000].replace(b",", b",\xe9", 1)  # line 9001, in block 3
+        bad = tmp_path / "bad.csv"
+        bad.write_bytes(b"\n".join(src) + b"\n")
+        code = cli.main([
+            "run", "--input", str(bad), "--training", str(datasets / "train" / "data.csv"),
+            "--chunk-size", "400", "--order", "3", "--out", str(tmp_path / "out"),
+        ])
+        err = capsys.readouterr().err.splitlines()
+        byte = src[9000].index(b"\xe9") + 1
+        assert (code, err) == (1, [
+            f"error: {bad}: line 9001 is not UTF-8: byte {byte} is 0xe9 (invalid continuation byte)"
+        ])
 
     def test_byte_order_mark_is_ignored(self, tmp_path):
         plain, marked = tmp_path / "plain.csv", tmp_path / "marked.csv"
