@@ -257,8 +257,7 @@ def _follow(
 ) -> None:
     """Feed ``run``'s detector ``samples``, its stream's chunks from ``first_chunk`` on.
 
-    Its outcome (``post`` in adaptive mode, ``detection_time``) and step
-    tables then hold the stream so far.
+    Its ``detection_time`` and step tables then hold the stream so far.
     """
     try:
         dsfs = extract_dsf_stream(
@@ -283,7 +282,6 @@ def _follow(
             if config.dump_estimates and detector.is_ready:
                 est = detector.params_estimate
                 run.estimates.append((detector.step, est.mean, est.cov))
-        run.post = detector.params_estimate if detector.is_ready else None
     run.detection_time = detector.detection_time
     if config.dump_dsf:
         run.dsfs.append(dsfs)
@@ -397,7 +395,8 @@ def _monitor(
 
     ``blocks`` yields the monitored record's ``(time, signals)`` in blocks
     of whole chunks. A sensor that fails keeps its error and takes no more
-    blocks; an error in the record itself ends the run.
+    blocks; an error in the record itself ends the run. In adaptive mode
+    each sensor's f-hat (``post``) is then built once, from the whole stream.
     """
     first_chunk = 1
     for time, signals in blocks:
@@ -408,6 +407,12 @@ def _monitor(
                 except ShmSeqError as err:
                     run_obj.error = str(err)
         first_chunk += time.size // config.chunk_size
+    for run_obj in runs:
+        if config.mode == "adaptive" and run_obj.error is None and run_obj.detector.is_ready:
+            try:
+                run_obj.post = run_obj.detector.params_estimate
+            except ShmSeqError as err:
+                run_obj.error = str(err)
 
 
 def _summarize(

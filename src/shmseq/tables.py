@@ -2,8 +2,8 @@
 
 A signal CSV (`gen`'s data.csv, every input of `run`) has a
 `time,sensor_<id>,...` header, times to the microsecond and signals to 12
-significant digits. It is read whole (``read_signal_csv``) or a block of
-rows at a time (``read_signal_blocks``), with the same checks and errors.
+significant digits. One reader, ``read_signal_blocks``, reads it a block of
+rows at a time; ``read_signal_csv`` reads it whole, as its one block.
 CSV rows are written in blocks of ``BLOCK_ROWS``, one ``%`` operation per
 block: the bytes of numpy's row-at-a-time text writer given the same header,
 formats and a comma delimiter, at less cost. JSON is written with sorted
@@ -54,7 +54,7 @@ def write_signal_csv(path, time: np.ndarray, columns: Sequence[str], signals: np
 
 @dataclass(frozen=True)
 class SignalTable:
-    """A signal CSV read whole; it unpacks as ``time, signals``.
+    """A signal CSV, or a block of its rows; it unpacks as ``time, signals``.
 
     ``interval`` is the sample interval its time steps were checked against
     (None for a file of one row).
@@ -77,53 +77,27 @@ class _BadRow(Exception):
 
 
 def read_signal_csv(path, sample_interval: float | None = None) -> SignalTable:
-    """Strict reader for `time,sensor_<id>,...` files; errors cite the row.
+    """The whole signal CSV ``path``: ``read_signal_blocks``' one block."""
+    [table] = read_signal_blocks(path, None, sample_interval)
+    return table
 
-    After the header checks the data rows are parsed by one ``np.loadtxt``
-    call on the path, whose C reader takes the file in blocks, skipping its
-    first line. When that raises, warns or finds another column count than
-    the header's (as for a header with a quoted line break), the file is
-    read again row by row with ``float``, which also takes quoted cells,
-    ``1_0`` and blank lines, and cites the first bad row.
 
-    The time column must be finite and strictly increasing, and every time
-    step must lie within ``TIME_TOL`` of the sample interval: the median
-    step, or ``sample_interval`` when given (another file's, which this one
-    must match). The returned time and sensor columns are strided views of
-    the one parsed array, not copies.
+def read_signal_blocks(path, block_rows: int | None, sample_interval: float | None = None):
+    """The signal CSV ``path`` as ``SignalTable``s of ``block_rows`` data rows, or one of all.
+
+    A generator over one open handle, so only a block of the file is held.
+    After the header checks each block is one ``np.loadtxt`` call: on the
+    handle with ``max_rows``, or, for the whole file, on the path, whose C
+    reader is faster. When that raises, warns or finds another column count
+    than the header's (as for a header with a quoted line break), the row
+    loop reads the file from that block on with ``float``, which also takes
+    quoted cells, ``1_0`` and blank lines. The times must be finite and rise
+    in steps within ``TIME_TOL`` of ``sample_interval`` (another file's) or,
+    without it, of the block's median step, the step from the block before
+    included. Errors cite the file row; a bad row raises after the blocks
+    before it were yielded. A block's columns are strided views of its array.
     """
     with _open(path) as fh, _decoding(path):
-        header = _read_header(path, csv.reader(fh))
-        data = _loadtxt(path, len(header), skiprows=1, encoding="utf-8-sig")
-        try:
-            if data is None:
-                data = _read_rows(path, (row for _, row in _data_rows(fh)), len(header))
-            interval = _check_time(data[:, 0], sample_interval)
-        except _BadRow as bad:
-            raise _row_error(path, fh, bad.index, bad.problem) from None
-    columns = data.T
-    return SignalTable(columns[0], dict(zip(header[1:], columns[1:])), interval)
-
-
-def read_signal_blocks(path, block_rows: int, sample_interval: float | None = None):
-    """``read_signal_csv``'s ``(time, signals)``, one block of ``block_rows`` data rows at a time.
-
-    A generator over one open handle, so only a block of the file is held,
-    however long it is. Each block is one ``np.loadtxt`` call with
-    ``max_rows``, which takes the handle's lines one at a time and stops at
-    the block's last row. From the first block it cannot parse on, the row
-    loop reads the file, which is read again from its start to that block.
-    Every block but the last holds ``block_rows`` rows. The checks, row
-    numbers and errors are ``read_signal_csv``'s, and the time check takes
-    the step from the block before too. Two things differ. The tolerance
-    widening takes the largest time read so far, not the whole column's.
-    Without ``sample_interval`` each block is checked against its own median
-    step. A file without data rows raises at the first block; a bad row
-    raises at its own block, after the blocks before it were yielded.
-    """
-    # Universal newlines, unlike read_signal_csv's handle: loadtxt reads it faster, and
-    # the csv module splits the same records, cells differing by line ends float() strips.
-    with _open(path, newline=None) as fh, _decoding(path):
         header = _read_header(path, csv.reader(fh))
         width = len(header)
         reader = None  # the row loop's, from the first block loadtxt cannot parse
@@ -133,32 +107,37 @@ def read_signal_blocks(path, block_rows: int, sample_interval: float | None = No
                 line = next(fh, "")
                 if not line:  # at the end of the file loadtxt would warn that it found no data
                     break
-                data = _loadtxt(itertools.chain([line], fh), width, max_rows=block_rows)
+                if block_rows is None:  # the path: faster than the handle for a whole file
+                    data = _loadtxt(path, width, skiprows=1, encoding="utf-8-sig")
+                else:
+                    data = _loadtxt(itertools.chain([line], fh), width, max_rows=block_rows)
                 if data is None:
                     reader = (row for _, row in itertools.islice(_data_rows(fh), index, None))
             try:
                 if reader is not None:
-                    data = _read_rows(path, reader, width, block_rows)
+                    data = _read_rows(reader, width, block_rows)
                 if not len(data):  # only blank rows were left
                     break
                 time = data[:, 0]
-                _check_time(time, sample_interval, before, largest)
+                interval = _check_time(time, sample_interval, before, largest)
             except _BadRow as bad:
                 raise _row_error(path, fh, index + bad.index, bad.problem) from None
             index, before = index + len(time), time[-1]
             largest = max(largest, abs(time[0]), abs(before))  # a rising column's ends
             columns = data.T
-            yield columns[0], dict(zip(header[1:], columns[1:]))
-            if len(time) < block_rows:
+            yield SignalTable(columns[0], dict(zip(header[1:], columns[1:])), interval)
+            if len(time) != block_rows:  # the last block, or the whole file
                 break
         if not index:
             raise ConfigError(f"{path}: no data rows")
 
 
-def _open(path, newline: str | None = ""):
-    """``path`` opened for the csv module; a ConfigError naming it if it cannot be."""
+def _open(path):
+    """``path`` opened for reading; a ConfigError naming it if it cannot be."""
+    # Universal newlines: loadtxt reads them faster than newline="", and the csv module
+    # splits the same records, cells differing by line ends float() strips.
     try:
-        return open(path, newline=newline, encoding="utf-8-sig")  # Excel may write a BOM
+        return open(path, encoding="utf-8-sig")  # Excel may write a BOM
     except OSError as err:
         raise ConfigError(f"{path}: {err}") from err
 
@@ -223,14 +202,14 @@ def _sample_interval(time: np.ndarray) -> float:
 
 
 def _check_time(
-    time: np.ndarray, interval: float | None, before: float | None = None, largest: float = 0.0
+    time: np.ndarray, interval: float | None, before: float | None, largest: float
 ) -> float | None:
     """The interval ``time`` was checked against; ``_BadRow`` at the first bad time.
 
     Checked in turn: every time is finite, every step is positive, every step
-    lies within ``TIME_TOL`` of ``interval`` (default: the median step). The
+    lies within ``TIME_TOL`` of ``interval`` (if None: the median step). The
     steps start from ``before``, the time of the row before ``time[0]``,
-    when given. The tolerance is widened by a few units in the last place of
+    unless it is None. The tolerance is widened by a few units in the last place of
     the largest |time|, of ``time`` and ``largest``, for the times' own
     rounding.
     """
@@ -281,12 +260,11 @@ def _row_error(path, fh, index: int, problem: str) -> ConfigError:
     return ConfigError(f"{path}: row {row_no}: {problem}")
 
 
-def _read_rows(path, reader, width: int, max_rows: int | None = None) -> np.ndarray:
+def _read_rows(reader, width: int, max_rows: int | None) -> np.ndarray:
     """The next ``max_rows`` data rows of ``reader``, or all of them, as an (n, width) array.
 
     Each cell is parsed with ``float``; blank rows are skipped. A row of
-    another width, or a cell that is no number, raises ``_BadRow``. All the
-    rows of ``path`` must hold one data row at least.
+    another width, or a cell that is no number, raises ``_BadRow``.
     """
     rows = []
     for row in reader:
@@ -303,8 +281,6 @@ def _read_rows(path, reader, width: int, max_rows: int | None = None) -> np.ndar
         rows.append(values)
         if len(rows) == max_rows:
             break
-    if not rows and max_rows is None:
-        raise ConfigError(f"{path}: no data rows")
     return np.array(rows).reshape(-1, width)
 
 

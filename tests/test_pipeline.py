@@ -209,6 +209,44 @@ class TestRun:
         assert strong > 0
 
 
+    def test_adaptive_mode_builds_each_sensors_f_hat_once(self, datasets, tmp_path, monkeypatch):
+        built, params_estimate = [], AdaptiveDetector.params_estimate
+
+        def counted(detector):
+            built.append(detector.sensor_id)
+            return params_estimate.fget(detector)
+
+        monkeypatch.setattr(AdaptiveDetector, "params_estimate", property(counted))
+        config = PipelineConfig.from_dict(dict(  # default flags; 26 chunks: 3 blocks of 10
+            input_csv=str(datasets / "damaged" / "data.csv"),
+            training_csv=str(datasets / "train" / "data.csv"),
+            metadata_json=str(datasets / "damaged" / "metadata.json"),
+            output_dir=str(tmp_path / "out"),
+            chunk_size=400,
+        ))
+        result = pipeline.run(config)
+        assert all("error" not in s for s in result.summary["sensors"])
+        assert sorted(built) == [1, 2, 3, 4]
+
+    def test_whole_files_are_parsed_on_the_path_and_blocks_on_the_handle(
+        self, datasets, tmp_path, monkeypatch
+    ):
+        sources, loadtxt = [], np.loadtxt
+
+        def recording(source, *args, **kwargs):
+            sources.append(source)
+            return loadtxt(source, *args, **kwargs)
+
+        monkeypatch.setattr(np, "loadtxt", recording)
+        config = base_config(  # 26 monitored chunks: 3 blocks of 10
+            datasets, tmp_path / "out", mode="known",
+            postdamage_csv=str(datasets / "post" / "data.csv"),
+        )
+        pipeline.run(config)
+        on_paths = [s for s in sources if isinstance(s, (str, os.PathLike))]
+        assert on_paths == [config.training_csv, config.postdamage_csv]
+        assert len(sources) - len(on_paths) == 3
+
 class TestInputValidation:
     def test_malformed_cell_cites_row(self, datasets, tmp_path):
         src = (datasets / "damaged" / "data.csv").read_text().splitlines()
@@ -565,7 +603,7 @@ class TestInputValidation:
     def _row_loop(path):
         with open(path, newline="", encoding="utf-8-sig") as fh:
             reader = csv.reader(fh)
-            return tables._read_rows(path, reader, len(next(reader)))
+            return tables._read_rows(reader, len(next(reader)), None)
 
     def test_crlf_file_parses_in_one_call(self, datasets, tmp_path, monkeypatch):
         text = (datasets / "damaged" / "data.csv").read_text()

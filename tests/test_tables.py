@@ -219,7 +219,7 @@ def assert_blocks_equal_the_whole_parse(path, block_rows, sizes):
     assert [len(t) for t, _ in blocks] == sizes
     assert np.concatenate([t for t, _ in blocks]).tobytes() == time.tobytes()
     for col in signals:
-        assert list(blocks[0][1]) == list(signals)
+        assert list(blocks[0].signals) == list(signals)
         assert np.concatenate([s[col] for _, s in blocks]).tobytes() == signals[col].tobytes()
 
 
@@ -290,7 +290,7 @@ def test_a_bad_row_in_the_third_block_raises_the_whole_file_error(tmp_path, edit
     with pytest.raises(ConfigError) as whole:
         tables.read_signal_csv(path, 0.02)
     blocks = tables.read_signal_blocks(path, 40, 0.02)
-    assert [len(next(blocks)[0]) for _ in range(2)] == [40, 40]  # the blocks before it
+    assert [len(next(blocks).time) for _ in range(2)] == [40, 40]  # the blocks before it
     with pytest.raises(ConfigError) as streamed:
         next(blocks)
     assert str(streamed.value) == str(whole.value)
